@@ -13,12 +13,6 @@
 //!   counting global allocator snapshotted around the measured region —
 //!   steady-state stepping must make **zero** heap allocations once
 //!   caches are warm, recorded as the `steady_state_allocs_zero` check;
-//! * a **batched lockstep-lane loop** (`DeviceBatch::step_active`,
-//!   DESIGN.md §15) at widths 1/8/64 on the fused exponential mat-mat
-//!   path, ns per device-step, inside the same counting-allocator
-//!   bracket — the lockstep steady state must also make zero heap
-//!   allocations — with per-round `batch_step_speedup/wN` ratios
-//!   against the width-1 lanes;
 //! * **full sessions** at *default protocol settings* (3 min warmup,
 //!   cooldown, 5 min workload) through the real harness, one timed
 //!   sample per session. The session ratio is reported honestly: probe
@@ -58,7 +52,6 @@ use accubench::harness::{Ambient, Harness};
 use accubench::protocol::Protocol;
 use pv_bench::report::{BenchReport, Check, Metric};
 use pv_bench::stats::{robust, RobustStats, DEFAULT_NOISE_THRESHOLD};
-use pv_soc::batch::{BatchReport, DeviceBatch};
 use pv_soc::catalog;
 use pv_soc::device::{CpuDemand, Device, FrequencyMode, StepReport};
 use pv_thermal::network::{Integrator, NodeId, ThermalNetwork, ThermalNetworkBuilder};
@@ -308,61 +301,6 @@ fn sessions_interleaved(samples: usize) -> [Vec<f64>; 3] {
     out
 }
 
-/// Batch widths for the lockstep-lane loop: width 1 is the overhead
-/// floor (one-lane batch vs plain scalar), 8 the cache sweet spot, 64
-/// the honest cache-pressure data point (DESIGN.md §15).
-const BATCH_WIDTHS: [usize; 3] = [1, 8, 64];
-
-/// Busy-steps a [`DeviceBatch`] of each width through the fused
-/// exponential mat-mat path, `steps` lockstep rounds per sample on a
-/// fresh fleet (grades spread so no two lanes are identical), warmed 500
-/// rounds to settle every cache; the counting allocator brackets the
-/// timed loop — steady-state lockstep stepping must stay off the heap
-/// exactly like the scalar path. Samples are ns per *device*-step, so
-/// widths are directly comparable to `device_ns_per_step`.
-fn batch_interleaved(steps: usize, samples: usize) -> InterleavedRun {
-    let dt = Seconds(0.1);
-    let demand = CpuDemand::busy();
-    let mode = FrequencyMode::Unconstrained;
-    let mut out: [Vec<f64>; 3] = std::array::from_fn(|_| Vec::with_capacity(samples));
-    let mut allocs = 0;
-    for _ in 0..samples {
-        for (k, &width) in BATCH_WIDTHS.iter().enumerate() {
-            let lanes: Vec<Device> = (0..width)
-                .map(|i| {
-                    let grade = 0.05 + 0.9 * (i as f64) / (width.max(2) - 1) as f64;
-                    let mut d = catalog::pixel(grade, format!("pixel-batch-{i:02}")).unwrap();
-                    d.set_integrator(Integrator::Exponential);
-                    d
-                })
-                .collect();
-            let mut batch = DeviceBatch::new(lanes);
-            let mut reports = BatchReport::new(width);
-            let mut failures = Vec::new();
-            let active = vec![true; width];
-            for _ in 0..500 {
-                batch.step_active(dt, demand, mode, &active, &mut reports, &mut failures);
-                assert!(failures.is_empty(), "warmup lane failed");
-            }
-            // Pin total *device*-steps, not rounds, so every width does
-            // the same amount of simulated work per sample.
-            let rounds = (steps / width).max(1);
-            let before = alloc_count();
-            let start = Instant::now();
-            for _ in 0..rounds {
-                batch.step_active(dt, demand, mode, &active, &mut reports, &mut failures);
-            }
-            out[k].push(start.elapsed().as_secs_f64() * 1e9 / (rounds * width) as f64);
-            allocs += alloc_count() - before;
-            assert!(failures.is_empty(), "timed lane failed");
-        }
-    }
-    InterleavedRun {
-        samples: out,
-        allocs,
-    }
-}
-
 fn stats_of(samples: &[f64]) -> RobustStats {
     robust(samples, DEFAULT_NOISE_THRESHOLD).expect("sample count is always >= 1")
 }
@@ -422,26 +360,6 @@ fn main() {
     steady_allocs += raw.allocs;
     eprintln!("device loops:  {} alloc(s) in timed regions", raw.allocs);
 
-    let batch = batch_interleaved(opts.steps, opts.samples);
-    for (k, width) in BATCH_WIDTHS.iter().enumerate() {
-        let stats = stats_of(&batch.samples[k]);
-        eprintln!(
-            "batch/w{width:<11}  {:9.1} ns/device-step p50  spread {:4.1}%{}",
-            stats.p50,
-            stats.rel_spread * 100.0,
-            if stats.noisy { " NOISY" } else { "" },
-        );
-        report.metrics.push(Metric::from_stats(
-            format!("batch_ns_per_device_step/w{width}"),
-            "ns/step",
-            false,
-            &stats,
-            opts.steps as u64,
-        ));
-    }
-    steady_allocs += batch.allocs;
-    eprintln!("batch loops:   {} alloc(s) in timed regions", batch.allocs);
-
     let sessions = sessions_interleaved(opts.sessions);
     for (k, integrator) in INTEGRATORS.iter().enumerate() {
         let stats = stats_of(&sessions[k]);
@@ -496,13 +414,6 @@ fn main() {
         &sessions[slot(Integrator::Euler)],
         exp_s,
     );
-    // Lockstep-lane speedups vs the width-1 batch (same engine, no
-    // batching): the per-device-step quotient isolates what the shared
-    // mat-mat buys at each width.
-    let batch_w1 = &batch.samples[0];
-    let batch_speedup_w8 = ratio("batch_step_speedup/w8", batch_w1, &batch.samples[1]);
-    let batch_speedup_w64 = ratio("batch_step_speedup/w64", batch_w1, &batch.samples[2]);
-
     report.checks.push(Check {
         name: "steady_state_allocs_zero".to_owned(),
         ok: steady_allocs == 0,
@@ -516,10 +427,6 @@ fn main() {
     println!(
         "step/session wall-clock: exponential {session_speedup_vs_rk4:.2}x vs rk4, \
          {session_speedup_vs_euler:.2}x vs euler"
-    );
-    println!(
-        "step/batched lanes: {batch_speedup_w8:.2}x at width 8, \
-         {batch_speedup_w64:.2}x at width 64 vs width-1 lanes"
     );
     println!("wrote {}", opts.out);
     if steady_allocs != 0 {

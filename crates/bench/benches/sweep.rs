@@ -21,13 +21,9 @@
 //! common-mode drift cancels in the quotient, giving the ratio its own
 //! robust spread and noisy verdict.
 //!
-//! A second section measures **batched lockstep stepping** (DESIGN.md
-//! §15) on a *clean* (fault-free) fleet — the population batching
-//! accelerates; armed fault plans make devices batch-inadmissible, so
-//! they would only measure the scalar fallback. One worker thread, so
-//! the `batch_speedup/bN` ratios isolate the kernel win from pool
-//! scheduling; `benchdiff` holds the `batch_speedup/b8 ≥ 1.0×` floor
-//! on single-core hosts too (`min_host_parallelism: 0`).
+//! A second section times a *clean* (fault-free) fleet on one worker,
+//! `devices_per_sec/clean`: the per-device cost the sampled section
+//! extrapolates the full population from.
 //!
 //! A third section measures **stratified subsampling** (DESIGN.md §16)
 //! on the streaming engine: a 100 000-device virtual population is
@@ -35,7 +31,7 @@
 //! only the selected devices are simulated. `sampled_devices_per_sec`
 //! is the realised simulation rate; `sample_speedup/n2000` is the
 //! per-round quotient of the *extrapolated* full-population cost (from
-//! the clean width-1 rate measured in the batch section, same config)
+//! the clean rate measured in the second section, same config)
 //! over the measured sampled cost — `benchdiff` holds it ≥ 10× on any
 //! host. The `aggregate_memory_bounded` check asserts the streaming
 //! aggregate's footprint is identical for the n = 2000 sweep and a
@@ -49,9 +45,7 @@
 //! stays fast).
 
 use accubench::aggregate::ScoreAggregate;
-use accubench::crowd::{
-    populate_batched, populate_parallel, populate_streamed, CrowdDatabase, SweepConfig,
-};
+use accubench::crowd::{populate_parallel, populate_streamed, CrowdDatabase, SweepConfig};
 use accubench::executor;
 use accubench::journal::CancelToken;
 use accubench::protocol::Protocol;
@@ -282,119 +276,59 @@ fn main() {
             1,
         ));
     }
-    // --- Batched lockstep section (clean fleet, one worker) ---
+    // --- Clean section (one worker) ---
     //
-    // The faulted config above leaves almost every device inadmissible
-    // for lockstep (its point is uneven per-device cost), so batching is
-    // measured on the clean config it targets, on the exponential
-    // integrator — the only scheme whose propagator can be hoisted into
-    // the shared mat-mat (Euler/RK4 lanes run the per-lane fallback).
-    // Width 1 routes through the same chunked engine as the scalar
-    // per-device path and is the ratio's denominator; per-round
-    // quotients cancel host drift exactly as the thread-speedup ratios
-    // do.
-    const BATCH_WIDTHS: [usize; 3] = [1, 8, 64];
+    // The faulted config above exists for uneven per-device cost; the
+    // sampled section below runs the clean config on the exponential
+    // integrator, so its full-population extrapolation needs a clean
+    // per-device cost measured the same way.
     let clean_cfg = SweepConfig::clean(
         protocol.with_integrator(pv_thermal::network::Integrator::Exponential),
         opts.iterations,
     );
-    let mut batch_runs: Vec<(usize, Vec<f64>)> = BATCH_WIDTHS
-        .iter()
-        .map(|&b| (b, Vec::with_capacity(opts.samples)))
-        .collect();
-    let mut batch_reports_identical = true;
-    let mut batch_reference: Option<String> = None;
+    let mut clean_secs: Vec<f64> = Vec::with_capacity(opts.samples);
     for _ in 0..opts.samples {
-        for (batch, secs_samples) in &mut batch_runs {
-            let devices = fleet(opts.devices);
-            let mut db = CrowdDatabase::new(5.0).unwrap();
-            let start = Instant::now();
-            let sweep = populate_batched(
-                &mut db,
-                "Pixel",
-                devices,
-                &clean_cfg,
-                None,
-                &CancelToken::new(),
-                1,
-                *batch,
-            )
-            .expect("batched sweep failed");
-            secs_samples.push(start.elapsed().as_secs_f64());
-            assert!(sweep.complete);
-            let fingerprint = sweep.report.to_json().to_string_compact();
-            match &batch_reference {
-                None => batch_reference = Some(fingerprint),
-                Some(reference) => {
-                    if *reference != fingerprint {
-                        batch_reports_identical = false;
-                    }
-                }
-            }
-        }
-    }
-    let batch_stats: Vec<(usize, pv_bench::stats::RobustStats)> = batch_runs
-        .iter()
-        .map(|(batch, secs)| {
-            let rates: Vec<f64> = secs.iter().map(|s| opts.devices as f64 / s).collect();
-            let stats = robust(&rates, DEFAULT_NOISE_THRESHOLD)
-                .expect("at least one sample per batch width");
-            (*batch, stats)
-        })
-        .collect();
-    for (batch, stats) in &batch_stats {
-        report.metrics.push(Metric::from_stats(
-            format!("devices_per_sec/b{batch}"),
-            "devices/s",
-            true,
-            stats,
+        let devices = fleet(opts.devices);
+        let mut db = CrowdDatabase::new(5.0).unwrap();
+        let start = Instant::now();
+        let sweep = populate_parallel(
+            &mut db,
+            "Pixel",
+            devices,
+            &clean_cfg,
+            None,
+            &CancelToken::new(),
             1,
-        ));
+        )
+        .expect("clean sweep failed");
+        clean_secs.push(start.elapsed().as_secs_f64());
+        assert!(sweep.complete);
     }
-    let scalar_secs = batch_runs
-        .iter()
-        .find(|(b, _)| *b == 1)
-        .map(|(_, secs)| secs.clone())
-        .expect("width-1 baseline always present");
-    for (batch, secs) in &batch_runs {
-        if *batch == 1 {
-            continue;
-        }
-        let per_round: Vec<f64> = scalar_secs.iter().zip(secs).map(|(b1, bn)| b1 / bn).collect();
-        let stats = robust(&per_round, DEFAULT_NOISE_THRESHOLD)
-            .expect("at least one sample per batch width");
-        report.metrics.push(Metric::from_stats(
-            format!("batch_speedup/b{batch}"),
-            "x",
-            true,
-            &stats,
-            1,
-        ));
-    }
-    let scalar_rate = batch_stats
-        .iter()
-        .find(|(b, _)| *b == 1)
-        .map(|(_, s)| s.p50)
-        .expect("width-1 baseline always present");
-    for (batch, stats) in &batch_stats {
-        println!(
-            "sweep/clean {} devices/batch={batch}: {:.1} devices/s p50 \
-             ({:.2}x vs scalar, spread {:.1}%{})",
-            opts.devices,
-            stats.p50,
-            stats.p50 / scalar_rate,
-            stats.rel_spread * 100.0,
-            if stats.noisy { " NOISY" } else { "" }
-        );
-    }
+    let clean_rates: Vec<f64> = clean_secs.iter().map(|s| opts.devices as f64 / s).collect();
+    let clean_stats =
+        robust(&clean_rates, DEFAULT_NOISE_THRESHOLD).expect("at least one clean sample");
+    report.metrics.push(Metric::from_stats(
+        "devices_per_sec/clean".to_owned(),
+        "devices/s",
+        true,
+        &clean_stats,
+        1,
+    ));
+    println!(
+        "sweep/clean {} devices: {:.1} devices/s p50 (spread {:.1}%{})",
+        opts.devices,
+        clean_stats.p50,
+        clean_stats.rel_spread * 100.0,
+        if clean_stats.noisy { " NOISY" } else { "" }
+    );
 
     // --- Stratified subsampling section (streaming engine, DESIGN.md §16) ---
     //
     // Only the n selected devices of a pop-sized virtual population are
     // simulated; the full-population cost is *extrapolated* from the
-    // clean width-1 rate measured above (same config, same engine
-    // family), so the per-round quotient
-    // `(pop · b1_secsᵢ / devices) / sampled_secsᵢ` cancels host drift
+    // clean rate measured above (same config, same engine), so the
+    // per-round quotient
+    // `(pop · clean_secsᵢ / devices) / sampled_secsᵢ` cancels host drift
     // like the other ratios. Per-device cost is grade-independent to
     // first order, so the extrapolation is honest.
     let aux: Vec<f64> = (0..opts.sample_pop)
@@ -478,10 +412,10 @@ fn main() {
         &sampled_stats,
         1,
     ));
-    let per_round: Vec<f64> = scalar_secs
+    let per_round: Vec<f64> = clean_secs
         .iter()
         .zip(&sampled_secs)
-        .map(|(b1, s)| (opts.sample_pop as f64 * b1 / opts.devices as f64) / s)
+        .map(|(c, s)| (opts.sample_pop as f64 * c / opts.devices as f64) / s)
         .collect();
     let sample_speedup_stats =
         robust(&per_round, DEFAULT_NOISE_THRESHOLD).expect("at least one sampled sample");
@@ -500,16 +434,16 @@ fn main() {
         sampled_stats.p50,
         sample_speedup_stats.p50,
         sample_speedup_stats.rel_spread * 100.0,
-        if sample_speedup_stats.noisy { " NOISY" } else { "" }
+        if sample_speedup_stats.noisy {
+            " NOISY"
+        } else {
+            ""
+        }
     );
 
     report.checks.push(Check {
         name: "reports_identical".to_owned(),
         ok: reports_identical,
-    });
-    report.checks.push(Check {
-        name: "batch_reports_identical".to_owned(),
-        ok: batch_reports_identical,
     });
     report.checks.push(Check {
         name: "sampled_reports_identical".to_owned(),
@@ -535,10 +469,6 @@ fn main() {
     println!("wrote {}", opts.out);
     if !reports_identical {
         eprintln!("FATAL: reports diverged across thread counts/samples");
-        std::process::exit(1);
-    }
-    if !batch_reports_identical {
-        eprintln!("FATAL: reports diverged across batch widths/samples");
         std::process::exit(1);
     }
     if !sampled_reports_identical {

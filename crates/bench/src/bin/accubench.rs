@@ -26,9 +26,6 @@
 //!   --threads <n>               accepted for symmetry with `repro sweep`;
 //!                               a single-device session is one unit of
 //!                               work, so it always runs on one worker
-//!   --batch <n>                 accepted for symmetry with `repro sweep`;
-//!                               a single device is a width-1 batch, so
-//!                               lockstep stepping cannot help here
 //!   --sample <k>                accepted for symmetry with `repro sweep`;
 //!                               a single-device session has a population
 //!                               of one, so it is always measured exactly
@@ -94,7 +91,6 @@ struct Options {
     journal: Option<String>,
     resume: bool,
     threads: usize,
-    batch: usize,
     sample: Option<usize>,
     sample_strategy: Option<String>,
     sample_seed: Option<u64>,
@@ -117,7 +113,6 @@ fn parse_args() -> Result<Options, String> {
         journal: None,
         resume: false,
         threads: 1,
-        batch: 1,
         sample: None,
         sample_strategy: None,
         sample_seed: None,
@@ -167,11 +162,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.threads = value("--threads")?
                     .parse()
                     .map_err(|_| "--threads must be a positive integer".to_owned())?
-            }
-            "--batch" => {
-                opts.batch = value("--batch")?
-                    .parse()
-                    .map_err(|_| "--batch must be a positive integer".to_owned())?
             }
             "--sample" => {
                 let k: usize = value("--sample")?
@@ -230,17 +220,6 @@ fn parse_args() -> Result<Options, String> {
              --threads {} runs it on one worker (use `repro sweep --threads` \
              to parallelise a fleet)",
             opts.threads
-        );
-    }
-    if opts.batch == 0 {
-        return Err("--batch must be at least 1".to_owned());
-    }
-    if opts.batch > 1 {
-        eprintln!(
-            "note: a single device is a width-1 batch; --batch {} has no \
-             effect here (use `repro sweep --batch` to step a fleet in \
-             lockstep)",
-            opts.batch
         );
     }
     if let Some(name) = &opts.sample_strategy {
@@ -347,7 +326,7 @@ fn main() -> ExitCode {
                  [--iterations N] [--ambient °C] [--scale F] \
                  [--integrator euler|rk4|exponential] [--trace out.csv] \
                  [--faults plan.toml] [--json] [--journal file] [--resume] [--threads N] \
-                 [--batch B] [--sample K] [--sample-strategy srs|rss|stratified] \
+                 [--sample K] [--sample-strategy srs|rss|stratified] \
                  [--sample-seed S] [--oracle] [--max-task-seconds W] \
                  [--on-failure abort|quarantine]"
             );

@@ -34,7 +34,7 @@
 //!
 //! ```text
 //! repro sweep [--quick] [--devices N] [--seed S] [--threads T] \
-//!             [--batch B] [--journal run.journal] [--resume] [--json] \
+//!             [--journal run.journal] [--resume] [--json] \
 //!             [--sample K] [--sample-strategy srs|rss|stratified] \
 //!             [--sample-seed S] [--oracle] \
 //!             [--max-task-seconds W] [--on-failure abort|quarantine] \
@@ -53,20 +53,16 @@
 //! per-device pseudo-random fault injection to exercise the resilient
 //! path. `--threads` (default: the host's available parallelism) fans
 //! device sessions out across a work-stealing pool; the report, database
-//! and journal stay bit-identical to `--threads 1`. `--batch` (default 1)
-//! runs each worker's chunk of clean devices in SIMD-friendly lockstep
-//! through the shared-propagator mat-mat kernel (DESIGN.md §15); faulted,
-//! chaos-struck, traced, and deadline-supervised devices fall back to the
-//! scalar supervised path, so every byte of output stays identical at any
-//! `--batch` × `--threads` combination.
+//! and journal stay bit-identical to `--threads 1`. Any other `--flag` is
+//! rejected with the usage text and a failing exit status.
 //!
 //! By default the sweep runs on the **streaming aggregation engine**
 //! (DESIGN.md §16): per-worker partial aggregates (count/mean/M2 moments, a
 //! fixed-bin score histogram, a bounded top-10 leaderboard) merged in a
 //! canonical order on an absolute 64-device grid, so memory stays
 //! O(bins + K + holes) however large the fleet, and the aggregate's bits —
-//! like the journal's — are identical at any `--threads`/`--batch` and
-//! across kill+resume. `--oracle` switches back to the exact full-fleet
+//! like the journal's — are identical at any `--threads` and across
+//! kill+resume. `--oracle` switches back to the exact full-fleet
 //! [`CrowdDatabase`] path (every score retained in memory), the reference
 //! the streaming engine is tested against.
 //!
@@ -110,7 +106,7 @@
 
 use accubench::aggregate::ScoreAggregate;
 use accubench::crowd::{
-    populate_batched, populate_streamed, CrowdDatabase, FleetVerdict, SamplePlan, SweepConfig,
+    populate_parallel, populate_streamed, CrowdDatabase, FleetVerdict, SamplePlan, SweepConfig,
 };
 use accubench::executor;
 use accubench::experiments::{self, study, ExperimentConfig};
@@ -166,7 +162,7 @@ fn usage() -> ExitCode {
     );
     eprintln!(
         "       repro sweep [--quick] [--json] [--devices N] [--seed S] \
-         [--threads T] [--batch B] [--journal run.journal] [--resume] \
+         [--threads T] [--journal run.journal] [--resume] \
          [--sample K] [--sample-strategy srs|rss|stratified] \
          [--sample-seed S] [--oracle] \
          [--integrator euler|rk4|exponential] \
@@ -180,69 +176,101 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Every flag that takes a value: the token after one is its value, never
+/// a positional target.
+const VALUE_FLAGS: &[&str] = &[
+    "--export",
+    "--faults",
+    "--devices",
+    "--seed",
+    "--journal",
+    "--threads",
+    "--integrator",
+    "--max-task-seconds",
+    "--on-failure",
+    "--chaos-seed",
+    "--chaos-panics",
+    "--chaos-stalls",
+    "--storage-faults",
+    "--storage-escalation",
+    "--sample",
+    "--sample-strategy",
+    "--sample-seed",
+];
+
+/// Every flag that takes no value. Any `--flag` in neither list is a typo
+/// (or a removed option) and fails through [`usage`].
+const SWITCHES: &[&str] = &[
+    "--quick",
+    "--json",
+    "--oracle",
+    "--resume",
+    "--verbose",
+    "--repair",
+];
+
+/// The command line, split once against [`VALUE_FLAGS`] and [`SWITCHES`].
+struct Flags<'a> {
+    values: HashMap<&'static str, &'a str>,
+    switches: Vec<&'static str>,
+}
+
+impl<'a> Flags<'a> {
+    /// Splits `args` into flags and positional targets. `Err` names the
+    /// first `--flag` that is in neither table.
+    fn parse(args: &'a [String]) -> Result<(Self, Vec<&'a str>), &'a str> {
+        let mut flags = Flags {
+            values: HashMap::new(),
+            switches: Vec::new(),
+        };
+        let mut positional = Vec::new();
+        let mut tokens = args.iter().map(String::as_str);
+        while let Some(arg) = tokens.next() {
+            if let Some(&flag) = VALUE_FLAGS.iter().find(|f| **f == arg) {
+                if let Some(value) = tokens.next() {
+                    flags.values.entry(flag).or_insert(value);
+                }
+            } else if let Some(&flag) = SWITCHES.iter().find(|f| **f == arg) {
+                flags.switches.push(flag);
+            } else if arg.starts_with("--") {
+                return Err(arg);
+            } else {
+                positional.push(arg);
+            }
+        }
+        Ok((flags, positional))
+    }
+
+    /// The value given for `flag`, which must be in [`VALUE_FLAGS`].
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        debug_assert!(VALUE_FLAGS.contains(&flag), "{flag} is not in VALUE_FLAGS");
+        self.values.get(flag).copied()
+    }
+
+    /// Whether `flag`, which must be in [`SWITCHES`], was given.
+    fn switch(&self, flag: &str) -> bool {
+        debug_assert!(SWITCHES.contains(&flag), "{flag} is not in SWITCHES");
+        self.switches.contains(&flag)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    let (flags, positional) = match Flags::parse(&args) {
+        Ok(parsed) => parsed,
+        Err(unknown) => {
+            eprintln!("unknown flag {unknown}");
+            return usage();
+        }
     };
-    let export_dir = value_of("--export");
-    let faults_path = value_of("--faults");
-    let devices_arg = value_of("--devices");
-    let seed_arg = value_of("--seed");
-    let journal_path = value_of("--journal");
-    let threads_arg = value_of("--threads");
-    let batch_arg = value_of("--batch");
-    let integrator_arg = value_of("--integrator");
-    let max_task_seconds_arg = value_of("--max-task-seconds");
-    let on_failure_arg = value_of("--on-failure");
-    let chaos_seed_arg = value_of("--chaos-seed");
-    let chaos_panics_arg = value_of("--chaos-panics");
-    let chaos_stalls_arg = value_of("--chaos-stalls");
-    let storage_faults_path = value_of("--storage-faults");
-    let storage_escalation_arg = value_of("--storage-escalation");
-    let sample_arg = value_of("--sample");
-    let sample_strategy_arg = value_of("--sample-strategy");
-    let sample_seed_arg = value_of("--sample-seed");
-    let oracle = args.iter().any(|a| a == "--oracle");
-    let resume = args.iter().any(|a| a == "--resume");
-    let verbose = args.iter().any(|a| a == "--verbose");
-    let repair = args.iter().any(|a| a == "--repair");
-    // Indices consumed as values of flags are not positional targets.
-    let consumed: Vec<usize> = [
-        "--export",
-        "--faults",
-        "--devices",
-        "--seed",
-        "--journal",
-        "--threads",
-        "--batch",
-        "--integrator",
-        "--max-task-seconds",
-        "--on-failure",
-        "--chaos-seed",
-        "--chaos-panics",
-        "--chaos-stalls",
-        "--storage-faults",
-        "--storage-escalation",
-        "--sample",
-        "--sample-strategy",
-        "--sample-seed",
-    ]
-    .iter()
-    .filter_map(|f| args.iter().position(|a| a == *f).map(|i| i + 1))
-    .collect();
-    let mut positional = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && !consumed.contains(i))
-        .map(|(_, a)| a);
+    let quick = flags.switch("--quick");
+    let json = flags.switch("--json");
+    let verbose = flags.switch("--verbose");
+    let export_dir = flags.value("--export");
+    let faults_path = flags.value("--faults");
+    let mut positional = positional.into_iter();
     let target = match positional.next() {
-        Some(t) => t.clone(),
+        Some(t) => t,
         None => return usage(),
     };
     if target == "list" {
@@ -254,7 +282,7 @@ fn main() -> ExitCode {
             eprintln!("fsck: missing journal path");
             return usage();
         };
-        return run_fsck(path, repair);
+        return run_fsck(path, flags.switch("--repair"));
     }
     if target == "verify" {
         let Some(dir) = positional.next() else {
@@ -277,7 +305,7 @@ fn main() -> ExitCode {
     } else {
         ExperimentConfig::paper()
     };
-    if let Some(name) = &integrator_arg {
+    if let Some(name) = flags.value("--integrator") {
         match pv_thermal::network::Integrator::parse(name) {
             Some(i) => cfg = cfg.with_integrator(i),
             None => {
@@ -287,81 +315,9 @@ fn main() -> ExitCode {
         }
     }
     if target == "sweep" {
-        let supervision =
-            match parse_supervision(max_task_seconds_arg.as_deref(), on_failure_arg.as_deref()) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-        let chaos = match parse_chaos(
-            chaos_seed_arg.as_deref(),
-            chaos_panics_arg.as_deref(),
-            chaos_stalls_arg.as_deref(),
-        ) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let storage_escalation = match storage_escalation_arg.as_deref() {
-            None => StorageEscalation::Degrade,
-            Some(s) => match StorageEscalation::parse(s) {
-                Some(e) => e,
-                None => {
-                    eprintln!("--storage-escalation: unknown policy {s:?} (degrade|abort)");
-                    return ExitCode::FAILURE;
-                }
-            },
-        };
-        let storage_faults = match &storage_faults_path {
-            Some(path) => match std::fs::read_to_string(path) {
-                Ok(text) => match FaultPlan::from_toml_str(&text) {
-                    Ok(plan) => Some(plan),
-                    Err(e) => {
-                        eprintln!("--storage-faults: {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                Err(e) => {
-                    eprintln!("--storage-faults: could not read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => None,
-        };
-        let sampling = match parse_sampling(
-            sample_arg.as_deref(),
-            sample_strategy_arg.as_deref(),
-            sample_seed_arg.as_deref(),
-            oracle,
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return run_sweep(
-            &cfg,
-            devices_arg.as_deref(),
-            seed_arg.as_deref(),
-            threads_arg.as_deref(),
-            batch_arg.as_deref(),
-            journal_path.as_deref(),
-            resume,
-            json,
-            supervision,
-            chaos,
-            storage_faults.as_ref(),
-            storage_escalation,
-            sampling,
-            oracle,
-        );
+        return run_sweep(&cfg, &flags);
     }
-    let fault_plan = match &faults_path {
+    let fault_plan = match faults_path {
         Some(path) => match std::fs::read_to_string(path) {
             Ok(text) => match FaultPlan::from_toml_str(&text) {
                 Ok(plan) => {
@@ -384,7 +340,7 @@ fn main() -> ExitCode {
     let emit = |value: pv_json::Json| {
         println!("{}", value.to_string_pretty());
     };
-    let exporter = match &export_dir {
+    let exporter = match export_dir {
         Some(dir) => match accubench::export::FigureExporter::new(dir) {
             Ok(e) => Some(e),
             Err(e) => {
@@ -607,7 +563,7 @@ fn main() -> ExitCode {
     let targets: Vec<&str> = if target == "all" {
         EXPERIMENTS.to_vec()
     } else {
-        vec![target.as_str()]
+        vec![target]
     };
     for t in targets {
         println!("==== {t} ====");
@@ -756,48 +712,90 @@ fn report_journal_health(journal: &Option<Journal>) {
 /// The `sweep` target: a journaled, interruptible, parallel, supervised
 /// crowd-population sweep — streaming by default, exact with `--oracle`,
 /// subsampled with `--sample`.
-#[allow(clippy::too_many_arguments)]
-fn run_sweep(
-    cfg: &ExperimentConfig,
-    devices_arg: Option<&str>,
-    seed_arg: Option<&str>,
-    threads_arg: Option<&str>,
-    batch_arg: Option<&str>,
-    journal_path: Option<&str>,
-    resume: bool,
-    json: bool,
-    supervision: SupervisionPolicy,
-    chaos: Option<SessionChaos>,
-    storage_faults: Option<&FaultPlan>,
-    storage_escalation: StorageEscalation,
-    sampling_plan: Option<SamplePlan>,
-    oracle: bool,
-) -> ExitCode {
-    let n: usize = match devices_arg.map_or(Ok(100), str::parse) {
+fn run_sweep(cfg: &ExperimentConfig, flags: &Flags<'_>) -> ExitCode {
+    let supervision = match parse_supervision(
+        flags.value("--max-task-seconds"),
+        flags.value("--on-failure"),
+    ) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let chaos = match parse_chaos(
+        flags.value("--chaos-seed"),
+        flags.value("--chaos-panics"),
+        flags.value("--chaos-stalls"),
+    ) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let storage_escalation = match flags.value("--storage-escalation") {
+        None => StorageEscalation::Degrade,
+        Some(s) => match StorageEscalation::parse(s) {
+            Some(e) => e,
+            None => {
+                eprintln!("--storage-escalation: unknown policy {s:?} (degrade|abort)");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
+    let storage_faults = match flags.value("--storage-faults") {
+        Some(path) => match std::fs::read_to_string(path) {
+            Ok(text) => match FaultPlan::from_toml_str(&text) {
+                Ok(plan) => Some(plan),
+                Err(e) => {
+                    eprintln!("--storage-faults: {path}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            },
+            Err(e) => {
+                eprintln!("--storage-faults: could not read {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+        None => None,
+    };
+    let oracle = flags.switch("--oracle");
+    let sampling_plan = match parse_sampling(
+        flags.value("--sample"),
+        flags.value("--sample-strategy"),
+        flags.value("--sample-seed"),
+        oracle,
+    ) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let journal_path = flags.value("--journal");
+    let resume = flags.switch("--resume");
+    let n: usize = match flags.value("--devices").map_or(Ok(100), str::parse) {
         Ok(n) if n > 0 => n,
         _ => {
             eprintln!("--devices must be a positive integer");
             return ExitCode::FAILURE;
         }
     };
-    let seed: Option<u64> = match seed_arg.map(str::parse).transpose() {
+    let seed: Option<u64> = match flags.value("--seed").map(str::parse).transpose() {
         Ok(s) => s,
         Err(_) => {
             eprintln!("--seed must be an unsigned integer");
             return ExitCode::FAILURE;
         }
     };
-    let threads: usize = match threads_arg.map_or(Ok(executor::default_threads()), str::parse) {
+    let threads: usize = match flags
+        .value("--threads")
+        .map_or(Ok(executor::default_threads()), str::parse)
+    {
         Ok(t) if t > 0 => t,
         _ => {
             eprintln!("--threads must be a positive integer");
-            return ExitCode::FAILURE;
-        }
-    };
-    let batch: usize = match batch_arg.map_or(Ok(1), str::parse) {
-        Ok(b) if b > 0 => b,
-        _ => {
-            eprintln!("--batch must be a positive integer");
             return ExitCode::FAILURE;
         }
     };
@@ -853,7 +851,7 @@ fn run_sweep(
 
     // The journal's filesystem, optionally wrapped in the deterministic
     // storage fault injector.
-    let storage = match storage_faults {
+    let storage = match &storage_faults {
         Some(plan) => {
             let armed = plan.events.iter().filter(|e| e.kind.is_storage()).count();
             eprintln!("armed storage fault plan: {armed} storage event(s)");
@@ -917,42 +915,24 @@ fn run_sweep(
     );
 
     if oracle {
-        return run_sweep_oracle(
-            devices,
-            &sweep_cfg,
-            journal,
-            &cancel,
-            threads,
-            batch,
-            json,
-            journal_path,
-        );
+        return run_sweep_oracle(devices, &sweep_cfg, journal, &cancel, threads, flags);
     }
     run_sweep_streamed(
-        devices,
-        &sweep_cfg,
-        journal,
-        &cancel,
-        threads,
-        batch,
-        json,
-        journal_path,
-        selection,
+        devices, &sweep_cfg, journal, &cancel, threads, flags, selection,
     )
 }
 
 /// The exact reference path: every score retained in a [`CrowdDatabase`].
-#[allow(clippy::too_many_arguments)]
 fn run_sweep_oracle(
     devices: Vec<Device>,
     sweep_cfg: &SweepConfig,
     mut journal: Option<Journal>,
     cancel: &accubench::journal::CancelToken,
     threads: usize,
-    batch: usize,
-    json: bool,
-    journal_path: Option<&str>,
+    flags: &Flags<'_>,
 ) -> ExitCode {
+    let json = flags.switch("--json");
+    let journal_path = flags.value("--journal");
     let mut db = match CrowdDatabase::new(5.0) {
         Ok(db) => db,
         Err(e) => {
@@ -960,7 +940,7 @@ fn run_sweep_oracle(
             return ExitCode::FAILURE;
         }
     };
-    let sweep = match populate_batched(
+    let sweep = match populate_parallel(
         &mut db,
         "Pixel",
         devices,
@@ -968,7 +948,6 @@ fn run_sweep_oracle(
         journal.as_mut(),
         cancel,
         threads,
-        batch,
     ) {
         Ok(s) => s,
         Err(e) => {
@@ -1030,18 +1009,17 @@ const SWEEP_HIST_BINS: usize = 200;
 
 /// The default streaming path: constant-memory mergeable aggregates, plus
 /// sampled estimation when a `--sample` selection rode along.
-#[allow(clippy::too_many_arguments)]
 fn run_sweep_streamed(
     devices: Vec<Device>,
     sweep_cfg: &SweepConfig,
     mut journal: Option<Journal>,
     cancel: &accubench::journal::CancelToken,
     threads: usize,
-    batch: usize,
-    json: bool,
-    journal_path: Option<&str>,
+    flags: &Flags<'_>,
     selection: Option<(SamplePlan, sampling::Selection)>,
 ) -> ExitCode {
+    let json = flags.switch("--json");
+    let journal_path = flags.value("--journal");
     let mut agg = match ScoreAggregate::with_layout(
         5.0,
         SWEEP_HIST_LO,
@@ -1063,7 +1041,7 @@ fn run_sweep_streamed(
         journal.as_mut(),
         cancel,
         threads,
-        batch,
+        1,
         selection.is_some(),
     ) {
         Ok(s) => s,
@@ -1096,7 +1074,11 @@ fn run_sweep_streamed(
             .iter()
             .map(|g| StratumSample {
                 weight: g.weight,
-                values: g.indices.iter().filter_map(|i| by_pop.get(i).copied()).collect(),
+                values: g
+                    .indices
+                    .iter()
+                    .filter_map(|i| by_pop.get(i).copied())
+                    .collect(),
             })
             .collect();
         match sampling::estimate(&groups, 0.95, 1000, plan.seed) {

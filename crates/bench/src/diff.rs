@@ -158,20 +158,6 @@ pub const FLOORS: &[FloorRule] = &[
         floor: Floor::AtLeast(5.0),
         min_host_parallelism: 0,
     },
-    // Batched lockstep stepping (DESIGN.md §15) must keep paying for its
-    // complexity: a clean sweep at `--batch 8` must never fall below the
-    // scalar chunk path on a single worker, so no host-parallelism gate.
-    // The honest ceiling is modest — thermal is ~21% of a device step and
-    // the rest is inherently scalar (Amdahl; see DESIGN.md §15), with the
-    // measured session-level ratio ≈1.07× — so the backstop guards against
-    // *regression to below-scalar*, while drift against the committed
-    // baseline ratio is what catches erosion of the real gain.
-    FloorRule {
-        bench: "sweep",
-        metric: "batch_speedup/b8",
-        floor: Floor::AtLeast(1.0),
-        min_host_parallelism: 0,
-    },
     // Stratified subsampling (DESIGN.md §16) exists to make million-device
     // sweeps affordable: simulating n = 2000 of a 100k population must beat
     // exhaustively sweeping the population by a wide margin. The honest
@@ -513,11 +499,8 @@ mod tests {
 
     fn report(bench: &str, mut metrics: Vec<Metric>) -> BenchReport {
         // Every floor metric must be present in a current report of its
-        // bench, so sweep fixtures carry a passing batch ratio unless the
+        // bench, so sweep fixtures carry a passing sample ratio unless the
         // test supplies its own (appended, to keep `rows[0]` stable).
-        if bench == "sweep" && !metrics.iter().any(|m| m.name == "batch_speedup/b8") {
-            metrics.push(Metric::scalar("batch_speedup/b8", "x", true, 2.0, 0.01, false));
-        }
         if bench == "sweep" && !metrics.iter().any(|m| m.name == "sample_speedup/n2000") {
             metrics.push(Metric::scalar(
                 "sample_speedup/n2000",
@@ -625,27 +608,26 @@ mod tests {
     }
 
     #[test]
-    fn batch_floor_gates_even_single_core_hosts() {
-        // 0.9× at width 8 is below the ≥1.0× floor (batching slower than
-        // scalar) — and the rule has no host-parallelism gate, so a 1-CPU
-        // runner still enforces it.
-        let base = report(
+    fn sample_floor_gates_collapse() {
+        // A sampled sweep that only manages 6× over the extrapolated
+        // full-fleet cost has lost its reason to exist; the ≥10× backstop
+        // fires even with a matching (equally collapsed) baseline — and
+        // the rule has no host-parallelism gate, so a 1-CPU runner still
+        // enforces it.
+        let mut base = report(
             "sweep",
             vec![
                 quiet("speedup/t4", 2.5, true),
-                Metric::scalar("batch_speedup/b8", "x", true, 0.9, 0.01, false),
+                Metric::scalar("sample_speedup/n2000", "x", true, 6.0, 0.01, false),
             ],
         );
-        let mut cur = base.clone();
-        cur.env.host_parallelism = 1;
-        let mut base1 = base.clone();
-        base1.env.host_parallelism = 1;
-        let d = diff(&base1, &cur, &DiffConfig::default());
+        base.env.host_parallelism = 1;
+        let d = diff(&base, &base.clone(), &DiffConfig::default());
         assert!(!d.passed());
         assert!(
             d.failures
                 .iter()
-                .any(|f| f.contains("batch_speedup/b8") && f.contains("floor")),
+                .any(|f| f.contains("sample_speedup/n2000") && f.contains("floor")),
             "{:?}",
             d.failures
         );
@@ -659,29 +641,6 @@ mod tests {
         assert!(!d.passed());
         assert!(
             d.failures.iter().any(|f| f.contains("missing")),
-            "{:?}",
-            d.failures
-        );
-    }
-
-    #[test]
-    fn sample_floor_gates_collapse() {
-        // A sampled sweep that only manages 6× over the extrapolated
-        // full-fleet cost has lost its reason to exist; the ≥10× backstop
-        // fires even with a matching (equally collapsed) baseline.
-        let base = report(
-            "sweep",
-            vec![
-                quiet("speedup/t4", 2.5, true),
-                Metric::scalar("sample_speedup/n2000", "x", true, 6.0, 0.01, false),
-            ],
-        );
-        let d = diff(&base, &base.clone(), &DiffConfig::default());
-        assert!(!d.passed());
-        assert!(
-            d.failures
-                .iter()
-                .any(|f| f.contains("sample_speedup/n2000") && f.contains("floor")),
             "{:?}",
             d.failures
         );

@@ -54,7 +54,6 @@ fn sweep_report() -> BenchReport {
             Metric::scalar("devices_per_sec/t1", "devices/s", true, 1000.0, 0.01, false),
             Metric::scalar("devices_per_sec/t4", "devices/s", true, 2600.0, 0.02, false),
             Metric::scalar("speedup/t4", "x", true, 2.6, 0.02, false),
-            Metric::scalar("batch_speedup/b8", "x", true, 1.1, 0.02, false),
             // Appended last so the index-based fixture edits above stay
             // stable; every floor metric must be present in a sweep report.
             Metric::scalar("sample_speedup/n2000", "x", true, 50.0, 0.02, false),
@@ -158,23 +157,23 @@ fn golden_floor_backstop_fails_even_without_drift() {
 }
 
 #[test]
-fn golden_batch_floor_backstop_fails_even_without_drift() {
-    let dir = Scratch::new("batchfloor");
+fn golden_sample_floor_backstop_fails_even_without_drift() {
+    let dir = Scratch::new("samplefloor");
     let baseline = dir.path("baseline.json");
     let current = dir.path("current.json");
-    // Batched stepping slipping below scalar throughput (0.9×): zero
-    // drift against an equally-bad baseline, yet the ≥1.0× backstop fails
-    // the run — and it applies even on a single-CPU host.
+    // Sampling collapsing to 6× over the extrapolated full population:
+    // zero drift against an equally-bad baseline, yet the ≥10× backstop
+    // fails the run — and it applies even on a single-CPU host.
     let mut report = sweep_report();
     report.env.host_parallelism = 1;
-    report.metrics[3] = Metric::scalar("batch_speedup/b8", "x", true, 0.9, 0.02, false);
+    report.metrics[3] = Metric::scalar("sample_speedup/n2000", "x", true, 6.0, 0.02, false);
     report.write(&baseline).unwrap();
     report.write(&current).unwrap();
     let out = diff_files(&baseline, &current);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("FLOOR FAIL"), "{stdout}");
-    assert!(stdout.contains("batch_speedup/b8"), "{stdout}");
+    assert!(stdout.contains("sample_speedup/n2000"), "{stdout}");
 }
 
 #[test]

@@ -264,7 +264,7 @@ impl pv_json::FromJson for SweepOutcome {
 }
 
 /// Configuration of a resilient crowd-population sweep
-/// ([`populate_resilient`]).
+/// ([`populate_parallel`], [`populate_streamed`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
     /// Protocol each device runs.
@@ -376,7 +376,7 @@ impl SweepConfig {
 
     /// Simulated-time horizon fault plans must cover: every requested
     /// iteration at full length, times the retry budget, with slack.
-    pub(crate) fn fault_horizon(&self) -> f64 {
+    fn fault_horizon(&self) -> f64 {
         let per_iteration = self.protocol.warmup.value()
             + self.protocol.cooldown_timeout.value()
             + self.protocol.workload.value();
@@ -389,7 +389,7 @@ impl SweepConfig {
     /// approaches, so arming it by default costs nothing while
     /// guaranteeing that even an infinitely wedged session terminates
     /// deterministically.
-    pub(crate) fn sim_budget(&self) -> f64 {
+    fn sim_budget(&self) -> f64 {
         self.supervision
             .max_sim_seconds
             .unwrap_or_else(|| self.fault_horizon())
@@ -484,7 +484,7 @@ impl SweepConfig {
     }
 }
 
-/// What happened to one device of a [`populate_resilient`] sweep.
+/// What happened to one device of a crowd sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepOutcome {
     /// The device's label.
@@ -544,7 +544,7 @@ impl fmt::Display for FleetVerdict {
     }
 }
 
-/// Fleet-level result of a [`populate_resilient`] sweep.
+/// Fleet-level result of a [`populate_parallel`] sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// Per-device outcomes, in input order.
@@ -691,10 +691,12 @@ impl fmt::Display for SweepReport {
     }
 }
 
-/// Populates `db` with one resilient session per device — the §VI
+/// Populates `db` with one supervised session per device — the §VI
 /// crowdsourcing vision under real-world conditions, where some fraction
 /// of the fleet hits sensor dropouts, meter disconnects and scheduler
-/// glitches mid-measurement.
+/// glitches mid-measurement — fanned out across a work-stealing thread
+/// pool (`crate::executor`). This is the exact **reference oracle** behind
+/// `repro sweep --oracle`.
 ///
 /// Each device runs a full session through the harness's retry/quarantine
 /// machinery. Sessions that finish with a non-[`Verdict::Invalid`] verdict
@@ -702,18 +704,67 @@ impl fmt::Display for SweepReport {
 /// errors are recorded in the [`SweepReport`] and the sweep continues — a
 /// crowd campaign never aborts because one handset bricked.
 ///
+/// Device sessions are independent, deterministically seeded simulations,
+/// so workers may run them in any order on any thread; the calling thread
+/// is the **single writer** that merges completed outcomes back in
+/// canonical device order, submits scores to `db`, and appends to the
+/// journal. The resulting [`SweepReport`], database contents, and journal
+/// bytes are therefore **bit-identical** for every thread count and OS
+/// schedule. `threads` is clamped to `1..=devices.len()`; `1` runs every
+/// session inline with no thread spawned.
+///
+/// With a [`Journal`]:
+///
+/// * a fresh journal gets a [`Record::Header`] carrying the
+///   [`SweepConfig::digest`] before any device runs;
+/// * a journal with recovered records must lead with a header whose digest
+///   matches the requested sweep — otherwise
+///   [`JournalError::DigestMismatch`] is returned and *nothing* runs;
+/// * the journal's contiguous restored prefix is replayed on the caller
+///   before any worker spawns: its outcomes (and crowd-database
+///   submissions, via the journaled scores) are restored instead of
+///   re-simulated. Because every device session is seeded independently
+///   (`fault_seed + index`), the resumed tail is bit-identical to what an
+///   uninterrupted run would have computed;
+/// * each finished device appends a fsynced [`Record::Outcome`] (plus a
+///   [`Record::Note`] when it hit faults or quarantines) in canonical
+///   order — a kill can lose at most the in-flight devices;
+/// * when the last device lands, a [`Record::Complete`] marker seals the
+///   journal;
+/// * journal storage that fails persistently mid-sweep (past the
+///   journal's own retry and segment-rotation budgets) is handled per
+///   [`SweepConfig::storage_escalation`]: `degrade` (the default) stops
+///   journaling, keeps sweeping, and reports the loss via
+///   [`JournaledSweep::storage_degraded`]; `abort` fails the sweep with
+///   the underlying I/O error.
+///
+/// Workers poll the [`CancelToken`] between devices: in-flight sessions
+/// finish, the writer journals the contiguous finished prefix, results
+/// past the first gap are discarded, and the function returns with
+/// `complete = false` — a later resume recomputes them bit-identically.
+///
 /// # Errors
 ///
-/// Returns [`BenchError::InvalidProtocol`] if the protocol or iteration
-/// count is invalid. Per-device failures are *not* errors; they land in
-/// the report.
-pub fn populate_resilient(
+/// Returns [`BenchError::InvalidProtocol`] for an invalid protocol,
+/// iteration count or attempt budget, [`BenchError::Journal`] for digest
+/// mismatches or journal I/O failures, and [`BenchError::Supervision`]
+/// when [`OnFailure::Abort`] meets a quarantined device. Other per-device
+/// simulation failures are *not* errors; they land in the report.
+pub fn populate_parallel(
     db: &mut CrowdDatabase,
     model: &str,
     devices: Vec<Device>,
     cfg: &SweepConfig,
-) -> Result<SweepReport, BenchError> {
-    populate_journaled(db, model, devices, cfg, None, &CancelToken::new()).map(|s| s.report)
+    journal: Option<&mut Journal>,
+    cancel: &CancelToken,
+    threads: usize,
+) -> Result<JournaledSweep, BenchError> {
+    let sink = DatabaseSink {
+        db,
+        model,
+        outcomes: Vec::with_capacity(devices.len()),
+    };
+    sweep(sink, model, devices, cfg, journal, cancel, threads)
 }
 
 /// Result of a journaled (and possibly interrupted or resumed) sweep.
@@ -750,82 +801,34 @@ impl JournaledSweep {
     }
 }
 
-/// [`populate_resilient`] with crash durability and cooperative
-/// cancellation — the engine behind `repro sweep --journal/--resume`.
-///
-/// With a [`Journal`]:
-///
-/// * a fresh journal gets a [`Record::Header`] carrying the
-///   [`SweepConfig::digest`] before any device runs;
-/// * a journal with recovered records must lead with a header whose digest
-///   matches the requested sweep — otherwise
-///   [`JournalError::DigestMismatch`] is returned and *nothing* runs;
-/// * devices whose outcome is already journaled are skipped: their
-///   outcome (and crowd-database submission, via the journaled score) is
-///   replayed instead of re-simulated. Because every device session is
-///   seeded independently (`fault_seed + index`), the resumed tail is
-///   bit-identical to what an uninterrupted run would have computed;
-/// * each finished device appends a fsynced [`Record::Outcome`] (plus a
-///   [`Record::Note`] when it hit faults or quarantines) before the sweep
-///   moves on — a kill can lose at most the in-flight device;
-/// * when the last device lands, a [`Record::Complete`] marker seals the
-///   journal;
-/// * journal storage that fails persistently mid-sweep (past the
-///   journal's own retry and segment-rotation budgets) is handled per
-///   [`SweepConfig::storage_escalation`]: `degrade` (the default) stops
-///   journaling, keeps sweeping, and reports the loss via
-///   [`JournaledSweep::storage_degraded`]; `abort` fails the sweep with
-///   the underlying I/O error.
-///
-/// The [`CancelToken`] is polled between devices: once cancelled, the
-/// current device finishes, is journaled, and the function returns with
-/// `complete = false`.
-///
-/// # Errors
-///
-/// Returns [`BenchError::InvalidProtocol`] for an invalid protocol or
-/// iteration count, and [`BenchError::Journal`] for digest mismatches or
-/// journal I/O failures. Per-device simulation failures are *not* errors;
-/// they land in the report.
-pub fn populate_journaled(
-    db: &mut CrowdDatabase,
-    model: &str,
-    devices: Vec<Device>,
-    cfg: &SweepConfig,
-    journal: Option<&mut Journal>,
-    cancel: &CancelToken,
-) -> Result<JournaledSweep, BenchError> {
-    populate_parallel(db, model, devices, cfg, journal, cancel, 1)
-}
-
 /// Result of simulating one device, before the canonical-order merge step
-/// submits it to the database and journals it.
-pub(crate) struct DeviceRun {
-    pub(crate) outcome: SweepOutcome,
-    pub(crate) score: Option<f64>,
-    pub(crate) rsd: Option<f64>,
+/// submits it to the sink and journals it.
+struct DeviceRun {
+    outcome: SweepOutcome,
+    score: Option<f64>,
+    rsd: Option<f64>,
     /// `false` when the outcome was replayed from the journal instead of
     /// being re-simulated (replays are never re-journaled).
-    pub(crate) fresh: bool,
+    fresh: bool,
     /// Per-attempt supervision failures (including failed attempts that a
     /// later retry recovered from), journaled as `Record::Supervision`.
-    pub(crate) failures: Vec<AttemptFailure>,
+    failures: Vec<AttemptFailure>,
 }
 
 /// One failed supervised attempt, recorded for the journal and notes.
-pub(crate) struct AttemptFailure {
-    pub(crate) attempt: u32,
-    pub(crate) status: DeviceStatus,
+struct AttemptFailure {
+    attempt: u32,
+    status: DeviceStatus,
     /// Deterministic one-line description (panic headline or error text).
-    pub(crate) detail: String,
+    detail: String,
     /// Backtrace summary, present only when `RUST_BACKTRACE` enables
     /// capture. Goes into the free-form note, never into digested state.
-    pub(crate) backtrace: Option<String>,
+    backtrace: Option<String>,
 }
 
 /// Builds device `index`'s fault handle: the seeded instrument plan (when
 /// armed) spliced with any session-chaos events targeting this device.
-pub(crate) fn fault_handle_for(cfg: &SweepConfig, index: usize, fleet: usize) -> FaultHandle {
+fn fault_handle_for(cfg: &SweepConfig, index: usize, fleet: usize) -> FaultHandle {
     let mut plan = match cfg.fault_seed {
         Some(seed) => FaultPlan::generate(
             seed.wrapping_add(index as u64),
@@ -909,14 +912,9 @@ fn run_attempt(cfg: &SweepConfig, index: usize, fleet: usize, device: &Device) -
 /// worker thread runs it. Infallible by construction: every failure mode
 /// (panic, watchdog trip, fatal session error) folds into the returned
 /// outcome, and escalation beyond quarantine is the *sink's* decision.
-/// The returned outcome's `accepted` flag is a placeholder; the merge
-/// step sets it when it submits the score in canonical device order.
-pub(crate) fn supervise_device(
-    cfg: &SweepConfig,
-    index: usize,
-    fleet: usize,
-    device: &Device,
-) -> DeviceRun {
+/// The returned outcome's `accepted` flag is a placeholder; the sink
+/// stamps it.
+fn supervise_device(cfg: &SweepConfig, index: usize, fleet: usize, device: &Device) -> DeviceRun {
     let label = device.label().to_owned();
     let max_attempts = cfg.supervision.max_attempts.max(1);
     let mut failures: Vec<AttemptFailure> = Vec::new();
@@ -926,7 +924,43 @@ pub(crate) fn supervise_device(
         reports = fault_reports;
         match result {
             Attempt::Finished(session) => {
-                return run_from_session(label, session, reports, attempt, failures);
+                let mut score = None;
+                let mut rsd = None;
+                let mut verdict = Some(session.verdict);
+                let mut error = None;
+                if session.verdict != Verdict::Invalid {
+                    match session.performance_summary() {
+                        Ok(perf) => {
+                            score = Some(perf.mean());
+                            rsd = Some(perf.rsd_percent());
+                        }
+                        Err(e) => {
+                            verdict = None;
+                            error = Some(e.to_string());
+                        }
+                    }
+                }
+                let completed = verdict.is_some();
+                return DeviceRun {
+                    outcome: SweepOutcome {
+                        device: label,
+                        verdict,
+                        accepted: false,
+                        quarantined: session.quarantined_count(),
+                        fault_reports: reports,
+                        error,
+                        status: if completed {
+                            DeviceStatus::Completed
+                        } else {
+                            DeviceStatus::Failed
+                        },
+                        attempts: attempt,
+                    },
+                    score,
+                    rsd,
+                    fresh: true,
+                    failures,
+                };
             }
             Attempt::Failed {
                 status,
@@ -965,66 +999,14 @@ pub(crate) fn supervise_device(
     }
 }
 
-/// Folds a finished session into a [`DeviceRun`] — shared by the scalar
-/// supervised path and the batched lockstep driver, so the translation
-/// from session to outcome/score/verdict is one piece of code.
-pub(crate) fn run_from_session(
-    label: String,
-    session: Session,
-    fault_reports: usize,
-    attempts: u32,
-    failures: Vec<AttemptFailure>,
-) -> DeviceRun {
-    let mut score = None;
-    let mut rsd = None;
-    let mut verdict = Some(session.verdict);
-    let mut error = None;
-    if session.verdict != Verdict::Invalid {
-        match session.performance_summary() {
-            Ok(perf) => {
-                score = Some(perf.mean());
-                rsd = Some(perf.rsd_percent());
-            }
-            Err(e) => {
-                verdict = None;
-                error = Some(e.to_string());
-            }
-        }
-    }
-    let completed = verdict.is_some();
-    DeviceRun {
-        outcome: SweepOutcome {
-            device: label,
-            verdict,
-            accepted: false,
-            quarantined: session.quarantined_count(),
-            fault_reports,
-            error,
-            status: if completed {
-                DeviceStatus::Completed
-            } else {
-                DeviceStatus::Failed
-            },
-            attempts,
-        },
-        score,
-        rsd,
-        fresh: true,
-        failures,
-    }
-}
-
 /// Journal-restored device state, keyed by device index: the journaled
 /// outcome plus its raw `(score, rsd)` pair.
 type RestoredMap = BTreeMap<usize, (SweepOutcome, Option<f64>, Option<f64>)>;
 
-/// Shared sweep-engine preamble: validates the recovered journal (or
-/// writes the fresh header), heals an uncommitted record tail, and
-/// returns the restored `(outcome, score, rsd)` map plus whether a
-/// `Complete` seal was already journaled. Both the oracle
-/// ([`populate_batched`]) and streaming ([`populate_streamed`]) engines
-/// go through here, so their header, digest-check, and healing semantics
-/// cannot diverge.
+/// Sweep-engine preamble: validates the recovered journal (or writes the
+/// fresh header), heals an uncommitted record tail, and returns the
+/// restored `(outcome, score, rsd)` map plus whether a `Complete` seal was
+/// already journaled.
 fn prepare_journal(
     journal: &mut Option<&mut Journal>,
     model: &str,
@@ -1086,15 +1068,14 @@ fn prepare_journal(
     Ok((restored, already_complete))
 }
 
-/// Runs one execution chunk through the scalar supervised path: one device
-/// per task, exactly the pre-batching engine. Restored outcomes beyond the
-/// contiguous prefix (possible only in a hand-assembled journal) are
-/// replayed, not re-run.
-fn scalar_chunk(
+/// Runs one execution chunk, one supervised session per device. Restored
+/// outcomes beyond the contiguous prefix (possible only in a
+/// hand-assembled journal) are replayed, not re-run.
+fn run_chunk(
     cfg: &SweepConfig,
     total: usize,
     chunk: Vec<(usize, Device)>,
-    restored: &BTreeMap<usize, (SweepOutcome, Option<f64>, Option<f64>)>,
+    restored: &RestoredMap,
 ) -> Vec<DeviceRun> {
     chunk
         .into_iter()
@@ -1116,18 +1097,13 @@ fn scalar_chunk(
 /// Defense-in-depth when a whole chunk task panics (the supervision
 /// machinery itself crashed): every device of the chunk becomes a
 /// quarantined hole carrying the same headline.
-fn panicked_chunk_runs(
-    labels: &[String],
-    start: usize,
-    width: usize,
-    panic: &executor::PanicSummary,
-) -> Vec<DeviceRun> {
+fn panicked_chunk_runs(labels: &[String], panic: &executor::PanicSummary) -> Vec<DeviceRun> {
     let detail = panic.headline();
-    let chunk_len = labels.len().saturating_sub(start).min(width);
-    (0..chunk_len)
-        .map(|k| DeviceRun {
+    labels
+        .iter()
+        .map(|label| DeviceRun {
             outcome: SweepOutcome {
-                device: labels[start + k].clone(),
+                device: label.clone(),
                 verdict: None,
                 accepted: false,
                 quarantined: 0,
@@ -1207,79 +1183,89 @@ fn journal_outcome(
     Ok(())
 }
 
-/// [`populate_journaled`] fanned out across a work-stealing thread pool
-/// (`crate::executor`) — the engine behind `repro sweep --threads N`.
-///
-/// Device sessions are independent, deterministically seeded simulations,
-/// so workers may run them in any order on any thread; the calling thread
-/// is the **single writer** that merges completed outcomes back in
-/// canonical device order (buffering out-of-order completions), submits
-/// scores to `db`, and appends to the journal. The resulting
-/// [`SweepReport`], database contents, and journal bytes are therefore
-/// **bit-identical** to the serial path (`threads == 1`) for every thread
-/// count and OS schedule.
-///
-/// Composition with the existing machinery:
-///
-/// * **Resume.** A journal's contiguous restored prefix is replayed on the
-///   caller before any worker spawns; only the unsimulated tail is fanned
-///   out. The prefix replay is not gated on `cancel`, matching the serial
-///   path.
-/// * **Cancellation.** Workers poll `cancel` between devices: in-flight
-///   sessions finish, the writer flushes the contiguous finished prefix
-///   to the journal, and results past the first gap are discarded — a
-///   later `--resume` recomputes them bit-identically.
-/// * **`threads`** is clamped to `1..=devices.len()`; `1` runs the serial
-///   reference path inline with no thread spawned.
-///
-/// # Errors
-///
-/// As [`populate_journaled`]: invalid protocol/iterations, digest
-/// mismatches, journal I/O. Per-device simulation failures land in the
-/// report.
-pub fn populate_parallel(
-    db: &mut CrowdDatabase,
-    model: &str,
-    devices: Vec<Device>,
-    cfg: &SweepConfig,
-    journal: Option<&mut Journal>,
-    cancel: &CancelToken,
-    threads: usize,
-) -> Result<JournaledSweep, BenchError> {
-    populate_batched(db, model, devices, cfg, journal, cancel, threads, 1)
+/// Where a sweep's per-device results go — everything that differs between
+/// the exact [`CrowdDatabase`] oracle and the streamed
+/// [`crate::aggregate::ScoreAggregate`]. The engine ([`sweep`]) owns the
+/// rest: validation, digest and journal preparation, prefix replay, the
+/// supervised executor, journaling with storage escalation, abort-on-hole
+/// and the `Complete` seal. Every merge-side method runs on the calling
+/// thread only, in canonical device order.
+trait SweepSink {
+    /// Read-only worker-side state, shared by every worker thread.
+    type Folder: Sync;
+    /// What a worker pre-folds its chunk into before the merge step.
+    type Partial: Send;
+    /// The sweep's result.
+    type Output;
+
+    /// End (exclusive) of the execution chunk that starts at device
+    /// `start`; the engine clamps it to the fleet size.
+    fn chunk_end(start: usize) -> usize;
+
+    /// The worker-side state, built once after the prefix replay.
+    fn folder(&self) -> Self::Folder;
+
+    /// Worker side: optionally pre-folds the chunk, stamping its fresh
+    /// runs' `accepted` flags. `Some` tells [`SweepSink::submit`] the runs
+    /// are already folded and stamped.
+    fn prefold(
+        folder: &Self::Folder,
+        start: usize,
+        runs: &mut [DeviceRun],
+    ) -> Option<Self::Partial>;
+
+    /// Submits device `index` (replayed or fresh) and sets its `accepted`
+    /// flag. Runs before the device is journaled.
+    ///
+    /// # Errors
+    ///
+    /// Sink-specific merge failures.
+    fn submit(
+        &mut self,
+        index: usize,
+        run: &mut DeviceRun,
+        prefolded: bool,
+    ) -> Result<(), BenchError>;
+
+    /// Takes ownership of a submitted device's outcome.
+    fn keep(&mut self, outcome: SweepOutcome);
+
+    /// Closes one execution chunk, merging its pre-folded partial.
+    ///
+    /// # Errors
+    ///
+    /// Sink-specific merge failures.
+    fn end_chunk(&mut self, partial: Option<Self::Partial>) -> Result<(), BenchError>;
+
+    /// Builds the result.
+    ///
+    /// # Errors
+    ///
+    /// Sink-specific merge failures.
+    fn finish(self, end: SweepEnd) -> Result<Self::Output, BenchError>;
 }
 
-/// [`populate_parallel`] with **batched lockstep stepping**: each worker
-/// task owns a contiguous chunk of up to `batch` devices and steps the
-/// chunk's *batch-admissible* devices (clean fault plan, no chaos, no
-/// tracing, default watchdog budgets — see the `batch` module) in
-/// lockstep through one shared-propagator mat-mat thermal kernel.
-/// Inadmissible or mid-run-evicted devices fall back to the scalar
-/// supervised path inside the same chunk. Reports, crowd databases, and
-/// journal bytes are **bit-identical** to the scalar path at every
-/// `batch` width and thread count; `batch <= 1` *is* the scalar path
-/// (one device per task through the supervised-device engine behind
-/// every pre-batching caller).
-///
-/// `batch` does not enter [`SweepConfig::digest`]: it can never change
-/// simulated outcomes, so a journal written at one width resumes cleanly
-/// at another. Cancellation granularity widens to a chunk — in-flight
-/// chunks finish and journal before the sweep returns incomplete.
-///
-/// # Errors
-///
-/// As [`populate_parallel`].
-#[allow(clippy::too_many_arguments)]
-pub fn populate_batched(
-    db: &mut CrowdDatabase,
+/// The engine's account of a finished (or cancelled) sweep.
+struct SweepEnd {
+    devices: usize,
+    processed: usize,
+    complete: bool,
+    resumed: usize,
+    storage_degraded: Option<String>,
+}
+
+/// The one sweep engine behind [`populate_parallel`] and
+/// [`populate_streamed`]; see [`populate_parallel`] for the journal,
+/// resume, cancellation and escalation contract both share.
+fn sweep<S: SweepSink>(
+    mut sink: S,
     model: &str,
     devices: Vec<Device>,
     cfg: &SweepConfig,
     mut journal: Option<&mut Journal>,
     cancel: &CancelToken,
     threads: usize,
-    batch: usize,
-) -> Result<JournaledSweep, BenchError> {
+) -> Result<S::Output, BenchError> {
     cfg.protocol.validate()?;
     if cfg.iterations == 0 {
         return Err(BenchError::InvalidProtocol("iterations must be >= 1"));
@@ -1292,100 +1278,88 @@ pub fn populate_batched(
     let labels: Vec<String> = devices.iter().map(|d| d.label().to_owned()).collect();
     let digest = cfg.digest(model, &labels);
     let total = devices.len();
-    let (restored, already_complete) = prepare_journal(&mut journal, model, digest, total)?;
-    let mut outcomes: Vec<SweepOutcome> = Vec::with_capacity(total);
+    let (mut restored, already_complete) = prepare_journal(&mut journal, model, digest, total)?;
     let mut resumed = 0usize;
 
     // Replay the journal's contiguous restored prefix on the caller — no
-    // simulation, no cancellation gate, exactly as the serial path did.
-    // Replaying the submission keeps the database identical to the
-    // uninterrupted run; admission filtering is deterministic in the score
-    // alone, so `accepted` cannot diverge.
+    // simulation, no cancellation gate. Replaying the submission keeps the
+    // sink identical to the uninterrupted run; admission filtering is
+    // deterministic in the score alone, so `accepted` cannot diverge.
     let mut prefix = 0usize;
-    while let Some((outcome, score, rsd)) = restored.get(&prefix) {
-        let mut outcome = outcome.clone();
-        if let (Some(score), Some(rsd)) = (score, rsd) {
-            outcome.accepted = db.submit(CrowdScore {
-                model: model.to_owned(),
-                device: outcome.device.clone(),
-                score: *score,
-                rsd: *rsd,
-            });
-        }
-        outcomes.push(outcome);
+    while let Some((outcome, score, rsd)) = restored.remove(&prefix) {
+        let mut run = DeviceRun {
+            outcome,
+            score,
+            rsd,
+            fresh: false,
+            failures: Vec::new(),
+        };
+        sink.submit(prefix, &mut run, false)?;
+        sink.keep(run.outcome);
         resumed += 1;
         prefix += 1;
     }
 
-    // Fan the unsimulated tail out across the executor. The worker is a
-    // pure function of the device index; the sink below runs on this
-    // thread only, in canonical device order. `supervise_device` is
-    // infallible — panics inside a session are already caught per-attempt
-    // and folded into the outcome — so a `TaskOutcome::Panicked` here is
-    // defense-in-depth against bugs in the supervision machinery itself;
-    // it synthesizes a quarantined outcome instead of tearing the sweep
-    // down.
-    // Group the tail into contiguous chunks of `batch` devices; chunk `c`
-    // starts at device index `prefix + c·width`, so the sink can recover
-    // every device index from the chunk index alone (needed to synthesize
-    // outcomes when a whole chunk task panics).
-    let width = batch.max(1);
-    let tail: Vec<(usize, Device)> = devices.into_iter().enumerate().skip(prefix).collect();
-    let mut chunks: Vec<Vec<(usize, Device)>> = Vec::with_capacity(tail.len().div_ceil(width));
-    let mut feed = tail.into_iter();
-    loop {
-        let chunk: Vec<(usize, Device)> = feed.by_ref().take(width).collect();
-        if chunk.is_empty() {
-            break;
-        }
+    // Chunk the unsimulated tail on the sink's layout and fan it out. The
+    // worker is a pure function of the device indices; the merge closure
+    // below runs on this thread only, in canonical device order.
+    let mut starts: Vec<usize> = Vec::new();
+    let mut chunks: Vec<Vec<(usize, Device)>> = Vec::new();
+    let mut feed = devices.into_iter().enumerate().skip(prefix);
+    let mut start = prefix;
+    while start < total {
+        let end = S::chunk_end(start).min(total);
+        // Sized exactly: a `collect` from this iterator would round small
+        // chunks up to four devices, several MB on a large fleet.
+        let mut chunk = Vec::with_capacity(end - start);
+        chunk.extend(feed.by_ref().take(end - start));
+        starts.push(start);
         chunks.push(chunk);
+        start = end;
     }
+    let folder = sink.folder();
     let restored = &restored;
+    let starts = &starts;
     // Armed the first time a journal append fails past the journal's own
     // retry/rotation budgets under `StorageEscalation::Degrade`: journaling
     // stops (the sealed prefix stays valid), the sweep keeps running, and
-    // the verdict downgrades to storage-degraded. The sink runs on the
-    // caller thread only, so plain mutable capture is safe.
+    // the verdict downgrades to storage-degraded.
     let mut storage_degraded: Option<String> = None;
-    // Devices (not chunks) the sink processed past the restored prefix.
+    // Devices the merge step processed past the restored prefix.
     let mut sunk = 0usize;
     executor::map_supervised(
         chunks,
         threads,
         cancel,
-        |_, chunk: Vec<(usize, Device)>| -> Vec<DeviceRun> {
-            if width == 1 {
-                // The scalar reference path: one device per task, exactly
-                // the pre-batching engine.
-                scalar_chunk(cfg, total, chunk, restored)
-            } else {
-                crate::batch::supervise_chunk(cfg, total, chunk, restored)
-            }
+        |chunk_index, chunk: Vec<(usize, Device)>| {
+            let mut runs = run_chunk(cfg, total, chunk, restored);
+            let partial = S::prefold(&folder, starts[chunk_index], &mut runs);
+            (runs, partial)
         },
-        |chunk_index, caught: TaskOutcome<Vec<DeviceRun>>| -> Result<(), BenchError> {
-            let start = prefix + chunk_index * width;
-            let runs: Vec<DeviceRun> = match caught {
-                TaskOutcome::Completed(runs) => runs,
-                TaskOutcome::Panicked(panic) => panicked_chunk_runs(&labels, start, width, &panic),
-            };
-            for (k, run) in runs.into_iter().enumerate() {
-                let index = start + k;
-                let mut outcome = run.outcome;
-                if let (Some(score), Some(rsd)) = (run.score, run.rsd) {
-                    outcome.accepted = db.submit(CrowdScore {
-                        model: model.to_owned(),
-                        device: outcome.device.clone(),
-                        score,
-                        rsd,
-                    });
+        |chunk_index, caught| -> Result<(), BenchError> {
+            let start = starts[chunk_index];
+            // `supervise_device` is infallible — panics inside a session
+            // are caught per attempt — so a panicked task means the
+            // supervision machinery itself crashed: its devices become
+            // quarantined holes instead of tearing the sweep down.
+            let (runs, partial) = match caught {
+                TaskOutcome::Completed(done) => done,
+                TaskOutcome::Panicked(panic) => {
+                    let end = S::chunk_end(start).min(total);
+                    (panicked_chunk_runs(&labels[start..end], &panic), None)
                 }
+            };
+            let prefolded = partial.is_some();
+            for (k, mut run) in runs.into_iter().enumerate() {
+                let index = start + k;
+                sink.submit(index, &mut run, prefolded)?;
                 if run.fresh {
                     if storage_degraded.is_none() {
                         if let Some(j) = journal.as_deref_mut() {
                             if let Err(e) = journal_outcome(
                                 j,
                                 index,
-                                &outcome,
+                                &run.outcome,
                                 run.score,
                                 run.rsd,
                                 &run.failures,
@@ -1404,23 +1378,25 @@ pub fn populate_batched(
                 sunk += 1;
                 // Escalation: under `abort`, a supervision hole fails the
                 // whole sweep — but only *after* its outcome is journaled,
-                // so a later `--resume` under `quarantine` can pick up from
-                // the exact device that tripped the policy.
-                let hole = outcome.is_hole();
-                let attempts = outcome.attempts;
-                let detail = outcome.error.clone().unwrap_or_else(|| "unknown".into());
-                let device = outcome.device.clone();
-                outcomes.push(outcome);
-                if hole && cfg.supervision.on_failure == OnFailure::Abort {
-                    return Err(SupervisionError::FleetAborted {
-                        device,
-                        attempts,
-                        detail,
-                    }
-                    .into());
+                // so a later resume under `quarantine` can pick up from the
+                // exact device that tripped the policy.
+                let abort = (run.outcome.is_hole()
+                    && cfg.supervision.on_failure == OnFailure::Abort)
+                    .then(|| SupervisionError::FleetAborted {
+                        device: run.outcome.device.clone(),
+                        attempts: run.outcome.attempts,
+                        detail: run
+                            .outcome
+                            .error
+                            .clone()
+                            .unwrap_or_else(|| "unknown".into()),
+                    });
+                sink.keep(run.outcome);
+                if let Some(e) = abort {
+                    return Err(e.into());
                 }
             }
-            Ok(())
+            sink.end_chunk(partial)
         },
     )?;
 
@@ -1435,18 +1411,74 @@ pub fn populate_batched(
             }
         }
     }
-    Ok(JournaledSweep {
-        report: SweepReport { outcomes },
+    sink.finish(SweepEnd {
+        devices: total,
+        processed: prefix + sunk,
         complete,
         resumed,
         storage_degraded,
     })
 }
 
+/// The exact oracle sink: one device per task, every accepted score
+/// submitted to a [`CrowdDatabase`], every outcome kept.
+struct DatabaseSink<'a> {
+    db: &'a mut CrowdDatabase,
+    model: &'a str,
+    outcomes: Vec<SweepOutcome>,
+}
+
+impl SweepSink for DatabaseSink<'_> {
+    type Folder = ();
+    type Partial = ();
+    type Output = JournaledSweep;
+
+    fn chunk_end(start: usize) -> usize {
+        start + 1
+    }
+
+    fn folder(&self) {}
+
+    fn prefold(_: &(), _: usize, _: &mut [DeviceRun]) -> Option<()> {
+        None
+    }
+
+    fn submit(&mut self, _: usize, run: &mut DeviceRun, _: bool) -> Result<(), BenchError> {
+        if let (Some(score), Some(rsd)) = (run.score, run.rsd) {
+            run.outcome.accepted = self.db.submit(CrowdScore {
+                model: self.model.to_owned(),
+                device: run.outcome.device.clone(),
+                score,
+                rsd,
+            });
+        }
+        Ok(())
+    }
+
+    fn keep(&mut self, outcome: SweepOutcome) {
+        self.outcomes.push(outcome);
+    }
+
+    fn end_chunk(&mut self, _: Option<()>) -> Result<(), BenchError> {
+        Ok(())
+    }
+
+    fn finish(self, end: SweepEnd) -> Result<JournaledSweep, BenchError> {
+        Ok(JournaledSweep {
+            report: SweepReport {
+                outcomes: self.outcomes,
+            },
+            complete: end.complete,
+            resumed: end.resumed,
+            storage_degraded: end.storage_degraded,
+        })
+    }
+}
+
 /// The fixed streaming-aggregation grid: device scores are folded into
 /// per-group partial aggregates of this many consecutive devices, aligned
 /// to absolute device index 0, and the partials are merged in ascending
-/// group order. The grid is independent of `--threads`, `--batch` and the
+/// group order. The grid is independent of `--threads` and the
 /// resume prefix, which is what makes a streamed sweep's aggregate
 /// byte-identical across thread counts and kill+resume (see
 /// `pv_stats::stream` for the underlying floating-point argument).
@@ -1574,34 +1606,20 @@ impl fmt::Display for StreamedSweep {
     }
 }
 
-/// What a streaming worker hands the sink for one execution chunk.
-struct StreamChunk {
-    runs: Vec<DeviceRun>,
-    /// The chunk's pre-folded partial aggregate — `Some` iff the chunk
-    /// starts on the [`STREAM_GROUP`] grid (then the chunk *is* a whole
-    /// group and the worker folds it locally). The resume-straddle chunk
-    /// is `None`; the sink re-folds it device-by-device into the open
-    /// group partial.
-    partial: Option<crate::aggregate::ScoreAggregate>,
-}
-
 /// The streaming, memory-bounded sweep engine — `repro sweep`'s default
 /// path, and the only one that scales to 10⁶-device (sampled) fleets.
 ///
-/// Semantics match [`populate_batched`] exactly — same validation, journal
+/// Semantics match [`populate_parallel`] exactly — same validation, journal
 /// header/digest/healing, resume replay, supervision, chaos, storage
 /// escalation and cancellation, producing byte-identical journals — but
 /// instead of funneling every score through a [`CrowdDatabase`], workers
 /// fold their chunk into a partial [`crate::aggregate::ScoreAggregate`]
-/// and the single-writer sink merges O(workers) partials in canonical
-/// ascending order. Memory is O(bins + K + holes (+ retained sample)),
-/// independent of fleet size.
+/// and the single-writer sink merges the partials in canonical ascending
+/// order. Memory is O(bins + K + holes (+ retained sample)), independent
+/// of fleet size.
 ///
-/// Execution chunks are aligned to the absolute [`STREAM_GROUP`] grid.
-/// `batch > 1` steps each chunk's admissible devices in lockstep through
-/// the shared-propagator kernel (`crate::batch`), which is outcome-
-/// invariant; `batch <= 1` runs the scalar engine. Either way the
-/// aggregate's fold/merge order — and hence its bits — depends only on
+/// Execution chunks are aligned to the absolute [`STREAM_GROUP`] grid, so
+/// the aggregate's fold/merge order — and hence its bits — depends only on
 /// the grid.
 ///
 /// `agg` must be freshly constructed (it is the merge identity); pass
@@ -1610,238 +1628,159 @@ struct StreamChunk {
 /// estimators, and the acceptance contract allows retention *within* the
 /// sampled set only.
 ///
+/// `_batch` is ignored. It is kept only so existing callers compile, and
+/// goes away with the next change to the benchmark that calls it.
+///
 /// # Errors
 ///
-/// As [`populate_batched`].
+/// As [`populate_parallel`].
 #[allow(clippy::too_many_arguments)]
 pub fn populate_streamed(
     agg: &mut crate::aggregate::ScoreAggregate,
     model: &str,
     devices: Vec<Device>,
     cfg: &SweepConfig,
-    mut journal: Option<&mut Journal>,
+    journal: Option<&mut Journal>,
     cancel: &CancelToken,
     threads: usize,
-    batch: usize,
+    _batch: usize,
     retain_scores: bool,
 ) -> Result<StreamedSweep, BenchError> {
-    cfg.protocol.validate()?;
-    if cfg.iterations == 0 {
-        return Err(BenchError::InvalidProtocol("iterations must be >= 1"));
+    let open = agg.fresh_partial();
+    let sink = AggregateSink {
+        agg,
+        model,
+        open,
+        holes: Vec::new(),
+        retained: Vec::new(),
+        completed: 0,
+        retain_scores,
+    };
+    sweep(sink, model, devices, cfg, journal, cancel, threads)
+}
+
+/// The streamed sink: workers pre-fold whole [`STREAM_GROUP`] groups; the
+/// merge step folds replayed devices and the resume-straddle chunk into
+/// the open group partial, and merges every group into the fleet aggregate
+/// in ascending order. Only holes (and requested retained scores) are kept
+/// per device.
+struct AggregateSink<'a> {
+    agg: &'a mut crate::aggregate::ScoreAggregate,
+    model: &'a str,
+    /// The partial of the group currently being filled on the merge side.
+    open: crate::aggregate::ScoreAggregate,
+    holes: Vec<SweepOutcome>,
+    retained: Vec<(usize, f64)>,
+    completed: usize,
+    retain_scores: bool,
+}
+
+impl AggregateSink<'_> {
+    /// Merges the open group into the fleet aggregate and starts a fresh
+    /// one. Merging an empty partial leaves the aggregate's bits as they
+    /// were, so a flush at a boundary no device reached is harmless.
+    fn flush(&mut self) -> Result<(), BenchError> {
+        self.agg.merge(&self.open)?;
+        self.open = self.agg.fresh_partial();
+        Ok(())
     }
-    if cfg.supervision.max_attempts == 0 {
-        return Err(BenchError::InvalidProtocol(
-            "supervision.max_attempts must be >= 1",
-        ));
+}
+
+impl SweepSink for AggregateSink<'_> {
+    /// An owned empty aggregate with the caller's layout: the template
+    /// workers fold their groups with.
+    type Folder = crate::aggregate::ScoreAggregate;
+    type Partial = crate::aggregate::ScoreAggregate;
+    type Output = StreamedSweep;
+
+    fn chunk_end(start: usize) -> usize {
+        (start / STREAM_GROUP + 1) * STREAM_GROUP
     }
-    let labels: Vec<String> = devices.iter().map(|d| d.label().to_owned()).collect();
-    let digest = cfg.digest(model, &labels);
-    let total = devices.len();
-    let (restored, already_complete) = prepare_journal(&mut journal, model, digest, total)?;
 
-    let mut holes: Vec<SweepOutcome> = Vec::new();
-    let mut retained: Vec<(usize, f64)> = Vec::new();
-    let mut completed = 0usize;
-    let mut resumed = 0usize;
+    fn folder(&self) -> Self::Folder {
+        self.agg.fresh_partial()
+    }
 
-    // The open partial of the group currently being filled; flushed into
-    // the global aggregate whenever the fold reaches a grid boundary.
-    let mut open = agg.fresh_partial();
-
-    // Replay the journal's contiguous restored prefix on the caller,
-    // folding grid-wise so the aggregate's operation sequence is identical
-    // to the uninterrupted run's.
-    let mut prefix = 0usize;
-    while let Some((outcome, score, rsd)) = restored.get(&prefix) {
-        if prefix > 0 && prefix.is_multiple_of(STREAM_GROUP) {
-            agg.merge(&open)?;
-            open = agg.fresh_partial();
+    fn prefold(
+        folder: &Self::Folder,
+        start: usize,
+        runs: &mut [DeviceRun],
+    ) -> Option<Self::Partial> {
+        // A chunk on the grid is one whole group: fold it here, stamping
+        // each fresh run's `accepted` flag before the merge step journals
+        // it. The resume-straddle chunk is folded (and stamped) on the
+        // merge side instead, into the group the replayed prefix left open.
+        if !start.is_multiple_of(STREAM_GROUP) {
+            return None;
         }
-        if let (Some(score), Some(rsd)) = (score, rsd) {
-            if open.fold(&outcome.device, *score, *rsd) && retain_scores {
-                retained.push((prefix, *score));
+        let mut partial = folder.fresh_partial();
+        for run in runs {
+            if let (Some(s), Some(r)) = (run.score, run.rsd) {
+                let admitted = partial.fold(&run.outcome.device, s, r);
+                if run.fresh {
+                    run.outcome.accepted = admitted;
+                }
             }
         }
+        Some(partial)
+    }
+
+    fn submit(
+        &mut self,
+        index: usize,
+        run: &mut DeviceRun,
+        prefolded: bool,
+    ) -> Result<(), BenchError> {
+        if !prefolded && index.is_multiple_of(STREAM_GROUP) {
+            self.flush()?;
+        }
+        if let (Some(s), Some(r)) = (run.score, run.rsd) {
+            if !prefolded {
+                run.outcome.accepted = self.open.fold(&run.outcome.device, s, r);
+            }
+            if self.retain_scores && run.outcome.accepted {
+                self.retained.push((index, s));
+            }
+        }
+        Ok(())
+    }
+
+    fn keep(&mut self, outcome: SweepOutcome) {
         if outcome.verdict.is_some() {
-            completed += 1;
+            self.completed += 1;
         }
         if outcome.is_hole() {
-            holes.push(outcome.clone());
-        }
-        resumed += 1;
-        prefix += 1;
-    }
-    if prefix.is_multiple_of(STREAM_GROUP) {
-        // The prefix ends exactly on the grid: the open group is whole (or
-        // empty) — flush it so the first tail chunk starts a fresh group.
-        agg.merge(&open)?;
-        open = agg.fresh_partial();
-    }
-
-    // Chunk the tail on the absolute grid: the first chunk tops up the
-    // group the prefix left open; every later chunk is one whole group.
-    let tail: Vec<(usize, Device)> = devices.into_iter().enumerate().skip(prefix).collect();
-    let mut chunks: Vec<Vec<(usize, Device)>> = Vec::new();
-    let mut starts: Vec<usize> = Vec::new();
-    {
-        let mut feed = tail.into_iter().peekable();
-        while let Some(&(next, _)) = feed.peek() {
-            let group_end = (next / STREAM_GROUP + 1) * STREAM_GROUP;
-            let take = group_end - next;
-            let chunk: Vec<(usize, Device)> = feed.by_ref().take(take).collect();
-            starts.push(next);
-            chunks.push(chunk);
+            self.holes.push(outcome);
         }
     }
 
-    let restored = &restored;
-    // An owned empty aggregate with the caller's layout: the workers'
-    // fold/admission template. Owned (not a borrow of `agg`) so the sink
-    // below can merge into `agg` directly, preserving the strict
-    // left-to-right group order that started with the replayed prefix.
-    let template = agg.fresh_partial();
-    let scalar = batch.max(1) == 1;
-    let mut storage_degraded: Option<String> = None;
-    let mut sunk = 0usize;
-    let starts_ref = &starts;
-    executor::map_supervised(
-        chunks,
-        threads,
-        cancel,
-        |chunk_index, chunk: Vec<(usize, Device)>| -> StreamChunk {
-            let start = starts_ref[chunk_index];
-            let mut runs = if scalar {
-                scalar_chunk(cfg, total, chunk, restored)
-            } else {
-                crate::batch::supervise_chunk(cfg, total, chunk, restored)
-            };
-            // The admission decision is pure, so the worker can stamp the
-            // `accepted` flag (the oracle sink does this at submit time).
-            for run in &mut runs {
-                if run.fresh {
-                    run.outcome.accepted = matches!(
-                        (run.score, run.rsd),
-                        (Some(s), Some(r)) if template.admits(s, r)
-                    );
-                }
-            }
-            let partial = start.is_multiple_of(STREAM_GROUP).then(|| {
-                let mut p = template.fresh_partial();
-                for run in &runs {
-                    if let (Some(s), Some(r)) = (run.score, run.rsd) {
-                        p.fold(&run.outcome.device, s, r);
-                    }
-                }
-                p
-            });
-            StreamChunk { runs, partial }
-        },
-        |chunk_index, caught: TaskOutcome<StreamChunk>| -> Result<(), BenchError> {
-            let start = starts_ref[chunk_index];
-            let chunk = match caught {
-                TaskOutcome::Panicked(panic) => {
-                    // Group width bounds the synthesized chunk length.
-                    let width = STREAM_GROUP - start % STREAM_GROUP;
-                    StreamChunk {
-                        runs: panicked_chunk_runs(&labels, start, width, &panic),
-                        partial: start.is_multiple_of(STREAM_GROUP).then(|| agg.fresh_partial()),
-                    }
-                }
-                TaskOutcome::Completed(chunk) => chunk,
-            };
-            for (k, run) in chunk.runs.iter().enumerate() {
-                let index = start + k;
-                if run.fresh {
-                    if storage_degraded.is_none() {
-                        if let Some(j) = journal.as_deref_mut() {
-                            if let Err(e) = journal_outcome(
-                                j,
-                                index,
-                                &run.outcome,
-                                run.score,
-                                run.rsd,
-                                &run.failures,
-                            ) {
-                                if cfg.storage_escalation == StorageEscalation::Abort {
-                                    return Err(e);
-                                }
-                                storage_degraded =
-                                    Some(format!("journaling stopped at device {index}: {e}"));
-                            }
-                        }
-                    }
-                } else {
-                    resumed += 1;
-                }
-                if let (Some(s), Some(r)) = (run.score, run.rsd) {
-                    if chunk.partial.is_none() {
-                        // Straddle chunk: top up the open group partial.
-                        open.fold(&run.outcome.device, s, r);
-                    }
-                    if retain_scores && run.outcome.accepted {
-                        retained.push((index, s));
-                    }
-                }
-                if run.outcome.verdict.is_some() {
-                    completed += 1;
-                }
-                if run.outcome.is_hole() {
-                    holes.push(run.outcome.clone());
-                }
-                sunk += 1;
-                if run.outcome.is_hole() && cfg.supervision.on_failure == OnFailure::Abort {
-                    return Err(SupervisionError::FleetAborted {
-                        device: run.outcome.device.clone(),
-                        attempts: run.outcome.attempts,
-                        detail: run
-                            .outcome
-                            .error
-                            .clone()
-                            .unwrap_or_else(|| "unknown".into()),
-                    }
-                    .into());
-                }
-            }
-            match chunk.partial {
-                Some(partial) => agg.merge(&partial)?,
-                None => {
-                    // The straddle chunk always ends on the grid (or at the
-                    // fleet end): close and flush the open group.
-                    agg.merge(&open)?;
-                    open = agg.fresh_partial();
-                }
-            }
-            Ok(())
-        },
-    )?;
-    // Flush any still-open group (possible when the sweep was cancelled
-    // before the straddle chunk ran, or when the fleet was fully restored
-    // with an unaligned length).
-    agg.merge(&open)?;
-
-    let complete = prefix + sunk == total;
-    if complete && !already_complete && storage_degraded.is_none() {
-        if let Some(j) = journal {
-            if let Err(e) = j.append(&Record::Complete { devices: total }) {
-                if cfg.storage_escalation == StorageEscalation::Abort {
-                    return Err(e.into());
-                }
-                storage_degraded = Some(format!("journal seal failed: {e}"));
-            }
+    fn end_chunk(&mut self, partial: Option<Self::Partial>) -> Result<(), BenchError> {
+        // Every chunk ends on the grid (or at the fleet end): close the
+        // open group first, so groups merge in ascending order.
+        self.flush()?;
+        match partial {
+            Some(partial) => self.agg.merge(&partial),
+            None => Ok(()),
         }
     }
-    Ok(StreamedSweep {
-        model: model.to_owned(),
-        aggregate: agg.clone(),
-        holes,
-        devices: total,
-        processed: prefix + sunk,
-        completed,
-        complete,
-        resumed,
-        storage_degraded,
-        retained,
-    })
+
+    fn finish(mut self, end: SweepEnd) -> Result<StreamedSweep, BenchError> {
+        // Flush any still-open group (a sweep cancelled before the
+        // straddle chunk ran, or a fully restored unaligned fleet).
+        self.flush()?;
+        Ok(StreamedSweep {
+            model: self.model.to_owned(),
+            aggregate: self.agg.clone(),
+            holes: self.holes,
+            devices: end.devices,
+            processed: end.processed,
+            completed: self.completed,
+            complete: end.complete,
+            resumed: end.resumed,
+            storage_degraded: end.storage_degraded,
+            retained: self.retained,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -560,7 +560,25 @@ impl Harness {
         quarantined: &[QuarantinedIteration],
         requested: usize,
     ) -> Verdict {
-        judge_session(&self.gates, runs, quarantined, requested)
+        let need = self.gates.min_valid_iterations.min(requested).max(1);
+        if runs.len() < need {
+            return Verdict::Invalid;
+        }
+        let mut degraded = !quarantined.is_empty()
+            || runs.iter().any(|it| it.cooldown_timed_out)
+            || runs
+                .iter()
+                .any(|it| it.band_occupancy < self.gates.min_band_occupancy);
+        if runs.len() >= 2 {
+            if let Ok(perf) = Summary::from_iter(runs.iter().map(|i| i.iterations_completed)) {
+                degraded |= perf.rsd_percent() > self.gates.max_rsd_percent;
+            }
+        }
+        if degraded {
+            Verdict::Degraded
+        } else {
+            Verdict::Valid
+        }
     }
 
     /// Runs `iterations` back-to-back iterations — the paper ran 5 per
@@ -619,36 +637,6 @@ impl Harness {
             quarantined,
             verdict,
         })
-    }
-}
-
-/// Judges a finished session against a set of quality gates — the single
-/// implementation behind [`Harness::run_session`] and the batched sweep
-/// driver ([`crate::batch`]), so the two paths cannot drift.
-pub(crate) fn judge_session(
-    gates: &QualityGates,
-    runs: &[Iteration],
-    quarantined: &[QuarantinedIteration],
-    requested: usize,
-) -> Verdict {
-    let need = gates.min_valid_iterations.min(requested).max(1);
-    if runs.len() < need {
-        return Verdict::Invalid;
-    }
-    let mut degraded = !quarantined.is_empty()
-        || runs.iter().any(|it| it.cooldown_timed_out)
-        || runs
-            .iter()
-            .any(|it| it.band_occupancy < gates.min_band_occupancy);
-    if runs.len() >= 2 {
-        if let Ok(perf) = Summary::from_iter(runs.iter().map(|i| i.iterations_completed)) {
-            degraded |= perf.rsd_percent() > gates.max_rsd_percent;
-        }
-    }
-    if degraded {
-        Verdict::Degraded
-    } else {
-        Verdict::Valid
     }
 }
 

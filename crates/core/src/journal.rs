@@ -46,7 +46,7 @@
 //! rebuild the crowd database bit-identically), optional
 //! [`Record::Note`]s for quarantine/fault events, and a final
 //! [`Record::Complete`] marker. See
-//! [`crate::crowd::populate_journaled`] for the consumer.
+//! [`crate::crowd::populate_parallel`] for the consumer.
 //!
 //! [`CancelToken`] is the cooperative-cancellation half: a SIGINT/SIGTERM
 //! handler (or a test) flips it, in-flight sessions finish their current

@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub(crate) mod batch;
 pub mod crowd;
 pub mod executor;
 pub mod experiments;

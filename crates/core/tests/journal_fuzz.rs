@@ -5,7 +5,7 @@
 //! must agree byte-for-byte with the in-memory slice scan.
 
 use accubench::crowd::SweepOutcome;
-use accubench::journal::{decode_line, encode_line, scan_bytes, Journal, Record};
+use accubench::journal::{decode_line, encode_line, fnv64, scan_bytes, Journal, Record};
 use accubench::storage::{MemStorage, Storage};
 use accubench::supervise::DeviceStatus;
 use pv_rng::{Rng, SeedableRng, StdRng};
@@ -183,4 +183,23 @@ fn random_garbage_recovers_nothing_and_never_panics() {
         // noise is (practically) impossible.
         assert!(records.is_empty(), "garbage round {round}: {records:?}");
     }
+}
+
+#[test]
+fn deeply_nested_line_is_a_corrupt_record_not_a_crash() {
+    // A correctly framed line (valid checksum) whose payload nests 10⁶
+    // arrays deep: recovery must reject it as corrupt — keeping the valid
+    // prefix before it — rather than overflow the stack parsing it.
+    let (records, mut bytes) = corpus();
+    let payload = "[".repeat(1_000_000);
+    let line = format!("{:016x} {payload}\n", fnv64(payload.as_bytes()));
+    assert_eq!(
+        decode_line(line.trim_end()),
+        Err("payload is not valid json")
+    );
+    let valid = bytes.len();
+    bytes.extend_from_slice(line.as_bytes());
+    let (recovered, valid_len) = check_recovery(&bytes, "deep nesting");
+    assert_eq!(recovered, records);
+    assert_eq!(valid_len as usize, valid);
 }

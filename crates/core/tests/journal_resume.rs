@@ -4,11 +4,9 @@
 //!
 //! The "kill" is simulated by truncating a completed journal at a seeded
 //! random byte offset — exactly what a power cut mid-`write` leaves on
-//! disk — and handing the mutilated file back to [`populate_journaled`].
+//! disk — and handing the mutilated file back to [`populate_parallel`].
 
-use accubench::crowd::{
-    populate_journaled, populate_resilient, CrowdDatabase, SweepConfig, SweepReport,
-};
+use accubench::crowd::{populate_parallel, CrowdDatabase, SweepConfig, SweepReport};
 use accubench::journal::{CancelToken, Journal};
 use accubench::protocol::Protocol;
 use accubench::BenchError;
@@ -59,7 +57,17 @@ fn kill_at_random_offset_resumes_to_identical_result() {
 
     // Uninterrupted, unjournaled baseline.
     let mut base_db = db();
-    let baseline = populate_resilient(&mut base_db, "Pixel", fleet(DEVICES), &cfg).unwrap();
+    let baseline = populate_parallel(
+        &mut base_db,
+        "Pixel",
+        fleet(DEVICES),
+        &cfg,
+        None,
+        &CancelToken::new(),
+        1,
+    )
+    .unwrap()
+    .report;
 
     // Uninterrupted journaled run: same report, and the journal alone
     // reconstructs it.
@@ -67,13 +75,14 @@ fn kill_at_random_offset_resumes_to_identical_result() {
     let _ = std::fs::remove_file(&full_path);
     let mut journal = Journal::open(&full_path).unwrap();
     let mut jdb = db();
-    let sweep = populate_journaled(
+    let sweep = populate_parallel(
         &mut jdb,
         "Pixel",
         fleet(DEVICES),
         &cfg,
         Some(&mut journal),
         &CancelToken::new(),
+        1,
     )
     .unwrap();
     assert!(sweep.complete);
@@ -99,13 +108,14 @@ fn kill_at_random_offset_resumes_to_identical_result() {
             "round {round}: cut {cut} dropped nothing"
         );
         let mut rdb = db();
-        let resumed = populate_journaled(
+        let resumed = populate_parallel(
             &mut rdb,
             "Pixel",
             fleet(DEVICES),
             &cfg,
             Some(&mut journal),
             &CancelToken::new(),
+            1,
         );
         // A cut inside the header leaves an empty journal, which a resume
         // treats as a fresh sweep — still converging on the baseline.
@@ -136,13 +146,14 @@ fn resume_refuses_changed_configuration() {
     let _ = std::fs::remove_file(&path);
 
     let mut journal = Journal::open(&path).unwrap();
-    populate_journaled(
+    populate_parallel(
         &mut db(),
         "Pixel",
         fleet(4),
         &cfg,
         Some(&mut journal),
         &CancelToken::new(),
+        1,
     )
     .unwrap();
     drop(journal);
@@ -150,13 +161,14 @@ fn resume_refuses_changed_configuration() {
     // Different fault seed.
     let other = SweepConfig::clean(quick(), 2).with_faults(1, Seconds(1500.0), ALL_KINDS.to_vec());
     let mut journal = Journal::open(&path).unwrap();
-    let err = populate_journaled(
+    let err = populate_parallel(
         &mut db(),
         "Pixel",
         fleet(4),
         &other,
         Some(&mut journal),
         &CancelToken::new(),
+        1,
     )
     .unwrap_err();
     assert!(matches!(err, BenchError::Journal(_)), "{err}");
@@ -165,13 +177,14 @@ fn resume_refuses_changed_configuration() {
 
     // Different fleet size under the same config.
     let mut journal = Journal::open(&path).unwrap();
-    let err = populate_journaled(
+    let err = populate_parallel(
         &mut db(),
         "Pixel",
         fleet(5),
         &cfg,
         Some(&mut journal),
         &CancelToken::new(),
+        1,
     )
     .unwrap_err();
     assert!(format!("{err}").contains("refusing to resume"), "{err}");
@@ -185,20 +198,31 @@ fn resume_refuses_changed_configuration() {
 fn cancelled_sweep_resumes_cleanly() {
     let cfg = faulty_cfg();
     let mut base_db = db();
-    let baseline = populate_resilient(&mut base_db, "Pixel", fleet(6), &cfg).unwrap();
+    let baseline = populate_parallel(
+        &mut base_db,
+        "Pixel",
+        fleet(6),
+        &cfg,
+        None,
+        &CancelToken::new(),
+        1,
+    )
+    .unwrap()
+    .report;
 
     let path = tmp_path("cancel");
     let _ = std::fs::remove_file(&path);
     let cancel = CancelToken::new();
     cancel.cancel();
     let mut journal = Journal::open(&path).unwrap();
-    let stopped = populate_journaled(
+    let stopped = populate_parallel(
         &mut db(),
         "Pixel",
         fleet(6),
         &cfg,
         Some(&mut journal),
         &cancel,
+        1,
     )
     .unwrap();
     assert!(!stopped.complete);
@@ -207,13 +231,14 @@ fn cancelled_sweep_resumes_cleanly() {
 
     let mut rdb = db();
     let mut journal = Journal::open(&path).unwrap();
-    let resumed = populate_journaled(
+    let resumed = populate_parallel(
         &mut rdb,
         "Pixel",
         fleet(6),
         &cfg,
         Some(&mut journal),
         &CancelToken::new(),
+        1,
     )
     .unwrap();
     assert!(resumed.complete);
@@ -233,13 +258,14 @@ fn complete_journal_replays_without_simulation() {
 
     let mut live_db = db();
     let mut journal = Journal::open(&path).unwrap();
-    let live = populate_journaled(
+    let live = populate_parallel(
         &mut live_db,
         "Pixel",
         fleet(5),
         &cfg,
         Some(&mut journal),
         &CancelToken::new(),
+        1,
     )
     .unwrap();
     drop(journal);
@@ -247,13 +273,14 @@ fn complete_journal_replays_without_simulation() {
 
     let mut replay_db = db();
     let mut journal = Journal::open(&path).unwrap();
-    let replay = populate_journaled(
+    let replay = populate_parallel(
         &mut replay_db,
         "Pixel",
         fleet(5),
         &cfg,
         Some(&mut journal),
         &CancelToken::new(),
+        1,
     )
     .unwrap();
     assert!(replay.complete);

@@ -8,13 +8,10 @@
 //! so they are also the target of CI's 100-iteration stress loop and
 //! ThreadSanitizer run.
 
-use accubench::crowd::{
-    populate_batched, populate_journaled, populate_parallel, CrowdDatabase, SweepConfig,
-    SweepReport,
-};
-use accubench::supervise::SessionChaos;
+use accubench::crowd::{populate_parallel, CrowdDatabase, SweepConfig, SweepReport};
 use accubench::journal::{CancelToken, Journal};
 use accubench::protocol::Protocol;
+use accubench::supervise::SessionChaos;
 use pv_faults::ALL_KINDS;
 use pv_json::ToJson;
 use pv_rng::{Rng, SeedableRng, StdRng};
@@ -74,13 +71,14 @@ fn serial_parallel_reports_and_journals_bit_identical() {
     let _ = std::fs::remove_file(&serial_path);
     let mut serial_db = db();
     let mut journal = Journal::open(&serial_path).unwrap();
-    let serial = populate_journaled(
+    let serial = populate_parallel(
         &mut serial_db,
         "Pixel",
         fleet(DEVICES),
         &cfg,
         Some(&mut journal),
         &CancelToken::new(),
+        1,
     )
     .unwrap();
     assert!(serial.complete);
@@ -138,13 +136,14 @@ fn kill_mid_parallel_sweep_resume_is_deterministic() {
     let baseline_journal_path = tmp_path("kill-full");
     let _ = std::fs::remove_file(&baseline_journal_path);
     let mut journal = Journal::open(&baseline_journal_path).unwrap();
-    let baseline = populate_journaled(
+    let baseline = populate_parallel(
         &mut base_db,
         "Pixel",
         fleet(DEVICES),
         &cfg,
         Some(&mut journal),
         &CancelToken::new(),
+        1,
     )
     .unwrap();
     drop(journal);
@@ -193,13 +192,14 @@ fn cancelled_parallel_sweep_is_resumable() {
     let _ = std::fs::remove_file(&full_path);
     let mut base_db = db();
     let mut journal = Journal::open(&full_path).unwrap();
-    let baseline = populate_journaled(
+    let baseline = populate_parallel(
         &mut base_db,
         "Pixel",
         fleet(DEVICES),
         &cfg,
         Some(&mut journal),
         &CancelToken::new(),
+        1,
     )
     .unwrap();
     drop(journal);
@@ -288,25 +288,24 @@ fn cancelled_parallel_sweep_is_resumable() {
     let _ = std::fs::remove_file(&full_path);
 }
 
-/// A clean sweep (every device batch-admissible) across the full
-/// `--batch` × `--threads` grid — including a width that doesn't divide
-/// the fleet and one larger than it — produces byte-identical report,
+/// A clean sweep across thread counts produces byte-identical report,
 /// database, and journal output.
 #[test]
-fn batched_sweep_bit_identical_across_widths_and_threads() {
+fn clean_sweep_bit_identical_across_threads() {
     let cfg = SweepConfig::clean(quick(), 2);
 
-    let serial_path = tmp_path("batch-serial");
+    let serial_path = tmp_path("clean-serial");
     let _ = std::fs::remove_file(&serial_path);
     let mut serial_db = db();
     let mut journal = Journal::open(&serial_path).unwrap();
-    let serial = populate_journaled(
+    let serial = populate_parallel(
         &mut serial_db,
         "Pixel",
         fleet(DEVICES),
         &cfg,
         Some(&mut journal),
         &CancelToken::new(),
+        1,
     )
     .unwrap();
     assert!(serial.complete);
@@ -314,47 +313,42 @@ fn batched_sweep_bit_identical_across_widths_and_threads() {
     let serial_bytes = std::fs::read(&serial_path).unwrap();
     let serial_print = fingerprint(&serial.report, &serial_db);
 
-    for batch in [1usize, 3, 8, 64] {
-        for threads in [1usize, 4] {
-            let path = tmp_path(&format!("batch{batch}t{threads}"));
-            let _ = std::fs::remove_file(&path);
-            let mut bdb = db();
-            let mut journal = Journal::open(&path).unwrap();
-            let batched = populate_batched(
-                &mut bdb,
-                "Pixel",
-                fleet(DEVICES),
-                &cfg,
-                Some(&mut journal),
-                &CancelToken::new(),
-                threads,
-                batch,
-            )
-            .unwrap();
-            assert!(batched.complete, "batch={batch} threads={threads}");
-            drop(journal);
-            assert_eq!(
-                fingerprint(&batched.report, &bdb),
-                serial_print,
-                "batch={batch} threads={threads}: report/database diverged"
-            );
-            assert_eq!(
-                std::fs::read(&path).unwrap(),
-                serial_bytes,
-                "batch={batch} threads={threads}: journal bytes diverged"
-            );
-            let _ = std::fs::remove_file(&path);
-        }
+    for threads in [2usize, 4] {
+        let path = tmp_path(&format!("clean-t{threads}"));
+        let _ = std::fs::remove_file(&path);
+        let mut pdb = db();
+        let mut journal = Journal::open(&path).unwrap();
+        let parallel = populate_parallel(
+            &mut pdb,
+            "Pixel",
+            fleet(DEVICES),
+            &cfg,
+            Some(&mut journal),
+            &CancelToken::new(),
+            threads,
+        )
+        .unwrap();
+        assert!(parallel.complete, "threads={threads}");
+        drop(journal);
+        assert_eq!(
+            fingerprint(&parallel.report, &pdb),
+            serial_print,
+            "threads={threads}: report/database diverged"
+        );
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            serial_bytes,
+            "threads={threads}: journal bytes diverged"
+        );
+        let _ = std::fs::remove_file(&path);
     }
     let _ = std::fs::remove_file(&serial_path);
 }
 
 /// Mixed fleets — injected faults quarantining some devices and chaos
-/// panicking another — must resolve identically whether the chunk width
-/// is 1 (pure scalar) or covers several devices (lockstep + scalar
-/// fallback inside one chunk).
+/// panicking another — resolve identically at every thread count.
 #[test]
-fn batched_faulted_chaos_sweep_matches_scalar() {
+fn faulted_chaos_sweep_matches_serial() {
     let cfg = faulty_cfg().with_chaos(SessionChaos::new(3, 1, 0).striking_at(30.0));
 
     let mut serial_db = db();
@@ -370,87 +364,24 @@ fn batched_faulted_chaos_sweep_matches_scalar() {
     .unwrap();
     let serial_print = fingerprint(&serial.report, &serial_db);
 
-    for batch in [3usize, 8] {
-        for threads in [1usize, 4] {
-            let mut bdb = db();
-            let batched = populate_batched(
-                &mut bdb,
-                "Pixel",
-                fleet(DEVICES),
-                &cfg,
-                None,
-                &CancelToken::new(),
-                threads,
-                batch,
-            )
-            .unwrap();
-            assert_eq!(
-                fingerprint(&batched.report, &bdb),
-                serial_print,
-                "batch={batch} threads={threads}"
-            );
-        }
-    }
-}
-
-/// Batch width is a scheduling knob, not a configuration: a journal
-/// written at one width must resume at any other (the config digest —
-/// still v3 — does not cover it), killing a batched sweep at arbitrary
-/// byte offsets included.
-#[test]
-fn batched_kill_resume_across_widths_is_deterministic() {
-    let cfg = faulty_cfg();
-
-    let full_path = tmp_path("batch-kill-full");
-    let _ = std::fs::remove_file(&full_path);
-    let mut base_db = db();
-    let mut journal = Journal::open(&full_path).unwrap();
-    let baseline = populate_batched(
-        &mut base_db,
-        "Pixel",
-        fleet(DEVICES),
-        &cfg,
-        Some(&mut journal),
-        &CancelToken::new(),
-        1,
-        64,
-    )
-    .unwrap();
-    assert!(baseline.complete);
-    drop(journal);
-    let full_bytes = std::fs::read(&full_path).unwrap();
-
-    let mut rng = StdRng::seed_from_u64(0xBA7C4);
-    let resume_path = tmp_path("batch-kill-resume");
-    for (round, resume_batch) in [1usize, 8, 64, 8].into_iter().enumerate() {
-        let cut = rng.gen_range(1..full_bytes.len());
-        std::fs::write(&resume_path, &full_bytes[..cut]).unwrap();
-
-        let mut rdb = db();
-        let mut journal = Journal::open(&resume_path).unwrap();
-        let resumed = populate_batched(
-            &mut rdb,
+    for threads in [2usize, 4] {
+        let mut pdb = db();
+        let parallel = populate_parallel(
+            &mut pdb,
             "Pixel",
             fleet(DEVICES),
             &cfg,
-            Some(&mut journal),
+            None,
             &CancelToken::new(),
-            4,
-            resume_batch,
+            threads,
         )
         .unwrap();
-        assert!(resumed.complete, "round {round} (cut {cut})");
-        assert_eq!(resumed.report, baseline.report, "round {round} (cut {cut})");
-        assert_eq!(rdb.scores(), base_db.scores(), "round {round} (cut {cut})");
-        drop(journal);
         assert_eq!(
-            std::fs::read(&resume_path).unwrap(),
-            full_bytes,
-            "round {round} (cut {cut}, batch {resume_batch}): journal bytes diverged"
+            fingerprint(&parallel.report, &pdb),
+            serial_print,
+            "threads={threads}"
         );
     }
-    let _ = std::fs::remove_file(&full_path);
-    let _ = std::fs::remove_file(&resume_path);
 }
 
 /// Small, fast serial-vs-parallel check — the target of CI's 100-iteration

@@ -6,8 +6,9 @@
 //! brief transient faults still validate, and identical fault seeds replay
 //! identically.
 
-use accubench::crowd::{populate_resilient, CrowdDatabase, SweepConfig};
+use accubench::crowd::{populate_parallel, CrowdDatabase, SweepConfig};
 use accubench::harness::{Ambient, Harness, QualityGates, RetryPolicy};
+use accubench::journal::CancelToken;
 use accubench::protocol::Protocol;
 use accubench::session::Verdict;
 use pv_faults::{FaultEvent, FaultHandle, FaultKind, FaultPlan, ALL_KINDS};
@@ -46,7 +47,17 @@ fn hundred_device_faulty_sweep_completes_with_verdicts() {
         ALL_KINDS.to_vec(),
     );
     let mut db = CrowdDatabase::new(5.0).unwrap();
-    let report = populate_resilient(&mut db, "Pixel", fleet(100), &cfg).unwrap();
+    let report = populate_parallel(
+        &mut db,
+        "Pixel",
+        fleet(100),
+        &cfg,
+        None,
+        &CancelToken::new(),
+        1,
+    )
+    .unwrap()
+    .report;
 
     assert_eq!(report.outcomes.len(), 100);
     // Every device is accounted for: a verdict, or a recorded fatal error.
@@ -78,7 +89,17 @@ fn hundred_device_faulty_sweep_completes_with_verdicts() {
 fn clean_sweep_accepts_everyone_as_valid() {
     let cfg = SweepConfig::clean(quick(), 3);
     let mut db = CrowdDatabase::new(5.0).unwrap();
-    let report = populate_resilient(&mut db, "Pixel", fleet(10), &cfg).unwrap();
+    let report = populate_parallel(
+        &mut db,
+        "Pixel",
+        fleet(10),
+        &cfg,
+        None,
+        &CancelToken::new(),
+        1,
+    )
+    .unwrap()
+    .report;
     assert_eq!(report.completed(), 10);
     assert_eq!(report.failed(), 0);
     for o in &report.outcomes {

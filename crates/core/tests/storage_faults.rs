@@ -4,7 +4,10 @@
 //! or abort — exactly as the escalation policy says — while the journal's
 //! sealed prefix stays resumable.
 
-use accubench::crowd::{populate_parallel, CrowdDatabase, FleetVerdict, SweepConfig};
+use accubench::aggregate::ScoreAggregate;
+use accubench::crowd::{
+    populate_parallel, populate_streamed, CrowdDatabase, FleetVerdict, StreamedSweep, SweepConfig,
+};
 use accubench::journal::{fsck_with, CancelToken, Journal};
 use accubench::protocol::Protocol;
 use accubench::storage::{CrashVariant, FaultyStorage, MemStorage, Storage, StorageEscalation};
@@ -72,6 +75,24 @@ fn sweep(
     )
 }
 
+/// [`sweep`] through the streamed sink instead of the oracle database.
+fn sweep_streamed(
+    journal: &mut Journal,
+    escalation: StorageEscalation,
+) -> Result<StreamedSweep, BenchError> {
+    populate_streamed(
+        &mut ScoreAggregate::new(5.0).unwrap(),
+        "Pixel",
+        fleet(),
+        &cfg().with_storage_escalation(escalation),
+        Some(journal),
+        &CancelToken::new(),
+        2,
+        1,
+        false,
+    )
+}
+
 /// The uninterrupted journal bytes, report and scores on a pristine disk.
 fn reference() -> (Vec<u8>, accubench::crowd::SweepReport, Vec<f64>) {
     let mem = MemStorage::new();
@@ -132,6 +153,21 @@ fn enospc_mid_sweep_degrades_and_leaves_resumable_prefix() {
     assert!(resumed.resumed > 0);
     assert_eq!(resumed.report, ref_report);
     assert_eq!(mem.file_bytes(Path::new(JOURNAL)).unwrap(), ref_bytes);
+
+    // The streamed sink degrades identically: same verdict, same detail,
+    // same journal prefix.
+    let streamed_mem = MemStorage::new();
+    let faulty = Storage::new(Arc::new(FaultyStorage::new(
+        Storage::new(Arc::new(streamed_mem.clone())),
+        &storage_plan(FaultKind::StorageEnospc, 5.0, 1e9),
+    )));
+    let mut journal = Journal::open_with(faulty, JOURNAL).unwrap();
+    let streamed = sweep_streamed(&mut journal, StorageEscalation::Degrade).unwrap();
+    drop(journal);
+    assert!(streamed.complete);
+    assert_eq!(streamed.storage_degraded, degraded.storage_degraded);
+    assert_eq!(streamed.fleet_verdict(), FleetVerdict::StorageDegraded);
+    assert_eq!(streamed_mem.file_bytes(Path::new(JOURNAL)).unwrap(), prefix);
 }
 
 /// The same ENOSPC under `abort` escalation surfaces the I/O error.
@@ -139,13 +175,33 @@ fn enospc_mid_sweep_degrades_and_leaves_resumable_prefix() {
 fn enospc_respects_abort_escalation() {
     let mem = MemStorage::new();
     let faulty = Storage::new(Arc::new(FaultyStorage::new(
-        Storage::new(Arc::new(mem)),
+        Storage::new(Arc::new(mem.clone())),
         &storage_plan(FaultKind::StorageEnospc, 5.0, 1e9),
     )));
     let mut journal = Journal::open_with(faulty.clone(), JOURNAL).unwrap();
     let err = sweep(&mut db(), &mut journal, StorageEscalation::Abort).unwrap_err();
     assert!(matches!(err, BenchError::Journal(_)), "{err}");
     assert!(err.to_string().contains("no space left"), "{err}");
+    drop(journal);
+
+    // The streamed sink fails with the same error on the same bytes.
+    let streamed_mem = MemStorage::new();
+    let faulty = Storage::new(Arc::new(FaultyStorage::new(
+        Storage::new(Arc::new(streamed_mem.clone())),
+        &storage_plan(FaultKind::StorageEnospc, 5.0, 1e9),
+    )));
+    let mut journal = Journal::open_with(faulty, JOURNAL).unwrap();
+    let streamed_err = sweep_streamed(&mut journal, StorageEscalation::Abort).unwrap_err();
+    drop(journal);
+    assert!(
+        matches!(streamed_err, BenchError::Journal(_)),
+        "{streamed_err}"
+    );
+    assert_eq!(streamed_err.to_string(), err.to_string());
+    assert_eq!(
+        streamed_mem.file_bytes(Path::new(JOURNAL)).unwrap(),
+        mem.file_bytes(Path::new(JOURNAL)).unwrap()
+    );
 }
 
 /// A bounded transient-EIO window is retried away inside the journal: the

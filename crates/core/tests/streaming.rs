@@ -1,13 +1,13 @@
 //! Determinism and equivalence contract of the streaming sweep engine:
 //! [`populate_streamed`] must journal byte-identically to the exact
-//! [`populate_batched`] oracle path, agree with the full-fleet
+//! [`populate_parallel`] oracle path, agree with the full-fleet
 //! [`CrowdDatabase`] on every count and (within documented float bounds)
 //! every statistic, and produce a bit-identical aggregate across thread
-//! counts, batch widths, and kill+resume — while holding constant memory.
+//! counts and kill+resume — while holding constant memory.
 
 use accubench::aggregate::ScoreAggregate;
 use accubench::crowd::{
-    populate_batched, populate_streamed, CrowdDatabase, FleetVerdict, SweepConfig, STREAM_GROUP,
+    populate_parallel, populate_streamed, CrowdDatabase, FleetVerdict, SweepConfig, STREAM_GROUP,
 };
 use accubench::journal::{CancelToken, Journal};
 use accubench::protocol::Protocol;
@@ -68,7 +68,7 @@ fn streaming_matches_oracle_database_and_journal_bytes() {
     let _ = std::fs::remove_file(&oracle_path);
     let mut db = CrowdDatabase::new(5.0).unwrap();
     let mut journal = Journal::open(&oracle_path).unwrap();
-    let oracle = populate_batched(
+    let oracle = populate_parallel(
         &mut db,
         "Pixel",
         fleet(DEVICES),
@@ -76,7 +76,6 @@ fn streaming_matches_oracle_database_and_journal_bytes() {
         Some(&mut journal),
         &CancelToken::new(),
         2,
-        8,
     )
     .unwrap();
     assert!(oracle.complete);
@@ -96,7 +95,7 @@ fn streaming_matches_oracle_database_and_journal_bytes() {
         Some(&mut journal),
         &CancelToken::new(),
         2,
-        8,
+        1,
         true,
     )
     .unwrap();
@@ -143,10 +142,10 @@ fn streaming_matches_oracle_database_and_journal_bytes() {
 }
 
 /// The aggregate's bits — not just its rounded statistics — are identical
-/// across every thread count and batch width, for clean, faulted, and
-/// chaos-striken fleets alike.
+/// across every thread count, for clean, faulted, and chaos-striken fleets
+/// alike.
 #[test]
-fn streamed_aggregate_bit_identical_across_threads_and_widths() {
+fn streamed_aggregate_bit_identical_across_threads() {
     for (tag, cfg) in [
         ("clean", SweepConfig::clean(quick(), 2)),
         ("faulty", faulty_cfg()),
@@ -171,28 +170,26 @@ fn streamed_aggregate_bit_identical_across_threads_and_widths() {
         let reference_print = print_of(&reference);
 
         for threads in [1usize, 4] {
-            for batch in [1usize, 3, 8, 64] {
-                let mut a = agg();
-                let run = populate_streamed(
-                    &mut a,
-                    "Pixel",
-                    fleet(DEVICES),
-                    &cfg,
-                    None,
-                    &CancelToken::new(),
-                    threads,
-                    batch,
-                    true,
-                )
-                .unwrap();
-                assert_eq!(
-                    print_of(&a),
-                    reference_print,
-                    "{tag}: threads={threads} batch={batch}: aggregate bits diverged"
-                );
-                assert_eq!(run.holes, serial.holes, "{tag}: t={threads} b={batch}");
-                assert_eq!(run.retained, serial.retained, "{tag}: t={threads} b={batch}");
-            }
+            let mut a = agg();
+            let run = populate_streamed(
+                &mut a,
+                "Pixel",
+                fleet(DEVICES),
+                &cfg,
+                None,
+                &CancelToken::new(),
+                threads,
+                1,
+                true,
+            )
+            .unwrap();
+            assert_eq!(
+                print_of(&a),
+                reference_print,
+                "{tag}: threads={threads}: aggregate bits diverged"
+            );
+            assert_eq!(run.holes, serial.holes, "{tag}: t={threads}");
+            assert_eq!(run.retained, serial.retained, "{tag}: t={threads}");
         }
     }
 }
@@ -243,7 +240,7 @@ fn streamed_kill_resume_is_bit_deterministic() {
             Some(&mut journal),
             &CancelToken::new(),
             4,
-            8,
+            1,
             true,
         )
         .unwrap();
@@ -285,7 +282,7 @@ fn streaming_resumes_oracle_journal_and_vice_versa() {
         trigger.cancel();
     });
     let mut journal = Journal::open(&path).unwrap();
-    let _ = populate_batched(
+    let _ = populate_parallel(
         &mut CrowdDatabase::new(5.0).unwrap(),
         "Pixel",
         fleet(DEVICES),
@@ -293,7 +290,6 @@ fn streaming_resumes_oracle_journal_and_vice_versa() {
         Some(&mut journal),
         &cancel,
         4,
-        8,
     )
     .unwrap();
     arm.join().unwrap();
@@ -310,7 +306,7 @@ fn streaming_resumes_oracle_journal_and_vice_versa() {
         Some(&mut journal),
         &CancelToken::new(),
         2,
-        8,
+        1,
         false,
     )
     .unwrap();
@@ -360,7 +356,7 @@ fn streamed_memory_is_fleet_size_independent() {
         None,
         &CancelToken::new(),
         2,
-        4,
+        1,
         false,
     )
     .unwrap();
@@ -373,7 +369,7 @@ fn streamed_memory_is_fleet_size_independent() {
         None,
         &CancelToken::new(),
         2,
-        4,
+        1,
         false,
     )
     .unwrap();

@@ -7,7 +7,10 @@
 //! `RUST_BACKTRACE=0`): backtrace capture is the one documented source of
 //! thread-count-dependent journal bytes (see `PanicSummary::backtrace`).
 
-use accubench::crowd::{populate_parallel, CrowdDatabase, FleetVerdict, SweepConfig, SweepReport};
+use accubench::aggregate::ScoreAggregate;
+use accubench::crowd::{
+    populate_parallel, populate_streamed, CrowdDatabase, FleetVerdict, SweepConfig, SweepReport,
+};
 use accubench::journal::{CancelToken, Journal, Record};
 use accubench::protocol::Protocol;
 use accubench::supervise::{
@@ -371,6 +374,7 @@ fn abort_policy_fails_the_sweep_after_journaling_the_hole() {
     )
     .unwrap_err();
     drop(journal);
+    let oracle_err = err.to_string();
     match err {
         BenchError::Supervision(SupervisionError::FleetAborted {
             device, attempts, ..
@@ -397,6 +401,38 @@ fn abort_policy_fails_the_sweep_after_journaling_the_hole() {
     );
     assert_eq!(outcomes.last().unwrap().1, DeviceStatus::Panicked);
     assert!(!records.iter().any(|r| matches!(r, Record::Complete { .. })));
+
+    // The streamed sink aborts on the same hole with the same error and
+    // leaves the same journal bytes.
+    let streamed_path = tmp_path("abort-streamed");
+    let _ = std::fs::remove_file(&streamed_path);
+    let mut journal = Journal::open(&streamed_path).unwrap();
+    let err = populate_streamed(
+        &mut ScoreAggregate::new(5.0).unwrap(),
+        "Pixel",
+        fleet(N),
+        &cfg,
+        Some(&mut journal),
+        &CancelToken::new(),
+        4,
+        1,
+        false,
+    )
+    .unwrap_err();
+    drop(journal);
+    assert!(
+        matches!(
+            err,
+            BenchError::Supervision(SupervisionError::FleetAborted { .. })
+        ),
+        "{err}"
+    );
+    assert_eq!(err.to_string(), oracle_err);
+    assert_eq!(
+        std::fs::read(&streamed_path).unwrap(),
+        std::fs::read(&path).unwrap()
+    );
+    let _ = std::fs::remove_file(&streamed_path);
     let _ = std::fs::remove_file(&path);
 }
 

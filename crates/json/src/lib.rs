@@ -67,6 +67,12 @@ impl std::error::Error for ParseError {}
 
 static NULL: Json = Json::Null;
 
+/// Deepest array/object nesting [`Json::from_str`] accepts. The parser
+/// recurses once per level, so without a bound a line of ~10⁵ `[` would
+/// overflow the stack — an abort no `catch_unwind` can contain. Every
+/// persisted type nests a handful of levels; 128 leaves ample headroom.
+const MAX_DEPTH: usize = 128;
+
 impl Json {
     /// An empty object.
     pub fn object() -> Self {
@@ -202,12 +208,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseError`] on malformed input or trailing garbage.
+    /// Returns [`ParseError`] on malformed input, trailing garbage, or
+    /// arrays/objects nested more than 128 levels deep.
     #[allow(clippy::should_implement_trait)] // fallible and non-generic, like serde_json::from_str
     pub fn from_str(text: &str) -> Result<Self, ParseError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(ParseError {
@@ -295,7 +302,8 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &'static str) -> Result<(), ParseE
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+/// Parses the value at `pos`, which sits `depth` arrays/objects deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     skip_ws(bytes, pos);
     let Some(&b) = bytes.get(*pos) else {
         return Err(ParseError {
@@ -303,6 +311,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
             message: "unexpected end of input",
         });
     };
+    if matches!(b, b'[' | b'{') && depth == MAX_DEPTH {
+        return Err(ParseError {
+            offset: *pos,
+            message: "nesting too deep",
+        });
+    }
     match b {
         b'n' => expect(bytes, pos, "null").map(|()| Json::Null),
         b't' => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
@@ -317,7 +331,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
                 return Ok(Json::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -353,7 +367,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
                     });
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 entries.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -689,6 +703,22 @@ mod tests {
     fn rejects_malformed_input() {
         for bad in ["{", "[1,", "\"abc", "{\"a\" 1}", "1 2", "nul", ""] {
             assert!(Json::from_str(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        // Exactly MAX_DEPTH levels parse; one more is a typed error at the
+        // offending byte. A 10⁶-deep line fails the same way instead of
+        // overflowing the stack.
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::from_str(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::from_str(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        for deep in ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+            let err = Json::from_str(&deep).unwrap_err();
+            assert_eq!(err.message, "nesting too deep");
         }
     }
 

@@ -419,33 +419,6 @@ impl Device {
         mode: FrequencyMode,
         out: &mut StepReport,
     ) -> Result<(), SocError> {
-        let heat = self.step_prepare(dt, demand, mode, out)?;
-        // SoC power heats the die; regulator loss heats the board.
-        self.network.step(
-            dt,
-            &[
-                (self.die_node, heat.die),
-                (self.package_node, heat.package),
-            ],
-        )?;
-        self.step_finish(dt, out)
-    }
-
-    /// Everything [`Device::step_into`] does *before* the thermal step:
-    /// validation, sensor read, throttle update, per-cluster OPP/power
-    /// resolution, supply draw, and the report fields known pre-thermal.
-    /// Returns the heat pair the thermal step must inject. Split out so the
-    /// batched fleet path (`DeviceBatch`) can run many devices' thermal
-    /// steps through one shared propagator while every other line of device
-    /// logic stays this exact code — the bit-identity contract is "same
-    /// lines, same order", not "equivalent arithmetic".
-    pub(crate) fn step_prepare(
-        &mut self,
-        dt: Seconds,
-        demand: CpuDemand,
-        mode: FrequencyMode,
-        out: &mut StepReport,
-    ) -> Result<PendingHeat, SocError> {
         if !(dt.value() > 0.0 && dt.is_finite()) {
             return Err(SocError::InvalidStep("dt must be > 0"));
         }
@@ -623,55 +596,29 @@ impl Device {
         self.last_supply_voltage = supply_voltage;
         self.supply.draw(supply_power, dt)?;
 
+        // SoC power heats the die; regulator loss heats the board.
+        self.network.step(
+            dt,
+            &[
+                (self.die_node, soc_power),
+                (self.package_node, regulator_loss),
+            ],
+        )?;
+        let new_die_temp = self.network.temperature(self.die_node);
+        self.probe.observe(new_die_temp, dt)?;
+        self.time += dt;
+
         out.dt = dt;
+        out.die_temp = new_die_temp;
         out.sensor_temp = sensor_temp;
+        out.case_temp = self.network.temperature(self.case_node);
         out.soc_power = soc_power;
         out.supply_power = supply_power;
         out.supply_voltage = supply_voltage;
         out.work_cycles = work_cycles;
         out.throttled = decision.is_throttled();
-        Ok(PendingHeat {
-            die: soc_power,
-            package: regulator_loss,
-        })
-    }
-
-    /// Everything [`Device::step_into`] does *after* the thermal step:
-    /// probe observation, time accounting, and the post-thermal report
-    /// fields. See [`Device::step_prepare`].
-    pub(crate) fn step_finish(&mut self, dt: Seconds, out: &mut StepReport) -> Result<(), SocError> {
-        let new_die_temp = self.network.temperature(self.die_node);
-        self.probe.observe(new_die_temp, dt)?;
-        self.time += dt;
-        out.die_temp = new_die_temp;
-        out.case_temp = self.network.temperature(self.case_node);
         Ok(())
     }
-
-    /// Shared thermal-network view for the batch kernel.
-    pub(crate) fn network(&self) -> &ThermalNetwork {
-        &self.network
-    }
-
-    /// Mutable thermal-network access for the batch kernel's scatter and
-    /// propagator fetch.
-    pub(crate) fn network_mut(&mut self) -> &mut ThermalNetwork {
-        &mut self.network
-    }
-
-    /// The (die, package) heat-injection nodes, in the order
-    /// [`Device::step_into`] passes them to the thermal step.
-    pub(crate) fn heat_nodes(&self) -> (NodeId, NodeId) {
-        (self.die_node, self.package_node)
-    }
-}
-
-/// The heat pair a prepared step injects into the thermal network:
-/// SoC power into the die, regulator loss into the package/board.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PendingHeat {
-    pub(crate) die: Watts,
-    pub(crate) package: Watts,
 }
 
 impl Device {

@@ -195,7 +195,10 @@ fn rss_indices(rng: &mut StdRng, aux: &[f64], n: usize, m: usize) -> Vec<usize> 
         // Rank candidates by the auxiliary variable (ties by index so the
         // choice is deterministic).
         candidates.sort_unstable_by(|&a, &b| {
-            aux[a].partial_cmp(&aux[b]).unwrap_or(core::cmp::Ordering::Equal).then(a.cmp(&b))
+            aux[a]
+                .partial_cmp(&aux[b])
+                .unwrap_or(core::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
         });
         let pick = candidates[rank.min(candidates.len() - 1)];
         measured[pick] = true;
@@ -443,11 +446,7 @@ fn point_estimates(groups: &[&StratumSample]) -> Result<[f64; 4], StatsError> {
 /// Weighted empirical quantile: each value in group `h` carries weight
 /// `W_h / n_h`; returns the smallest value whose cumulative weight reaches
 /// `q`.
-fn weighted_quantile(
-    groups: &[&StratumSample],
-    wsum: f64,
-    q: f64,
-) -> Result<f64, StatsError> {
+fn weighted_quantile(groups: &[&StratumSample], wsum: f64, q: f64) -> Result<f64, StatsError> {
     let mut pairs: Vec<(f64, f64)> = Vec::new();
     for g in groups {
         let per = g.weight / wsum / g.values.len() as f64;

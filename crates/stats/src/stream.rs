@@ -19,7 +19,7 @@
 //! same stream agree with each other (and with the sequential fold) only
 //! within a small relative error (see the property tests in `pv-core`). The
 //! crowd aggregation pipeline therefore fixes the chunk grid *absolutely*
-//! (aligned to device index, independent of worker count and batch width),
+//! (aligned to device index, independent of worker count),
 //! which makes the aggregate bitwise reproducible across thread counts and
 //! kill+resume even though it is not bitwise equal to the width-1 fold.
 

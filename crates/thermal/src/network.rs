@@ -331,41 +331,15 @@ impl StepScratch {
 /// with `Φ = exp(M·dt)` and `B = (∫₀^dt exp(M·τ) dτ)·diag(1/Cᵢ)`, both
 /// dense `n×n` row-major. Exact for heat held constant over the step.
 ///
-/// Opaque outside the crate: obtained from
-/// [`ThermalNetwork::exponential_propagator`] and consumed by
-/// [`crate::batch::ThermalBatch`]. Propagators are pure functions of the
-/// network's [structural signature](ThermalNetwork::structural_signature)
+/// Propagators are pure functions of the network's structural signature
 /// and the step size, so one `Arc` can be shared across every device of an
 /// archetype (and across threads) without affecting a single bit of the
 /// trajectory.
 #[derive(Debug, Clone)]
-pub struct Propagator {
+struct Propagator {
     dt_bits: u64,
-    n: usize,
     phi: Vec<f64>,
     b: Vec<f64>,
-}
-
-impl Propagator {
-    /// Number of network nodes this propagator was built for.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// Step size the propagator was built for.
-    pub fn dt(&self) -> Seconds {
-        Seconds(f64::from_bits(self.dt_bits))
-    }
-
-    /// Row-major `n×n` state-transition matrix Φ.
-    pub(crate) fn phi(&self) -> &[f64] {
-        &self.phi
-    }
-
-    /// Row-major `n×n` heat-input matrix B.
-    pub(crate) fn b(&self) -> &[f64] {
-        &self.b
-    }
 }
 
 /// One entry of the process-wide archetype-keyed propagator cache.
@@ -724,53 +698,15 @@ impl ThermalNetwork {
     }
 
     /// The discrete-time propagator for step size `dt`, as a shareable
-    /// handle. Populates the same local and process-wide caches the
-    /// [`Integrator::Exponential`] step path uses, so fetching it here and
-    /// stepping through [`crate::batch::ThermalBatch`] leaves the caches in
-    /// the same state a scalar step would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::InvalidParameter`] for a non-positive or
-    /// non-finite `dt`.
-    pub fn exponential_propagator(&mut self, dt: Seconds) -> Result<Arc<Propagator>, ThermalError> {
+    /// handle, through the same local and process-wide caches the
+    /// [`Integrator::Exponential`] step path uses.
+    #[cfg(test)]
+    fn exponential_propagator(&mut self, dt: Seconds) -> Result<Arc<Propagator>, ThermalError> {
         if !(dt.value() > 0.0 && dt.is_finite()) {
             return Err(ThermalError::InvalidParameter("dt must be > 0"));
         }
         let idx = self.propagator_index(dt.value());
         Ok(self.propagators[idx].clone())
-    }
-
-    /// Canonical encoding of the sealed topology (node kinds, capacitance
-    /// bit patterns, ordered edges). Networks with equal signatures are the
-    /// same *archetype*: they build bit-identical propagators and may share
-    /// one [`crate::batch::ThermalBatch`] kernel invocation.
-    pub fn structural_signature(&self) -> &[u64] {
-        &self.signature
-    }
-
-    /// Raw temperature of node `i` (°C), for the batch kernel's gather.
-    pub(crate) fn raw_temp(&self, i: usize) -> f64 {
-        self.nodes[i].temp.value()
-    }
-
-    /// Overwrites node `i`'s temperature, for the batch kernel's scatter.
-    /// Callers guarantee the value came from the same propagator arithmetic
-    /// the scalar path would have applied.
-    pub(crate) fn set_raw_temp(&mut self, i: usize, temp: f64) {
-        self.nodes[i].temp = Celsius(temp);
-    }
-
-    /// Whether node `i` is a boundary (for batch heat validation).
-    pub(crate) fn is_boundary(&self, i: usize) -> bool {
-        matches!(self.nodes[i].kind, NodeKind::Boundary)
-    }
-
-    /// Debug-build step accounting for an externally applied exponential
-    /// step (keeps `repro --verbose` counters honest for the batch path).
-    #[cfg(debug_assertions)]
-    pub(crate) fn record_external_step(&self) {
-        step_stats::record(1);
     }
 
     /// Computes `Φ = exp(M·dt)` and `B = S·diag(1/Cᵢ)` with
@@ -865,7 +801,6 @@ impl ThermalNetwork {
         }
         Propagator {
             dt_bits: dt.to_bits(),
-            n,
             phi,
             b,
         }
@@ -1295,12 +1230,12 @@ mod exponential_tests {
         // shared-cache contract.
         let (mut a, _) = decay_pair(Integrator::Exponential);
         let (mut b, _) = decay_pair(Integrator::Exponential);
-        assert_eq!(a.structural_signature(), b.structural_signature());
+        assert_eq!(a.signature, b.signature);
         let pa = a.exponential_propagator(Seconds(0.125)).unwrap();
         let pb = b.exponential_propagator(Seconds(0.125)).unwrap();
         assert!(Arc::ptr_eq(&pa, &pb), "archetype cache must share the Arc");
-        assert_eq!(pa.node_count(), 2);
-        assert_eq!(pa.dt(), Seconds(0.125));
+        assert_eq!(pa.phi.len(), 2 * 2);
+        assert_eq!(pa.dt_bits, 0.125f64.to_bits());
     }
 
     #[test]
@@ -1314,7 +1249,7 @@ mod exponential_tests {
         let amb = builder.add_boundary("ambient", Celsius(26.0)).unwrap();
         builder.connect(die, amb, ThermalResistance(5.0)).unwrap();
         let mut other = builder.build().unwrap();
-        assert_ne!(a.structural_signature(), other.structural_signature());
+        assert_ne!(a.signature, other.signature);
         let pa = a.exponential_propagator(Seconds(0.25)).unwrap();
         let po = other.exponential_propagator(Seconds(0.25)).unwrap();
         assert!(!Arc::ptr_eq(&pa, &po));
@@ -1334,7 +1269,9 @@ mod exponential_tests {
         assert_eq!(fresh.phi, shared.phi);
         assert_eq!(fresh.b, shared.b);
         for _ in 0..40 {
-            via_cache.step(Seconds(0.37), &[(die_c, Watts(2.0))]).unwrap();
+            via_cache
+                .step(Seconds(0.37), &[(die_c, Watts(2.0))])
+                .unwrap();
             rebuilt.step(Seconds(0.37), &[(die_r, Watts(2.0))]).unwrap();
         }
         assert_eq!(

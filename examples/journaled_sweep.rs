@@ -37,13 +37,14 @@ fn main() -> Result<(), BenchError> {
     // --- Uninterrupted run, journaled. ---
     let mut journal = Journal::open(&path)?;
     let mut db = CrowdDatabase::new(5.0)?;
-    let full = populate_journaled(
+    let full = populate_parallel(
         &mut db,
         "Pixel",
         fleet(12)?,
         &cfg,
         Some(&mut journal),
         &CancelToken::new(),
+        1,
     )?;
     drop(journal);
     let bytes = std::fs::read(&path).map_err(BenchError::Io)?;
@@ -66,13 +67,14 @@ fn main() -> Result<(), BenchError> {
         println!("recovery dropped {} torn byte(s)", journal.dropped_bytes());
     }
     let mut resumed_db = CrowdDatabase::new(5.0)?;
-    let resumed = populate_journaled(
+    let resumed = populate_parallel(
         &mut resumed_db,
         "Pixel",
         fleet(12)?,
         &cfg,
         Some(&mut journal),
         &CancelToken::new(),
+        1,
     )?;
     println!(
         "resume: {} device(s) restored from the journal, {} re-simulated\n",

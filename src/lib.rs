@@ -55,7 +55,7 @@ pub use pv_workload;
 /// The most common imports, for examples and downstream experiments.
 pub mod prelude {
     pub use accubench::crowd::{
-        populate_journaled, populate_resilient, CrowdDatabase, CrowdScore, SweepConfig, SweepReport,
+        populate_parallel, CrowdDatabase, CrowdScore, SweepConfig, SweepReport,
     };
     pub use accubench::experiments::ExperimentConfig;
     pub use accubench::harness::{Ambient, Harness, QualityGates, RetryPolicy};
