@@ -692,10 +692,15 @@ fn fleet_of(
         .collect()
 }
 
-/// Prints journal storage-health details after a sweep.
+/// Prints what the journal committed, and its storage-health details,
+/// after a sweep.
 fn report_journal_health(journal: &Option<Journal>) {
     if let Some(j) = journal {
         let h = j.health();
+        eprintln!(
+            "journal: {} record(s) in {} commit(s)",
+            h.records, h.commits
+        );
         if !h.is_clean() {
             eprintln!(
                 "journal storage health: {} retried write(s), {} segment rotation(s), \

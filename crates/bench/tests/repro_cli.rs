@@ -33,3 +33,22 @@ fn flag_values_are_not_targets() {
     );
     assert!(stdout.lines().any(|l| l == "table1"), "{stdout}");
 }
+
+#[test]
+fn journaled_sweep_reports_its_commits_on_stderr_only() {
+    let dir = accubench::storage::TempDir::new("repro-commits");
+    let journal = dir.file("sweep.journal");
+    let args = ["sweep", "--quick", "--devices", "2", "--threads", "1"];
+    let plain = repro(&args);
+    let mut journaled_args = args.to_vec();
+    journaled_args.extend(["--journal", journal.to_str().unwrap()]);
+    let journaled = repro(&journaled_args);
+    let stderr = String::from_utf8_lossy(&journaled.stderr);
+    assert!(journaled.status.success(), "{stderr}");
+    // Header, two outcomes and the seal: the two devices share one group.
+    assert!(
+        stderr.contains("journal: 4 record(s) in 3 commit(s)"),
+        "{stderr}"
+    );
+    assert_eq!(journaled.stdout, plain.stdout);
+}

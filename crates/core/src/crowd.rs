@@ -726,9 +726,16 @@ impl fmt::Display for SweepReport {
 ///   re-simulated. Because every device session is seeded independently
 ///   (`fault_seed + index`), the resumed tail is bit-identical to what an
 ///   uninterrupted run would have computed;
-/// * each finished device appends a fsynced [`Record::Outcome`] (plus a
+/// * each finished device stages its [`Record::Outcome`] (plus a
 ///   [`Record::Note`] when it hit faults or quarantines) in canonical
-///   order — a kill can lose at most the in-flight devices;
+///   order, and the merge step commits the staged records once per
+///   [`STREAM_GROUP`] of device indices — one write and one fsync per
+///   group, when the next device index lands on the grid or the fleet
+///   ends. A kill can lose at most the open group (up to
+///   [`STREAM_GROUP`] finished devices plus the in-flight ones), which a
+///   resume re-simulates bit-identically. Group boundaries depend on the
+///   device index alone, so the journal bytes and the storage-op
+///   sequence are the same at every thread count;
 /// * when the last device lands, a [`Record::Complete`] marker seals the
 ///   journal;
 /// * journal storage that fails persistently mid-sweep (past the
@@ -739,9 +746,11 @@ impl fmt::Display for SweepReport {
 ///   the underlying I/O error.
 ///
 /// Workers poll the [`CancelToken`] between devices: in-flight sessions
-/// finish, the writer journals the contiguous finished prefix, results
-/// past the first gap are discarded, and the function returns with
-/// `complete = false` — a later resume recomputes them bit-identically.
+/// finish, the writer commits the contiguous finished prefix (the open
+/// group included), results past the first gap are discarded, and the
+/// function returns with `complete = false` — a later resume recomputes
+/// them bit-identically. An abort-on-hole or a sink error commits the
+/// open group the same way before the error is returned.
 ///
 /// # Errors
 ///
@@ -782,8 +791,9 @@ pub struct JournaledSweep {
     pub resumed: usize,
     /// `Some(detail)` when the journal's storage failed persistently
     /// mid-sweep under [`StorageEscalation::Degrade`]: journaling stopped
-    /// at the named device, the sweep kept running, and the journal holds
-    /// only the sealed prefix written before the failure. `None` for a
+    /// at the named device (the first of the group whose commit failed),
+    /// the sweep kept running, and the journal holds only the prefix
+    /// committed before the failure. `None` for a
     /// fully journaled (or unjournaled) sweep.
     pub storage_degraded: Option<String>,
 }
@@ -1125,21 +1135,20 @@ fn panicked_chunk_runs(labels: &[String], panic: &executor::PanicSummary) -> Vec
         .collect()
 }
 
-/// Journals one freshly simulated outcome: its per-attempt supervision
-/// records, its fault/quarantine note (when warranted), and the outcome
-/// record, committed with a single fsync. Both the serial and the
-/// parallel path go through here, so their journal bytes cannot diverge.
+/// Stages one freshly simulated outcome for the next group commit: its
+/// per-attempt supervision records, its fault/quarantine note (when
+/// warranted), and the outcome record that seals the device. Both sinks go
+/// through here, so their journal bytes cannot diverge.
 fn journal_outcome(
-    journal: &mut Journal,
+    staged: &mut Vec<Record>,
     index: usize,
     outcome: &SweepOutcome,
     score: Option<f64>,
     rsd: Option<f64>,
     failures: &[AttemptFailure],
-) -> Result<(), BenchError> {
-    let mut records = Vec::with_capacity(2 + failures.len());
+) {
     for failure in failures {
-        records.push(Record::Supervision {
+        staged.push(Record::Supervision {
             index,
             attempt: failure.attempt,
             status: failure.status,
@@ -1171,16 +1180,102 @@ fn journal_outcome(
                 let _ = write!(text, "\nattempt {} backtrace:\n{bt}", failure.attempt);
             }
         }
-        records.push(Record::Note { index, text });
+        staged.push(Record::Note { index, text });
     }
-    records.push(Record::Outcome {
+    staged.push(Record::Outcome {
         index,
         outcome: outcome.clone(),
         score,
         rsd,
     });
-    journal.append_all(&records)?;
-    Ok(())
+}
+
+/// The sweep's journal writer: stages each fresh device's records and
+/// commits them once per [`STREAM_GROUP`] of device indices — one write and
+/// one fsync per group — applying the storage escalation when a commit
+/// fails past the journal's own retry and rotation budgets.
+struct GroupWriter<'j> {
+    journal: Option<&'j mut Journal>,
+    escalation: StorageEscalation,
+    /// Records of the open group, in canonical device order.
+    staged: Vec<Record>,
+    /// First device staged into the open group.
+    first: usize,
+    /// Armed the first time a commit fails under
+    /// [`StorageEscalation::Degrade`]: journaling stops (the committed
+    /// prefix stays valid), the sweep keeps running, and the verdict
+    /// downgrades to storage-degraded.
+    degraded: Option<String>,
+}
+
+impl GroupWriter<'_> {
+    /// Stages device `index`'s records unless there is no journal or
+    /// journaling already stopped.
+    fn stage(&mut self, index: usize, run: &DeviceRun) {
+        if self.journal.is_none() || self.degraded.is_some() {
+            return;
+        }
+        if self.staged.is_empty() {
+            self.first = index;
+        }
+        journal_outcome(
+            &mut self.staged,
+            index,
+            &run.outcome,
+            run.score,
+            run.rsd,
+            &run.failures,
+        );
+    }
+
+    /// Commits the open group with a single append; a no-op when nothing
+    /// is staged.
+    ///
+    /// # Errors
+    ///
+    /// The journal error, under [`StorageEscalation::Abort`].
+    fn commit(&mut self) -> Result<(), BenchError> {
+        let staged = core::mem::take(&mut self.staged);
+        let first = self.first;
+        self.append(&staged, |e| {
+            format!("journaling stopped at device {first}: {e}")
+        })
+    }
+
+    /// Appends the [`Record::Complete`] seal as its own commit.
+    ///
+    /// # Errors
+    ///
+    /// The journal error, under [`StorageEscalation::Abort`].
+    fn seal(&mut self, devices: usize) -> Result<(), BenchError> {
+        self.append(&[Record::Complete { devices }], |e| {
+            format!("journal seal failed: {e}")
+        })
+    }
+
+    /// One fsynced append, unless there is nothing to write, no journal,
+    /// or journaling already stopped. A failure fails the sweep under
+    /// [`StorageEscalation::Abort`] and stops journaling with `detail`
+    /// under [`StorageEscalation::Degrade`].
+    fn append(
+        &mut self,
+        records: &[Record],
+        detail: impl FnOnce(&JournalError) -> String,
+    ) -> Result<(), BenchError> {
+        if records.is_empty() || self.degraded.is_some() {
+            return Ok(());
+        }
+        let Some(j) = self.journal.as_deref_mut() else {
+            return Ok(());
+        };
+        if let Err(e) = j.append_all(records) {
+            if self.escalation == StorageEscalation::Abort {
+                return Err(e.into());
+            }
+            self.degraded = Some(detail(&e));
+        }
+        Ok(())
+    }
 }
 
 /// Where a sweep's per-device results go — everything that differs between
@@ -1320,14 +1415,16 @@ fn sweep<S: SweepSink>(
     let folder = sink.folder();
     let restored = &restored;
     let starts = &starts;
-    // Armed the first time a journal append fails past the journal's own
-    // retry/rotation budgets under `StorageEscalation::Degrade`: journaling
-    // stops (the sealed prefix stays valid), the sweep keeps running, and
-    // the verdict downgrades to storage-degraded.
-    let mut storage_degraded: Option<String> = None;
+    let mut writer = GroupWriter {
+        journal,
+        escalation: cfg.storage_escalation,
+        staged: Vec::new(),
+        first: 0,
+        degraded: None,
+    };
     // Devices the merge step processed past the restored prefix.
     let mut sunk = 0usize;
-    executor::map_supervised(
+    let ran = executor::map_supervised(
         chunks,
         threads,
         cancel,
@@ -1354,69 +1451,50 @@ fn sweep<S: SweepSink>(
                 let index = start + k;
                 sink.submit(index, &mut run, prefolded)?;
                 if run.fresh {
-                    if storage_degraded.is_none() {
-                        if let Some(j) = journal.as_deref_mut() {
-                            if let Err(e) = journal_outcome(
-                                j,
-                                index,
-                                &run.outcome,
-                                run.score,
-                                run.rsd,
-                                &run.failures,
-                            ) {
-                                if cfg.storage_escalation == StorageEscalation::Abort {
-                                    return Err(e);
-                                }
-                                storage_degraded =
-                                    Some(format!("journaling stopped at device {index}: {e}"));
-                            }
-                        }
-                    }
+                    writer.stage(index, &run);
                 } else {
                     resumed += 1;
                 }
                 sunk += 1;
                 // Escalation: under `abort`, a supervision hole fails the
-                // whole sweep — but only *after* its outcome is journaled,
-                // so a later resume under `quarantine` can pick up from the
-                // exact device that tripped the policy.
-                let abort = (run.outcome.is_hole()
-                    && cfg.supervision.on_failure == OnFailure::Abort)
-                    .then(|| SupervisionError::FleetAborted {
-                        device: run.outcome.device.clone(),
+                // whole sweep — but only *after* its outcome is journaled
+                // (the early-stop commit below), so a resume replays the
+                // hole instead of aborting on it again and picks up right
+                // after the device that tripped the policy.
+                if run.outcome.is_hole() && cfg.supervision.on_failure == OnFailure::Abort {
+                    return Err(SupervisionError::FleetAborted {
+                        device: run.outcome.device,
                         attempts: run.outcome.attempts,
-                        detail: run
-                            .outcome
-                            .error
-                            .clone()
-                            .unwrap_or_else(|| "unknown".into()),
-                    });
+                        detail: run.outcome.error.unwrap_or_else(|| "unknown".into()),
+                    }
+                    .into());
+                }
                 sink.keep(run.outcome);
-                if let Some(e) = abort {
-                    return Err(e.into());
+                // Group boundaries depend on the device index alone, so
+                // the commit (and storage-op) sequence is the same at
+                // every thread count.
+                if (index + 1).is_multiple_of(STREAM_GROUP) || index + 1 == total {
+                    writer.commit()?;
                 }
             }
             sink.end_chunk(partial)
         },
-    )?;
+    );
+    // Cancellation, abort-on-hole and sink errors stop the executor inside
+    // a group: commit what the merge step already sank, exactly once.
+    writer.commit()?;
+    ran?;
 
     let complete = prefix + sunk == total;
-    if complete && !already_complete && storage_degraded.is_none() {
-        if let Some(j) = journal {
-            if let Err(e) = j.append(&Record::Complete { devices: total }) {
-                if cfg.storage_escalation == StorageEscalation::Abort {
-                    return Err(e.into());
-                }
-                storage_degraded = Some(format!("journal seal failed: {e}"));
-            }
-        }
+    if complete && !already_complete {
+        writer.seal(total)?;
     }
     sink.finish(SweepEnd {
         devices: total,
         processed: prefix + sunk,
         complete,
         resumed,
-        storage_degraded,
+        storage_degraded: writer.degraded,
     })
 }
 
@@ -1475,13 +1553,16 @@ impl SweepSink for DatabaseSink<'_> {
     }
 }
 
-/// The fixed streaming-aggregation grid: device scores are folded into
-/// per-group partial aggregates of this many consecutive devices, aligned
-/// to absolute device index 0, and the partials are merged in ascending
-/// group order. The grid is independent of `--threads` and the
-/// resume prefix, which is what makes a streamed sweep's aggregate
-/// byte-identical across thread counts and kill+resume (see
-/// `pv_stats::stream` for the underlying floating-point argument).
+/// The fixed streaming-aggregation and journal-commit grid: device scores
+/// are folded into per-group partial aggregates of this many consecutive
+/// devices, aligned to absolute device index 0, and the partials are
+/// merged in ascending group order. The grid is independent of
+/// `--threads` and the resume prefix, which is what makes a streamed
+/// sweep's aggregate byte-identical across thread counts and kill+resume
+/// (see `pv_stats::stream` for the underlying floating-point argument).
+///
+/// Both sinks also commit the sweep journal on this grid: one write and
+/// one fsync per group instead of per device (see [`populate_parallel`]).
 pub const STREAM_GROUP: usize = 64;
 
 /// Result of a streaming ([`populate_streamed`]) sweep: constant-size

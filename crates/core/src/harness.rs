@@ -422,6 +422,11 @@ impl Harness {
         // One report reused for every step of the iteration: with
         // `Device::step_into` this keeps the steady-state loop off the heap.
         let mut report = StepReport::empty();
+        // Running peak die temperature over all three phases, folded the
+        // way `Trace::peak_die_temp` folds a recorded trace, so traced and
+        // untraced iterations report the same peak.
+        let mut peak: Option<Celsius> = None;
+        let mut raise_peak = |t: Celsius| peak = Some(peak.map_or(t, |p| p.max(t)));
 
         // --- Warmup: wakelock held, all cores busy. ---
         events.push((t, Event::WakelockAcquired));
@@ -430,6 +435,7 @@ impl Harness {
             let dt = Seconds(remaining.min(self.protocol.busy_dt.value()));
             self.coupled_step(device, dt, CpuDemand::busy(), mode, &mut report)?;
             t += dt;
+            raise_peak(report.die_temp);
             if record {
                 full_trace.push(report.to_sample(t));
             }
@@ -477,6 +483,7 @@ impl Harness {
             t += dt;
             cooldown_elapsed += dt.value();
             since_poll += dt.value();
+            raise_peak(report.die_temp);
             if record {
                 full_trace.push(report.to_sample(t));
             }
@@ -506,6 +513,7 @@ impl Harness {
             self.coupled_step(device, dt, CpuDemand::busy(), mode, &mut report)?;
             t += dt;
             meter.record(report.supply_power, dt)?;
+            raise_peak(report.die_temp);
             work_cycles += report.work_cycles;
             temp_weighted += report.die_temp.value() * dt.value();
             if freq_weighted.is_empty() {
@@ -531,9 +539,7 @@ impl Harness {
 
         events.push((t, Event::WorkloadEnded));
         let workload_secs = workload_time.max(f64::MIN_POSITIVE);
-        let peak_temp = full_trace
-            .peak_die_temp()
-            .unwrap_or_else(|| device.die_temp());
+        let peak_temp = peak.unwrap_or_else(|| device.die_temp());
         Ok(Iteration {
             iterations_completed: work_cycles / self.workload_spec.cycles_per_iteration(),
             energy: meter.energy(),
@@ -753,6 +759,25 @@ mod tests {
             (d - (40.0 + it.cooldown_duration.value() + 60.0)).abs() < 1.0,
             "trace duration {d}"
         );
+    }
+
+    #[test]
+    fn peak_temp_does_not_depend_on_tracing() {
+        // The peak is reached under load, well before the iteration ends
+        // cool, so the final die temperature is not a stand-in for it.
+        let session = |protocol: Protocol| {
+            let mut device = catalog::nexus5(BinId(0)).unwrap();
+            let mut harness = Harness::new(protocol, Ambient::Fixed(Celsius(26.0))).unwrap();
+            harness.run_session(&mut device, 2).unwrap()
+        };
+        let plain = session(quick(None));
+        let traced = session(quick(None).with_trace());
+        assert_eq!(plain.iterations.len(), traced.iterations.len());
+        for (p, t) in plain.iterations.iter().zip(&traced.iterations) {
+            assert!(p.full_trace.is_empty());
+            assert_eq!(Some(t.peak_temp), t.full_trace.peak_die_temp());
+            assert_eq!(p.peak_temp, t.peak_temp);
+        }
     }
 
     #[test]

@@ -8,8 +8,12 @@
 //! * one line per [`Record`], encoded as compact JSON;
 //! * each line carries its own FNV-64 checksum, so any torn or flipped
 //!   byte is detected on re-open;
-//! * every append is `fsync`ed before the sweep moves on — a record either
-//!   survives a crash whole, or not at all;
+//! * every append is `fsync`ed before it returns — a record either
+//!   survives a crash whole, or not at all. A sweep appends its device
+//!   records once per [`crate::crowd::STREAM_GROUP`] of device indices
+//!   (one write and one fsync per group, not per device), so a kill loses
+//!   at most the open group — up to 64 finished devices plus any in
+//!   flight — and a resume re-simulates them bit-identically;
 //! * [`Journal::open`] performs truncated-tail recovery: the valid prefix
 //!   is kept, the torn tail (if any) is dropped and physically truncated,
 //!   and the journal is ready to append again. Recovery reads in bounded
@@ -521,7 +525,8 @@ impl Journal {
         self
     }
 
-    /// What the self-healing machinery has done on this handle so far.
+    /// What this handle has committed, and what the self-healing
+    /// machinery has done on it, so far.
     pub fn health(&self) -> &StorageHealth {
         &self.health
     }
@@ -603,10 +608,11 @@ impl Journal {
     }
 
     /// Appends a batch of records with a **single** write and fsync — the
-    /// parallel sweep's writer thread uses this to commit a device's
-    /// note + outcome pair (and any burst of buffered out-of-order
-    /// completions) at one durability point instead of paying per-record
-    /// sync latency. Byte layout is identical to appending one by one, so
+    /// sweep's merge step uses this to commit one device group at a time:
+    /// every fresh device of one [`crate::crowd::STREAM_GROUP`]-aligned
+    /// span of device indices, each as its supervision, note and outcome
+    /// records, at one durability point instead of paying per-device sync
+    /// latency. Byte layout is identical to appending one by one, so
     /// recovery and resume cannot tell the difference; a crash mid-batch
     /// leaves a torn tail that recovery truncates as usual.
     ///
@@ -627,7 +633,10 @@ impl Journal {
         for record in records {
             buf.push_str(&encode_line(record));
         }
-        self.commit(buf.as_bytes())
+        self.commit(buf.as_bytes())?;
+        self.health.commits += 1;
+        self.health.records += records.len() as u64;
+        Ok(())
     }
 
     /// Writes and syncs one encoded batch, healing as it goes: transient

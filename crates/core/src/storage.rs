@@ -968,11 +968,15 @@ impl Default for StoragePolicy {
     }
 }
 
-/// What the journal's self-healing machinery actually did — surfaced by
-/// `repro sweep` and the chaos tests so silent recovery still leaves an
-/// audit trail.
+/// What the journal committed and what its self-healing machinery
+/// actually did — surfaced by `repro sweep` and the chaos tests so silent
+/// recovery still leaves an audit trail.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StorageHealth {
+    /// Batches committed: each is one successful write plus one fsync.
+    pub commits: u64,
+    /// Records those batches carried.
+    pub records: u64,
     /// Transient errors retried away.
     pub retries: u64,
     /// Segments rotated to after a poisoned one was quarantined.

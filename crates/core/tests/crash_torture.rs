@@ -10,8 +10,15 @@
 //! reboot variants: `Clean` (only fsynced bytes survive), `Partial` (half
 //! the unsynced suffix landed — a torn multi-sector write) and `Torn`
 //! (half landed and its tail was corrupted in flight).
+//!
+//! The sweep commits its journal once per [`STREAM_GROUP`] devices, so the
+//! fleet spans two full groups plus a partial tail: crashes land before,
+//! inside and between group commits, and a `Partial` reboot can leave a
+//! group's first devices on disk with the rest torn away.
 
-use accubench::crowd::{populate_parallel, CrowdDatabase, JournaledSweep, SweepConfig};
+use accubench::crowd::{
+    populate_parallel, CrowdDatabase, JournaledSweep, SweepConfig, STREAM_GROUP,
+};
 use accubench::journal::{fsck_with, CancelToken, Journal};
 use accubench::protocol::Protocol;
 use accubench::storage::{CrashVariant, MemStorage, Storage, StorageEscalation};
@@ -23,7 +30,7 @@ use pv_units::Seconds;
 use std::path::Path;
 use std::sync::Arc;
 
-const DEVICES: usize = 4;
+const DEVICES: usize = 2 * STREAM_GROUP + 3;
 const JOURNAL: &str = "/torture/run.journal";
 
 fn quick() -> Protocol {
@@ -81,10 +88,15 @@ fn crash_at_every_io_boundary_resumes_byte_identically() {
     let ref_bytes = ref_mem.file_bytes(Path::new(JOURNAL)).unwrap();
     let ref_scores = ref_db.scores().to_vec();
     let total_ops = ref_mem.ops();
-    assert!(
-        total_ops > 8,
-        "expected one create, a header, {DEVICES} outcome batches and a \
-         completion marker; got {total_ops} ops"
+    // One create, then a write + fsync each for the header, every group
+    // commit and the completion marker.
+    let groups = DEVICES.div_ceil(STREAM_GROUP) as u64;
+    assert_eq!(groups, 3);
+    assert_eq!(
+        total_ops,
+        1 + 2 + 2 * groups + 2,
+        "expected one create, a header, {groups} group commits and a \
+         completion marker"
     );
 
     // Crash before every operation, under every reboot variant.

@@ -13,18 +13,21 @@ cargo build --release -p pv-bench
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
-# Persistent EIO from storage op 6 on: journaling dies mid-sweep, the
-# sweep must still complete with exit 0 and say so.
+# The journal commits once per 64-device group. Storage ops 0-2 create
+# the journal and commit the header, 3-4 commit devices 0-63, and op 5 is
+# the second group's write: persistent EIO from there on kills journaling
+# mid-sweep. The sweep must still complete with exit 0 and say where
+# journaling stopped.
 cat > "$workdir/storage-plan.toml" <<'EOF'
 [[event]]
 kind = "storage-eio-persistent"
-at = 6.0
+at = 5.0
 duration = 1.0
 EOF
-out=$(./target/release/repro sweep --quick --devices 6 --threads 2 \
+out=$(./target/release/repro sweep --quick --devices 130 --threads 2 \
   --journal "$workdir/degraded.journal" \
   --storage-faults "$workdir/storage-plan.toml" 2>&1)
-echo "$out" | grep "storage degraded:"
+echo "$out" | grep "storage degraded: journaling stopped at device 64"
 echo "$out" | grep "fleet verdict: storage-degraded"
 
 # The surviving journal prefix must be clean and fsck must say so.
@@ -32,7 +35,7 @@ echo "$out" | grep "fleet verdict: storage-degraded"
 
 # Same plan under abort escalation must fail the process.
 rm -f "$workdir/abort.journal"
-if ./target/release/repro sweep --quick --devices 6 --threads 2 \
+if ./target/release/repro sweep --quick --devices 130 --threads 2 \
   --journal "$workdir/abort.journal" \
   --storage-faults "$workdir/storage-plan.toml" \
   --storage-escalation abort; then
