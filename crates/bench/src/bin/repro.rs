@@ -29,6 +29,13 @@
 //! clean): sessions then exercise the harness's retry/quarantine path and
 //! report per-session verdicts.
 //!
+//! Each experiment runs its independent device sessions on the sweep
+//! executor (`executor::map_ordered`) at `executor::default_threads()`
+//! workers, and merges them in device order, so the output is
+//! bit-identical at any thread count. The worker count follows the CPU
+//! affinity mask: `taskset -c 0 repro all` is the serial reference run.
+//! See DESIGN.md §10.
+//!
 //! The `sweep` target runs a §VI crowd-population sweep over a fleet of
 //! Pixel devices, and is where the durability options live:
 //!

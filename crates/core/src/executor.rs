@@ -192,43 +192,60 @@ where
     let abort = AtomicBool::new(false);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     std::thread::scope(|scope| {
-        for who in 0..threads {
-            let tx = tx.clone();
-            let (pool, abort, worker) = (&pool, &abort, &worker);
-            scope.spawn(move || loop {
-                if cancel.is_cancelled() || abort.load(Ordering::SeqCst) {
-                    break;
-                }
-                match pool.try_claim(who) {
-                    Claim::Task((index, item)) => {
-                        // Send fails only when the writer already returned
-                        // (sink error); nothing left to do either way.
-                        if tx.send((index, worker(index, item))).is_err() {
-                            break;
-                        }
+        let workers: Vec<_> = (0..threads)
+            .map(|who| {
+                let tx = tx.clone();
+                let (pool, abort, worker) = (&pool, &abort, &worker);
+                scope.spawn(move || loop {
+                    if cancel.is_cancelled() || abort.load(Ordering::SeqCst) {
+                        break;
                     }
-                    Claim::Retry => std::thread::yield_now(),
-                    Claim::Drained => break,
-                }
-            });
-        }
+                    match pool.try_claim(who) {
+                        Claim::Task((index, item)) => {
+                            // Send fails only when the writer already
+                            // returned (sink error); nothing left to do
+                            // either way.
+                            if tx.send((index, worker(index, item))).is_err() {
+                                break;
+                            }
+                        }
+                        Claim::Retry => std::thread::yield_now(),
+                        Claim::Drained => break,
+                    }
+                })
+            })
+            .collect();
         drop(tx);
 
         // Single-writer merge: buffer out-of-order completions, sink the
         // canonical prefix as it becomes contiguous.
-        let mut buffered: BTreeMap<usize, R> = BTreeMap::new();
-        let mut next = 0usize;
-        while let Ok((index, result)) = rx.recv() {
-            buffered.insert(index, result);
-            while let Some(result) = buffered.remove(&next) {
-                if let Err(e) = sink(next, result) {
-                    abort.store(true, Ordering::SeqCst);
-                    return Err(e);
+        let merged = 'merge: {
+            let mut buffered: BTreeMap<usize, R> = BTreeMap::new();
+            let mut next = 0usize;
+            while let Ok((index, result)) = rx.recv() {
+                buffered.insert(index, result);
+                while let Some(result) = buffered.remove(&next) {
+                    if let Err(e) = sink(next, result) {
+                        abort.store(true, Ordering::SeqCst);
+                        break 'merge Err(e);
+                    }
+                    next += 1;
                 }
-                next += 1;
+            }
+            Ok(next)
+        };
+
+        // Join every worker thread before returning. The scope alone waits
+        // only for the worker closures, not for the threads to exit; a
+        // thread still exiting has not yet handed its malloc arena back,
+        // so the next map's workers would open fresh arenas and resident
+        // memory would creep up across repeated maps.
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
             }
         }
-        Ok(next)
+        merged
     })
 }
 

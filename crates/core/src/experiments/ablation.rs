@@ -13,8 +13,8 @@
 //!   iteration diverges from the steady-state iterations, exactly the bias
 //!   the protocol exists to remove.
 
-use crate::experiments::study::{run_soc_study, SocStudy};
-use crate::experiments::ExperimentConfig;
+use crate::experiments::study::{self, DeviceResult, DeviceTask, SocStudy, StudyPlan};
+use crate::experiments::{par_map, ExperimentConfig};
 use crate::harness::{Ambient, Harness};
 use crate::protocol::Protocol;
 use crate::report::TextTable;
@@ -122,8 +122,13 @@ fn nexus5_fleet_no_feedback() -> Result<Vec<Device>, BenchError> {
     Ok(fleet)
 }
 
-fn study_of(fleet: Vec<Device>, cfg: &ExperimentConfig) -> Result<SocStudy, BenchError> {
-    run_soc_study("SD-800", "Nexus 5", fleet, pv_units::MegaHertz(960.0), cfg)
+fn nexus5_plan(fleet: Vec<Device>) -> StudyPlan {
+    StudyPlan {
+        soc: "SD-800",
+        model: "Nexus 5",
+        fleet,
+        fixed_freq: pv_units::MegaHertz(960.0),
+    }
 }
 
 /// First-iteration bias with and without the warmup phase.
@@ -146,17 +151,57 @@ fn warmup_bias(cfg: &ExperimentConfig, warmup: bool) -> Result<f64, BenchError> 
     Ok(((first - rest) / rest).abs() * 100.0)
 }
 
-/// Runs all three ablations.
+/// One independent session run of the ablation fan-out.
+enum Task {
+    /// A device of one of the three Nexus 5 studies.
+    Device(Box<DeviceTask>),
+    /// The warmup-bias session, with or without the warmup phase.
+    WarmupBias(bool),
+}
+
+/// What a [`Task`] produced.
+enum Outcome {
+    Row(DeviceResult),
+    Bias(f64),
+}
+
+/// Runs all three ablations: the devices of the baseline, equal-leakage
+/// and no-feedback studies plus the two warmup-bias sessions, in one
+/// fan-out.
 ///
 /// # Errors
 ///
 /// Propagates harness errors.
 pub fn run(cfg: &ExperimentConfig) -> Result<Ablations, BenchError> {
-    // Baseline study (mechanisms intact).
-    let baseline = study_of(pv_soc::catalog::fleet::nexus5_study()?, cfg)?;
-
-    let eq_leak = study_of(nexus5_fleet_equal_leakage()?, cfg)?;
-    let no_feedback = study_of(nexus5_fleet_no_feedback()?, cfg)?;
+    let (studies, devices) = study::device_tasks(vec![
+        // Baseline study (mechanisms intact).
+        nexus5_plan(pv_soc::catalog::fleet::nexus5_study()?),
+        nexus5_plan(nexus5_fleet_equal_leakage()?),
+        nexus5_plan(nexus5_fleet_no_feedback()?),
+    ])?;
+    let tasks = devices
+        .into_iter()
+        .map(|device| Task::Device(Box::new(device)))
+        .chain([true, false].map(Task::WarmupBias))
+        .collect();
+    let outcomes = par_map(tasks, |_, task| match task {
+        Task::Device(device) => device.run(cfg).map(Outcome::Row),
+        Task::WarmupBias(warmup) => warmup_bias(cfg, warmup).map(Outcome::Bias),
+    })?;
+    let mut rows = Vec::new();
+    let mut biases = Vec::new();
+    for outcome in outcomes {
+        match outcome {
+            Outcome::Row(row) => rows.push(row),
+            Outcome::Bias(bias) => biases.push(bias),
+        }
+    }
+    let [baseline, eq_leak, no_feedback]: [SocStudy; 3] = study::fill_rows(studies, rows)
+        .try_into()
+        .map_err(|_| BenchError::InvalidProtocol("ablation lost a study"))?;
+    let [warm_bias, cold_bias]: [f64; 2] = biases
+        .try_into()
+        .map_err(|_| BenchError::InvalidProtocol("ablation lost a warmup session"))?;
 
     // In the equal-leakage world the energy ordering inverts: record the
     // *signed* bin-0-vs-bin-3 energy gap (positive = bin-3 worse, the real
@@ -185,8 +230,8 @@ pub fn run(cfg: &ExperimentConfig) -> Result<Ablations, BenchError> {
             name: "warmup-phase (first-iteration bias %)",
             // Here the *ablated* protocol (no warmup) shows the bias the
             // warmup removes, so baseline < ablated is the expected shape.
-            baseline: warmup_bias(cfg, true)?,
-            ablated: warmup_bias(cfg, false)?,
+            baseline: warm_bias,
+            ablated: cold_bias,
         },
     ];
     Ok(Ablations { outcomes })

@@ -169,6 +169,11 @@ impl AmbientEstimation {
 pub fn run(cfg: &ExperimentConfig) -> Result<AmbientEstimation, BenchError> {
     // Factory calibration: one trial at a known reference ambient learns
     // the model's idle-power offset (not part of the evaluation sweep).
+    //
+    // Unlike the other artifacts, the trials stay serial on purpose: each
+    // records a full warmup + cooldown trace, and fanning them out keeps
+    // one such trace per worker resident (about 1 MiB each) to save about
+    // 1 % of `repro all`.
     let reference = Celsius(20.0);
     let calibration = raw_trial(cfg, reference)?;
     let calibration_offset = calibration.ambient - reference;

@@ -7,7 +7,7 @@
 //! with ACCUBENCH, k-means the scores, and check how well the inferred
 //! clusters track the true (hidden) die quality.
 
-use crate::experiments::ExperimentConfig;
+use crate::experiments::{par_map, ExperimentConfig};
 use crate::harness::{Ambient, Harness};
 use crate::protocol::Protocol;
 use crate::report::TextTable;
@@ -114,18 +114,15 @@ pub fn run(
     let spec = catalog::nexus5_spec()?;
     let population = Population::sample(spec.soc.node, n, seed);
 
-    let mut labels = Vec::new();
-    let mut grades = Vec::new();
-    let mut scores = Vec::new();
-    for (i, die) in population.dies().iter().enumerate() {
-        let label = format!("crowd-{i}");
+    let dies = population.dies().to_vec();
+    let measured = par_map(dies, |i, die| -> Result<_, BenchError> {
         let supply =
             Box::new(Monsoon::new(spec.nominal_battery_voltage).map_err(pv_soc::SocError::from)?);
         let mut device = Device::new(
             catalog::nexus5_spec()?,
-            *die,
+            die,
             supply,
-            label.clone(),
+            format!("crowd-{i}"),
             seed ^ i as u64,
         )?;
         let mut harness = Harness::new(
@@ -133,19 +130,20 @@ pub fn run(
             Ambient::Fixed(Celsius(26.0)),
         )?;
         let it = harness.run_iteration(&mut device)?;
-        labels.push(label);
-        grades.push(die.grade());
-        scores.push(it.iterations_completed);
-    }
+        Ok((
+            device.label().to_owned(),
+            die.grade(),
+            it.iterations_completed,
+        ))
+    })?;
+    let scores: Vec<f64> = measured.iter().map(|m| m.2).collect();
 
     let kmeans = kmeans_1d(&scores, k, 200, seed)?;
-    let points = labels
+    let points = measured
         .into_iter()
-        .zip(grades)
-        .zip(scores)
         .zip(&kmeans.assignments)
         .map(
-            |(((label, true_grade), performance), &inferred_bin)| CrowdPoint {
+            |((label, true_grade, performance), &inferred_bin)| CrowdPoint {
                 label,
                 true_grade,
                 performance,

@@ -6,7 +6,7 @@
 //! "bin-4 consumes 20 % more energy while also taking ≈20 % longer … once
 //! thermal limits of 80 °C are reached, one CPU core is shut down".
 
-use crate::experiments::ExperimentConfig;
+use crate::experiments::{par_map, ExperimentConfig};
 use crate::harness::{Ambient, Harness};
 use crate::protocol::Protocol;
 use crate::report::{ratio, TextTable};
@@ -117,7 +117,8 @@ impl Fig1 {
     }
 }
 
-/// Runs the fixed-work experiment on all seven Nexus 5 bins.
+/// Runs the fixed-work experiment on all seven Nexus 5 bins, one
+/// independent device session per bin.
 ///
 /// The work target is what a healthy device completes in roughly the paper's
 /// 5-minute workload window (scaled by `cfg.scale`).
@@ -136,8 +137,7 @@ pub fn run(cfg: &ExperimentConfig) -> Result<Fig1, BenchError> {
         .with_warmup(Seconds(180.0 * cfg.scale))
         .with_workload(Seconds(0.0));
 
-    let mut outcomes = Vec::new();
-    for mut device in fleet::nexus5_all_bins()? {
+    let outcomes = par_map(fleet::nexus5_all_bins()?, |_, mut device| {
         // Standard thermal normalization: warmup + cooldown, no workload.
         let mut harness = Harness::new(warmup, Ambient::paper_chamber()?)?;
         let _ = harness.run_iteration(&mut device)?;
@@ -165,14 +165,14 @@ pub fn run(cfg: &ExperimentConfig) -> Result<Fig1, BenchError> {
                 ));
             }
         }
-        outcomes.push(BinOutcome {
+        Ok(BinOutcome {
             label: device.label().to_owned(),
             completion_time: Seconds(elapsed),
             energy: meter.energy(),
             peak_temp: peak,
             core_shutdown_seen: shutdown,
-        });
-    }
+        })
+    })?;
     Ok(Fig1 {
         target_iterations,
         outcomes,

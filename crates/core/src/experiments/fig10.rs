@@ -6,7 +6,7 @@
 //! Monsoon to the battery's 4.4 V maximum restored battery-grade
 //! performance. This experiment measures all three supplies.
 
-use crate::experiments::ExperimentConfig;
+use crate::experiments::{par_map, ExperimentConfig};
 use crate::harness::{Ambient, Harness};
 use crate::protocol::Protocol;
 use crate::report::{ratio, TextTable};
@@ -87,33 +87,26 @@ fn measure(
     })
 }
 
-/// Runs the three supply configurations.
+/// Runs the three supply configurations, one device session each.
 ///
 /// # Errors
 ///
 /// Propagates harness errors.
 pub fn run(cfg: &ExperimentConfig) -> Result<Fig10, BenchError> {
-    let nominal = measure(
-        Box::new(pv_power::Monsoon::new(Volts(3.85)).map_err(pv_soc::SocError::from)?),
-        "monsoon-3.85V",
-        cfg,
-    )?;
-    let maxed = measure(
-        Box::new(pv_power::Monsoon::new(Volts(4.4)).map_err(pv_soc::SocError::from)?),
-        "monsoon-4.4V",
-        cfg,
-    )?;
-    // A healthy, freshly-charged 2,800 mAh cell (≈38.8 kJ at the nominal
-    // voltage; ≈45 kJ counting the full discharge curve) with low internal
-    // resistance, as the paper's comparison runs used.
-    let battery = measure(
-        Box::new(Battery::new(Joules(45_000.0), 0.05, 1.0).map_err(pv_soc::SocError::from)?),
-        "battery",
-        cfg,
-    )?;
-    Ok(Fig10 {
-        outcomes: vec![nominal, maxed, battery],
-    })
+    let monsoon = |volts| pv_power::Monsoon::new(Volts(volts)).map_err(pv_soc::SocError::from);
+    let supplies: Vec<(Box<dyn PowerSupply>, &str)> = vec![
+        (Box::new(monsoon(3.85)?), "monsoon-3.85V"),
+        (Box::new(monsoon(4.4)?), "monsoon-4.4V"),
+        // A healthy, freshly-charged 2,800 mAh cell (≈38.8 kJ at the
+        // nominal voltage; ≈45 kJ counting the full discharge curve) with
+        // low internal resistance, as the paper's comparison runs used.
+        (
+            Box::new(Battery::new(Joules(45_000.0), 0.05, 1.0).map_err(pv_soc::SocError::from)?),
+            "battery",
+        ),
+    ];
+    let outcomes = par_map(supplies, |_, (supply, name)| measure(supply, name, cfg))?;
+    Ok(Fig10 { outcomes })
 }
 
 pv_json::impl_to_json!(SupplyOutcome {

@@ -1,11 +1,13 @@
 //! Fig 13 — relative efficiency of SoC generations.
 //!
-//! Iterations-per-joule (fixed-frequency workload, fleet mean) per SoC.
+//! Iterations per joule of the UNCONSTRAINED workload (mean iterations
+//! over mean workload energy per device, then the fleet mean) per SoC —
+//! the work each SoC delivers per joule under its own governor.
 //! Efficiency improves across generations with the shrinking process — with
 //! the paper's notable exception that the SD-805, pushed to 2,649 MHz on
 //! the same 28 nm process, is *less* efficient than the SD-800.
 
-use crate::experiments::study::{plans, SocStudy};
+use crate::experiments::study::{plans, run_soc_studies, SocStudy};
 use crate::experiments::ExperimentConfig;
 use crate::report::{ratio, TextTable};
 use crate::BenchError;
@@ -83,22 +85,16 @@ fn efficiency_of(study: &SocStudy) -> SocEfficiency {
     }
 }
 
-/// Runs the fixed-frequency studies for all five SoCs and extracts the
-/// efficiency metric.
+/// Runs the studies of all five SoCs in one fan-out and extracts the
+/// efficiency metric ([`SocStudy::mean_efficiency`], from the
+/// UNCONSTRAINED sessions).
 ///
 /// # Errors
 ///
 /// Propagates harness errors.
 pub fn run(cfg: &ExperimentConfig) -> Result<Fig13, BenchError> {
-    Ok(Fig13 {
-        generations: vec![
-            efficiency_of(&plans::nexus5(cfg)?),
-            efficiency_of(&plans::nexus6(cfg)?),
-            efficiency_of(&plans::nexus6p(cfg)?),
-            efficiency_of(&plans::lg_g5(cfg)?),
-            efficiency_of(&plans::pixel(cfg)?),
-        ],
-    })
+    let studies = run_soc_studies(plans::build(&plans::PAPER)?, cfg)?;
+    Ok(from_studies(&studies))
 }
 
 /// Builds the figure from already-run studies (so Table II and Fig 13 can

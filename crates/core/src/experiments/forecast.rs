@@ -8,12 +8,21 @@
 //! 2. process variation keeps *shrinking but not vanishing* — the new part
 //!    still shows a measurable energy spread.
 
-use crate::experiments::study::{plans, run_soc_study, SocStudy};
+use crate::experiments::study::plans::{self, PlanSpec};
+use crate::experiments::study::{run_soc_studies, SocStudy};
 use crate::experiments::ExperimentConfig;
 use crate::report::{ratio, TextTable};
 use crate::BenchError;
 use pv_soc::catalog::fleet;
 use pv_units::MegaHertz;
+
+/// The forecast device: SD-835 / Google Pixel 2, fixed at 1056 MHz.
+const SD_835: PlanSpec = PlanSpec {
+    soc: "SD-835",
+    model: "Google Pixel 2",
+    fleet: fleet::pixel2_forecast,
+    fixed_freq: MegaHertz(1056.0),
+};
 
 /// The forecast study: the paper's five SoCs plus the SD-835.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,26 +72,15 @@ impl Forecast {
     }
 }
 
-/// Runs the six-generation study.
+/// Runs the six-generation study in one fan-out.
 ///
 /// # Errors
 ///
 /// Propagates harness errors.
 pub fn run(cfg: &ExperimentConfig) -> Result<Forecast, BenchError> {
-    let studies = vec![
-        plans::nexus5(cfg)?,
-        plans::nexus6(cfg)?,
-        plans::nexus6p(cfg)?,
-        plans::lg_g5(cfg)?,
-        plans::pixel(cfg)?,
-        run_soc_study(
-            "SD-835",
-            "Google Pixel 2",
-            fleet::pixel2_forecast()?,
-            MegaHertz(1056.0),
-            cfg,
-        )?,
-    ];
+    let mut specs = plans::PAPER.to_vec();
+    specs.push(SD_835);
+    let studies = run_soc_studies(plans::build(&specs)?, cfg)?;
     Ok(Forecast { studies })
 }
 

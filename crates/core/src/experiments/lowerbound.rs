@@ -12,7 +12,7 @@
 //! low, so any specific 3-unit study (like the paper's) underestimates the
 //! population spread with high probability.
 
-use crate::experiments::ExperimentConfig;
+use crate::experiments::{par_map, ExperimentConfig};
 use crate::harness::{Ambient, Harness};
 use crate::protocol::Protocol;
 use crate::report::TextTable;
@@ -128,10 +128,7 @@ pub fn run(
     let population = Population::sample(node, population_size, seed);
 
     // One measurement per population die (reused across fleet draws).
-    let mut energies = Vec::with_capacity(population.len());
-    for (i, die) in population.dies().iter().enumerate() {
-        energies.push(energy_of(*die, i, cfg)?);
-    }
+    let energies = par_map(population.dies().to_vec(), |i, die| energy_of(die, i, cfg))?;
     let population_spread = spread_percent(&energies)?;
 
     let fleet_size = 3;

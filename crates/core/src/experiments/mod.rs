@@ -26,6 +26,17 @@
 //! | [`skin`] | beyond the paper — skin temperature across bins (§V motivation) |
 //! | [`aging`] | §IV-C discussion — battery aging vs input-voltage throttling |
 //! | [`ablation`] | DESIGN.md §5 — leakage-feedback / warmup / chamber ablations |
+//!
+//! Every artifact is built from independent device sessions: each device
+//! runs its own warmup → cooldown → workload in its own chamber, a pure,
+//! seeded function of the device. The outermost per-device (or per-die,
+//! per-configuration) loop of each session-bound artifact therefore fans
+//! out on the sweep executor through one crate-private helper, `par_map`, at
+//! [`executor::default_threads`] workers, and merges the results in item
+//! order. Output is bit-identical at any thread count; a process pinned
+//! to one CPU (`taskset -c 0`) runs the serial reference path. Work that
+//! depends on order (crowd-database submissions, k-means, resampling RNG)
+//! stays on the caller, after the map. See DESIGN.md §10.
 
 pub mod ablation;
 pub mod aging;
@@ -49,9 +60,68 @@ pub mod study;
 pub mod table1;
 pub mod table2;
 
+use crate::executor;
+use crate::journal::CancelToken;
 use crate::protocol::Protocol;
 use pv_thermal::network::Integrator;
 use pv_units::Seconds;
+
+/// Runs `task` over every item on the sweep executor and returns the
+/// results in item order, or the first error in item order — exactly what
+/// a serial `for` loop with `?` returns. Tasks must be pure functions of
+/// `(index, item)`; order-sensitive work belongs on the caller, after the
+/// map. Only an artifact's outermost loop fans out: a task never calls
+/// `par_map` itself.
+pub(crate) fn par_map<T, R, E, F>(items: Vec<T>, task: F) -> Result<Vec<R>, E>
+where
+    T: Send,
+    R: Send,
+    E: Send,
+    F: Fn(usize, T) -> Result<R, E> + Sync,
+{
+    let mut results = Vec::with_capacity(items.len());
+    executor::map_ordered(
+        items,
+        threads(),
+        &CancelToken::new(),
+        task,
+        |_, result: Result<R, E>| {
+            results.push(result?);
+            Ok(())
+        },
+    )?;
+    Ok(results)
+}
+
+/// Worker count for [`par_map`]: the host's available parallelism, which
+/// honours the process's CPU affinity mask.
+#[cfg(not(test))]
+fn threads() -> usize {
+    executor::default_threads()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only override of [`par_map`]'s worker count on this thread.
+    static THREADS: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+#[cfg(test)]
+fn threads() -> usize {
+    THREADS
+        .with(std::cell::Cell::get)
+        .unwrap_or_else(executor::default_threads)
+}
+
+/// Runs `f` with every [`par_map`] it reaches on this thread pinned to
+/// `threads` workers.
+#[cfg(test)]
+fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    let previous = THREADS.with(|t| t.replace(Some(threads)));
+    let result = f();
+    THREADS.with(|t| t.set(previous));
+    result
+}
 
 /// How long and how often to run each experiment.
 ///
@@ -129,6 +199,7 @@ impl pv_json::ToJson for ExperimentConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pv_json::ToJson;
 
     #[test]
     fn scaling_shrinks_phases() {
@@ -140,6 +211,106 @@ mod tests {
         let p = cfg.scaled(Protocol::unconstrained());
         assert_eq!(p.warmup, Seconds(90.0));
         assert_eq!(p.workload, Seconds(150.0));
+    }
+
+    /// Every artifact whose sessions fan out through [`par_map`], as
+    /// compact JSON, at tiny sizes.
+    fn parallel_artifacts(cfg: &ExperimentConfig) -> Vec<(&'static str, String)> {
+        fn json<T: pv_json::ToJson>(result: Result<T, crate::BenchError>) -> String {
+            result.unwrap().to_json().to_string_compact()
+        }
+        vec![
+            ("fig1", json(fig1::run(cfg))),
+            ("fig6", json(study::plans::nexus5(cfg))),
+            ("fig7", json(study::plans::nexus6p(cfg))),
+            ("fig10", json(fig10::run(cfg))),
+            ("fig13", json(fig13::run(cfg))),
+            ("table2", json(table2::run(cfg))),
+            ("forecast", json(forecast::run(cfg))),
+            ("ablation", json(ablation::run(cfg))),
+            ("ranking", json(ranking::run(cfg, 5, 11))),
+            ("cluster", json(cluster::run(cfg, 6, 2, 7))),
+            ("lowerbound", json(lowerbound::run(cfg, 40, 6, 3))),
+            ("rsd", json(rsd::run(cfg))),
+        ]
+    }
+
+    #[test]
+    fn artifacts_are_bit_identical_at_any_thread_count() {
+        for integrator in [Integrator::Euler, Integrator::Exponential] {
+            let cfg = ExperimentConfig {
+                scale: 0.1,
+                iterations: 1,
+                integrator,
+            };
+            let serial = with_threads(1, || parallel_artifacts(&cfg));
+            let parallel = with_threads(3, || parallel_artifacts(&cfg));
+            for ((name, a), (_, b)) in serial.iter().zip(&parallel) {
+                assert!(
+                    a == b,
+                    "{name} differs between 1 and 3 threads ({integrator:?})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn faulty_rsd_is_bit_identical_at_any_thread_count() {
+        use pv_faults::{FaultKind, FaultPlan};
+        let cfg = ExperimentConfig {
+            scale: 0.1,
+            iterations: 2,
+            integrator: Integrator::Euler,
+        };
+        let plan = FaultPlan::generate(
+            5,
+            600.0,
+            20.0,
+            &[
+                FaultKind::ProbeDropout,
+                FaultKind::ProbeSpike,
+                FaultKind::MeterMissedSample,
+                FaultKind::ChamberControllerStall,
+                FaultKind::ThrottleGlitch,
+            ],
+        );
+        assert!(!plan.events.is_empty());
+        let run = |threads| {
+            with_threads(threads, || rsd::run_with_faults(&cfg, Some(&plan)))
+                .unwrap()
+                .to_json()
+                .to_string_compact()
+        };
+        assert_eq!(run(1), run(3));
+    }
+
+    #[test]
+    fn par_map_keeps_item_order() {
+        for threads in [1, 3] {
+            let squares: Result<Vec<usize>, ()> = with_threads(threads, || {
+                par_map((0..50).collect(), |i, x: usize| Ok(i * x))
+            });
+            assert_eq!(squares, Ok((0..50).map(|x| x * x).collect()));
+        }
+    }
+
+    #[test]
+    fn par_map_returns_the_first_error_in_index_order() {
+        for threads in [1, 3] {
+            // Task 7 is slow, so at 3 threads task 31 fails first in time;
+            // the error reported is still task 7's.
+            let result: Result<Vec<usize>, usize> = with_threads(threads, || {
+                par_map((0..40).collect(), |i, x: usize| match i {
+                    7 => {
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        Err(x)
+                    }
+                    31 => Err(x),
+                    _ => Ok(x),
+                })
+            });
+            assert_eq!(result, Err(7), "{threads} thread(s)");
+        }
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! user learns their device's percentile and the model's quality range.
 
 use crate::crowd::{CrowdDatabase, CrowdScore};
-use crate::experiments::ExperimentConfig;
+use crate::experiments::{par_map, ExperimentConfig};
 use crate::harness::{Ambient, Harness};
 use crate::protocol::Protocol;
 use crate::BenchError;
 use pv_power::Monsoon;
+use pv_silicon::binning::BinId;
 use pv_silicon::population::Population;
+use pv_silicon::DieSample;
 use pv_soc::catalog;
 use pv_soc::device::Device;
 use pv_units::Celsius;
@@ -44,12 +46,77 @@ impl RankingStudy {
     }
 }
 
-fn measure_crowd_device(
+/// One unit of the crowd simulation, measured independently of the rest.
+enum Unit {
+    /// The `i`-th random population die, measured in controlled
+    /// conditions.
+    Crowd(usize, DieSample),
+    /// The `i`-th bin-2 unit measured in a hot, drifting car.
+    HotCar(usize),
+    /// A catalog unit of the given bin, measured in controlled conditions.
+    Reference(BinId),
+}
+
+impl Unit {
+    /// Measures the unit and packages its score as a submission.
+    fn measure(self, cfg: &ExperimentConfig, seed: u64) -> Result<CrowdScore, BenchError> {
+        let (device, (score, rsd)) = match self {
+            Unit::Crowd(i, die) => {
+                let spec = catalog::nexus5_spec()?;
+                let supply = Box::new(
+                    Monsoon::new(spec.nominal_battery_voltage).map_err(pv_soc::SocError::from)?,
+                );
+                let mut device = Device::new(
+                    spec,
+                    die,
+                    supply,
+                    format!("crowd-{i}"),
+                    seed ^ (i as u64).wrapping_mul(0x9E37_79B9),
+                )?;
+                let measured = measure_controlled(&mut device, cfg)?;
+                (device.label().to_owned(), measured)
+            }
+            Unit::HotCar(i) => {
+                let mut device = catalog::nexus5(BinId(2))?;
+                let mut scores = Vec::new();
+                for ambient in [22.0, 34.0, 42.0] {
+                    let mut harness = Harness::new(
+                        cfg.scaled(Protocol::unconstrained()),
+                        Ambient::Fixed(Celsius(ambient + i as f64)),
+                    )?;
+                    let it = harness.run_iteration(&mut device)?;
+                    scores.push(it.iterations_completed);
+                }
+                let summary = pv_stats::Summary::from_slice(&scores)?;
+                (
+                    format!("hot-car-{i}"),
+                    (summary.mean(), summary.rsd_percent()),
+                )
+            }
+            Unit::Reference(bin) => {
+                let mut device = catalog::nexus5(bin)?;
+                let measured = measure_controlled(&mut device, cfg)?;
+                (device.label().to_owned(), measured)
+            }
+        };
+        Ok(CrowdScore {
+            model: "Nexus 5".to_owned(),
+            device,
+            score,
+            rsd,
+        })
+    }
+}
+
+/// Mean and RSD of UNCONSTRAINED performance at a fixed 26 °C ambient.
+fn measure_controlled(
     device: &mut Device,
-    ambient: Ambient,
     cfg: &ExperimentConfig,
 ) -> Result<(f64, f64), BenchError> {
-    let mut harness = Harness::new(cfg.scaled(Protocol::unconstrained()), ambient)?;
+    let mut harness = Harness::new(
+        cfg.scaled(Protocol::unconstrained()),
+        Ambient::Fixed(Celsius(26.0)),
+    )?;
     let session = harness.run_session(device, cfg.iterations.max(2))?;
     let perf = session.performance_summary()?;
     Ok((perf.mean(), perf.rsd_percent()))
@@ -65,62 +132,32 @@ fn measure_crowd_device(
 pub fn run(cfg: &ExperimentConfig, n: usize, seed: u64) -> Result<RankingStudy, BenchError> {
     let spec = catalog::nexus5_spec()?;
     let population = Population::sample(spec.soc.node, n, seed);
-    let mut database = CrowdDatabase::new(2.0)?;
-
-    for (i, die) in population.dies().iter().enumerate() {
-        let label = format!("crowd-{i}");
-        let supply =
-            Box::new(Monsoon::new(spec.nominal_battery_voltage).map_err(pv_soc::SocError::from)?);
-        let mut device = Device::new(
-            catalog::nexus5_spec()?,
-            *die,
-            supply,
-            label.clone(),
-            seed ^ (i as u64).wrapping_mul(0x9E37_79B9),
-        )?;
-        let (score, rsd) = measure_crowd_device(&mut device, Ambient::Fixed(Celsius(26.0)), cfg)?;
-        database.submit(CrowdScore {
-            model: "Nexus 5".to_owned(),
-            device: label,
-            score,
-            rsd,
-        });
-    }
-
     // Uncontrolled submissions: each iteration at a different hot ambient,
     // inflating the iteration-to-iteration RSD past the filter.
     let uncontrolled = 3usize;
-    for i in 0..uncontrolled {
-        let label = format!("hot-car-{i}");
-        let mut device = catalog::nexus5(pv_silicon::binning::BinId(2))?;
-        let mut scores = Vec::new();
-        for (j, ambient) in [22.0, 34.0, 42.0].iter().enumerate() {
-            let mut harness = Harness::new(
-                cfg.scaled(Protocol::unconstrained()),
-                Ambient::Fixed(Celsius(*ambient + i as f64)),
-            )?;
-            let it = harness.run_iteration(&mut device)?;
-            let _ = j;
-            scores.push(it.iterations_completed);
-        }
-        let summary = pv_stats::Summary::from_slice(&scores)?;
-        database.submit(CrowdScore {
-            model: "Nexus 5".to_owned(),
-            device: label,
-            score: summary.mean(),
-            rsd: summary.rsd_percent(),
-        });
+
+    let mut units: Vec<Unit> = population
+        .dies()
+        .iter()
+        .enumerate()
+        .map(|(i, die)| Unit::Crowd(i, *die))
+        .collect();
+    units.extend((0..uncontrolled).map(Unit::HotCar));
+    let submitted = units.len();
+    // The two reference units a user might ask about.
+    units.extend([BinId(0), BinId(6)].map(Unit::Reference));
+    let mut submissions = par_map(units, |_, unit| unit.measure(cfg, seed))?;
+    let references = submissions.split_off(submitted);
+
+    // Submissions stay in the serial order: crowd, then hot-car units.
+    let mut database = CrowdDatabase::new(2.0)?;
+    for submission in submissions {
+        database.submit(submission);
     }
 
-    // The two reference units a user might ask about.
-    let mut good = catalog::nexus5(pv_silicon::binning::BinId(0))?;
-    let (good_score, _) = measure_crowd_device(&mut good, Ambient::Fixed(Celsius(26.0)), cfg)?;
-    let mut bad = catalog::nexus5(pv_silicon::binning::BinId(6))?;
-    let (bad_score, _) = measure_crowd_device(&mut bad, Ambient::Fixed(Celsius(26.0)), cfg)?;
-
     Ok(RankingStudy {
-        good_unit_percentile: database.percentile("Nexus 5", good_score),
-        bad_unit_percentile: database.percentile("Nexus 5", bad_score),
+        good_unit_percentile: database.percentile("Nexus 5", references[0].score),
+        bad_unit_percentile: database.percentile("Nexus 5", references[1].score),
         database,
         uncontrolled_submissions: uncontrolled,
     })

@@ -5,7 +5,7 @@
 //! runs many back-to-back sessions across the catalog and reports the mean
 //! per-session RSD of the performance metric.
 
-use crate::experiments::ExperimentConfig;
+use crate::experiments::{par_map, ExperimentConfig};
 use crate::harness::{Ambient, Harness};
 use crate::protocol::Protocol;
 use crate::report::TextTable;
@@ -107,16 +107,18 @@ pub fn run_with_faults(
     cfg: &ExperimentConfig,
     faults: Option<&FaultPlan>,
 ) -> Result<Repeatability, BenchError> {
-    let mut rows = Vec::new();
     let devices: Vec<(pv_soc::device::Device, MegaHertz)> = vec![
         (catalog::nexus5(BinId(0))?, MegaHertz(960.0)),
         (catalog::nexus5(BinId(3))?, MegaHertz(960.0)),
         (catalog::nexus6p(0.5, "device-541")?, MegaHertz(384.0)),
         (catalog::pixel(0.5, "device-570")?, MegaHertz(998.0)),
     ];
-    for (device, fixed_freq) in devices {
+    let per_device = par_map(devices, |_, (device, fixed_freq)| {
+        // The fault handle is created inside the task: it is per device
+        // and never crosses threads.
         let handle = faults.map_or_else(FaultHandle::disarmed, |p| FaultHandle::armed(p.clone()));
         let mut device = FaultyDevice::new(device, handle.clone());
+        let mut rows = Vec::with_capacity(2);
         for (workload, protocol) in [
             ("unconstrained", Protocol::unconstrained()),
             ("fixed", Protocol::fixed_frequency(fixed_freq)),
@@ -137,7 +139,9 @@ pub fn run_with_faults(
                 verdict: session.verdict,
             });
         }
-    }
+        Ok::<_, BenchError>(rows)
+    })?;
+    let rows = per_device.into_iter().flatten().collect();
     Ok(Repeatability { rows })
 }
 

@@ -9,7 +9,7 @@
 //!   devices do the *same* work, exposing *energy* differences; they double
 //!   as the repeatability check (performance RSD should be tiny).
 
-use crate::experiments::ExperimentConfig;
+use crate::experiments::{par_map, ExperimentConfig};
 use crate::harness::{Ambient, Harness};
 use crate::protocol::Protocol;
 use crate::report::{pct, ratio, TextTable};
@@ -166,28 +166,32 @@ impl SocStudy {
     }
 }
 
-/// Runs the two-workload study over a fleet of devices of one model.
-///
-/// # Errors
-///
-/// Returns [`BenchError::InvalidProtocol`] for an empty fleet, or any
-/// harness error.
-///
-/// # Panics
-///
-/// Never panics; all fallible paths return errors.
-pub fn run_soc_study(
-    soc: &'static str,
-    model: &'static str,
-    mut fleet: Vec<Device>,
+/// One study to run: a fleet of one model plus the pinned step of its
+/// FIXED-FREQUENCY workload.
+#[derive(Debug, Clone)]
+pub struct StudyPlan {
+    /// SoC name (`SD-800` …).
+    pub soc: &'static str,
+    /// Handset model (`Nexus 5` …).
+    pub model: &'static str,
+    /// The devices, in the order their rows appear.
+    pub fleet: Vec<Device>,
+    /// The fixed frequency used for the energy workload.
+    pub fixed_freq: MegaHertz,
+}
+
+/// One device's two back-to-back sessions: the unit of work a study fans
+/// out.
+pub(crate) struct DeviceTask {
+    device: Device,
     fixed_freq: MegaHertz,
-    cfg: &ExperimentConfig,
-) -> Result<SocStudy, BenchError> {
-    if fleet.is_empty() {
-        return Err(BenchError::InvalidProtocol("fleet is empty"));
-    }
-    let mut rows = Vec::with_capacity(fleet.len());
-    for device in &mut fleet {
+}
+
+impl DeviceTask {
+    /// Runs the UNCONSTRAINED then the FIXED-FREQUENCY session on the
+    /// device.
+    pub(crate) fn run(mut self, cfg: &ExperimentConfig) -> Result<DeviceResult, BenchError> {
+        let device = &mut self.device;
         // UNCONSTRAINED: performance.
         let mut harness = Harness::new(
             cfg.scaled(Protocol::unconstrained()),
@@ -200,14 +204,14 @@ pub fn run_soc_study(
         // FIXED-FREQUENCY: energy at equal work.
         device.reset_thermal(harness.ambient_temp())?;
         let mut harness = Harness::new(
-            cfg.scaled(Protocol::fixed_frequency(fixed_freq)),
+            cfg.scaled(Protocol::fixed_frequency(self.fixed_freq)),
             Ambient::paper_chamber()?,
         )?;
         let fixed_session = harness.run_session(device, cfg.iterations)?;
         let energy = fixed_session.energy_summary()?;
         let fixed_perf = fixed_session.performance_summary()?;
 
-        rows.push(DeviceResult {
+        Ok(DeviceResult {
             label: device.label().to_owned(),
             perf_mean: perf.mean(),
             perf_rsd: perf.rsd_percent(),
@@ -216,97 +220,230 @@ pub fn run_soc_study(
             fixed_perf_rsd: fixed_perf.rsd_percent(),
             fixed_perf_mean: fixed_perf.mean(),
             perf_energy_mean: perf_energy.mean(),
-        });
+        })
     }
-    Ok(SocStudy {
-        soc,
-        model,
-        fixed_freq,
-        rows,
-    })
 }
 
-/// Study plans for the five SoCs: fleet constructor + fixed frequency.
+/// Studies whose rows are still to be filled, each with its fleet size.
+pub(crate) type EmptyStudies = Vec<(SocStudy, usize)>;
+
+/// Flattens the devices of every plan into one task list, returning each
+/// study with its rows still empty.
+///
+/// # Errors
+///
+/// Returns [`BenchError::InvalidProtocol`] if any fleet is empty.
+pub(crate) fn device_tasks(
+    plans: Vec<StudyPlan>,
+) -> Result<(EmptyStudies, Vec<DeviceTask>), BenchError> {
+    let mut studies = Vec::with_capacity(plans.len());
+    let mut tasks = Vec::new();
+    for plan in plans {
+        if plan.fleet.is_empty() {
+            return Err(BenchError::InvalidProtocol("fleet is empty"));
+        }
+        let study = SocStudy {
+            soc: plan.soc,
+            model: plan.model,
+            fixed_freq: plan.fixed_freq,
+            rows: Vec::with_capacity(plan.fleet.len()),
+        };
+        studies.push((study, plan.fleet.len()));
+        tasks.extend(plan.fleet.into_iter().map(|device| DeviceTask {
+            device,
+            fixed_freq: plan.fixed_freq,
+        }));
+    }
+    Ok((studies, tasks))
+}
+
+/// Deals the rows of [`device_tasks`]' task list back to their studies.
+pub(crate) fn fill_rows(
+    studies: EmptyStudies,
+    rows: impl IntoIterator<Item = DeviceResult>,
+) -> Vec<SocStudy> {
+    let mut rows = rows.into_iter();
+    studies
+        .into_iter()
+        .map(|(mut study, n)| {
+            study.rows.extend(rows.by_ref().take(n));
+            study
+        })
+        .collect()
+}
+
+/// Runs the two-workload study of every plan, with the devices of all
+/// plans fanned out as one task list on the sweep executor. Studies come
+/// back in plan order, rows in fleet order.
+///
+/// # Errors
+///
+/// Returns [`BenchError::InvalidProtocol`] for an empty fleet, or the
+/// first harness error in plan-then-fleet order.
+pub fn run_soc_studies(
+    plans: Vec<StudyPlan>,
+    cfg: &ExperimentConfig,
+) -> Result<Vec<SocStudy>, BenchError> {
+    let (studies, tasks) = device_tasks(plans)?;
+    let rows = par_map(tasks, |_, task| task.run(cfg))?;
+    Ok(fill_rows(studies, rows))
+}
+
+/// Runs the two-workload study over a fleet of devices of one model.
+///
+/// # Errors
+///
+/// Returns [`BenchError::InvalidProtocol`] for an empty fleet, or any
+/// harness error.
+pub fn run_soc_study(
+    soc: &'static str,
+    model: &'static str,
+    fleet: Vec<Device>,
+    fixed_freq: MegaHertz,
+    cfg: &ExperimentConfig,
+) -> Result<SocStudy, BenchError> {
+    let plan = StudyPlan {
+        soc,
+        model,
+        fleet,
+        fixed_freq,
+    };
+    run_one(plan, cfg)
+}
+
+fn run_one(plan: StudyPlan, cfg: &ExperimentConfig) -> Result<SocStudy, BenchError> {
+    let mut studies = run_soc_studies(vec![plan], cfg)?;
+    Ok(studies.remove(0))
+}
+
+/// The paper's study plans: one table of fleet constructors and pinned
+/// frequencies, shared by Figs 6–9, Table II, Fig 13 and the forecast.
 pub mod plans {
     use super::*;
     use pv_soc::catalog::fleet;
+    use pv_soc::SocError;
+
+    /// A study recipe: which fleet to build and where to pin it.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct PlanSpec {
+        pub(crate) soc: &'static str,
+        pub(crate) model: &'static str,
+        pub(crate) fleet: fn() -> Result<Vec<Device>, SocError>,
+        /// The FIXED-FREQUENCY workload's pinned step.
+        pub(crate) fixed_freq: MegaHertz,
+    }
+
+    impl PlanSpec {
+        /// Builds the fleet into a runnable plan.
+        fn plan(&self) -> Result<StudyPlan, BenchError> {
+            Ok(StudyPlan {
+                soc: self.soc,
+                model: self.model,
+                fleet: (self.fleet)()?,
+                fixed_freq: self.fixed_freq,
+            })
+        }
+
+        /// Runs this one study.
+        fn run(&self, cfg: &ExperimentConfig) -> Result<SocStudy, BenchError> {
+            run_one(self.plan()?, cfg)
+        }
+    }
 
     /// Fig 6: SD-800 / Nexus 5, bins 0–3, fixed at 960 MHz.
+    const SD_800: PlanSpec = PlanSpec {
+        soc: "SD-800",
+        model: "Nexus 5",
+        fleet: fleet::nexus5_study,
+        fixed_freq: MegaHertz(960.0),
+    };
+
+    /// SD-805 / Nexus 6 (no dedicated figure — "negligible variations",
+    /// §IV-A1 — but needed for Table II and Fig 13), fixed at 1032 MHz.
+    const SD_805: PlanSpec = PlanSpec {
+        soc: "SD-805",
+        model: "Nexus 6",
+        fleet: fleet::nexus6_study,
+        fixed_freq: MegaHertz(1032.0),
+    };
+
+    /// Fig 7: SD-810 / Nexus 6P, fixed at 384 MHz (both clusters share the
+    /// step; the 20 nm part runs too hot for any higher pinned step to stay
+    /// below its first trip).
+    const SD_810: PlanSpec = PlanSpec {
+        soc: "SD-810",
+        model: "Nexus 6P",
+        fleet: fleet::nexus6p_study,
+        fixed_freq: MegaHertz(384.0),
+    };
+
+    /// Fig 8: SD-820 / LG G5, fixed at 998 MHz.
+    const SD_820: PlanSpec = PlanSpec {
+        soc: "SD-820",
+        model: "LG G5",
+        fleet: fleet::lg_g5_study,
+        fixed_freq: MegaHertz(998.0),
+    };
+
+    /// Fig 9: SD-821 / Google Pixel, fixed at 998 MHz.
+    const SD_821: PlanSpec = PlanSpec {
+        soc: "SD-821",
+        model: "Google Pixel",
+        fleet: fleet::pixel_study,
+        fixed_freq: MegaHertz(998.0),
+    };
+
+    /// The five studies of Table II, in release order.
+    pub(crate) const PAPER: [PlanSpec; 5] = [SD_800, SD_805, SD_810, SD_820, SD_821];
+
+    /// Builds every plan of `specs`, ready for [`run_soc_studies`].
+    pub(crate) fn build(specs: &[PlanSpec]) -> Result<Vec<StudyPlan>, BenchError> {
+        specs.iter().map(PlanSpec::plan).collect()
+    }
+
+    /// Fig 6: the SD-800 / Nexus 5 study.
     ///
     /// # Errors
     ///
     /// Propagates harness errors.
     pub fn nexus5(cfg: &ExperimentConfig) -> Result<SocStudy, BenchError> {
-        run_soc_study(
-            "SD-800",
-            "Nexus 5",
-            fleet::nexus5_study()?,
-            MegaHertz(960.0),
-            cfg,
-        )
+        SD_800.run(cfg)
     }
 
-    /// SD-805 / Nexus 6 (no dedicated figure — "negligible variations",
-    /// §IV-A1 — but needed for Table II and Fig 13), fixed at 1032 MHz.
+    /// The SD-805 / Nexus 6 study (Table II and Fig 13 only).
     ///
     /// # Errors
     ///
     /// Propagates harness errors.
     pub fn nexus6(cfg: &ExperimentConfig) -> Result<SocStudy, BenchError> {
-        run_soc_study(
-            "SD-805",
-            "Nexus 6",
-            fleet::nexus6_study()?,
-            MegaHertz(1032.0),
-            cfg,
-        )
+        SD_805.run(cfg)
     }
 
-    /// Fig 7: SD-810 / Nexus 6P, fixed at 384 MHz (both clusters share the
-    /// step; the 20 nm part runs too hot for any higher pinned step to stay
-    /// below its first trip).
+    /// Fig 7: the SD-810 / Nexus 6P study.
     ///
     /// # Errors
     ///
     /// Propagates harness errors.
     pub fn nexus6p(cfg: &ExperimentConfig) -> Result<SocStudy, BenchError> {
-        run_soc_study(
-            "SD-810",
-            "Nexus 6P",
-            fleet::nexus6p_study()?,
-            MegaHertz(384.0),
-            cfg,
-        )
+        SD_810.run(cfg)
     }
 
-    /// Fig 8: SD-820 / LG G5, fixed at 998 MHz.
+    /// Fig 8: the SD-820 / LG G5 study.
     ///
     /// # Errors
     ///
     /// Propagates harness errors.
     pub fn lg_g5(cfg: &ExperimentConfig) -> Result<SocStudy, BenchError> {
-        run_soc_study(
-            "SD-820",
-            "LG G5",
-            fleet::lg_g5_study()?,
-            MegaHertz(998.0),
-            cfg,
-        )
+        SD_820.run(cfg)
     }
 
-    /// Fig 9: SD-821 / Google Pixel, fixed at 998 MHz.
+    /// Fig 9: the SD-821 / Google Pixel study.
     ///
     /// # Errors
     ///
     /// Propagates harness errors.
     pub fn pixel(cfg: &ExperimentConfig) -> Result<SocStudy, BenchError> {
-        run_soc_study(
-            "SD-821",
-            "Google Pixel",
-            fleet::pixel_study()?,
-            MegaHertz(998.0),
-            cfg,
-        )
+        SD_821.run(cfg)
     }
 }
 

@@ -11,7 +11,7 @@
 //! The paper notes these are *lower bounds*: with 3–5 devices per SoC, the
 //! true population spread can only be larger.
 
-use crate::experiments::study::{plans, SocStudy};
+use crate::experiments::study::{plans, run_soc_studies, SocStudy};
 use crate::experiments::ExperimentConfig;
 use crate::report::TextTable;
 use crate::BenchError;
@@ -77,19 +77,13 @@ impl Table2 {
     }
 }
 
-/// Runs all five studies and assembles the summary.
+/// Runs all five studies in one fan-out and assembles the summary.
 ///
 /// # Errors
 ///
 /// Propagates harness errors.
 pub fn run(cfg: &ExperimentConfig) -> Result<Table2, BenchError> {
-    let studies = vec![
-        plans::nexus5(cfg)?,
-        plans::nexus6(cfg)?,
-        plans::nexus6p(cfg)?,
-        plans::lg_g5(cfg)?,
-        plans::pixel(cfg)?,
-    ];
+    let studies = run_soc_studies(plans::build(&plans::PAPER)?, cfg)?;
     let mut rows = Vec::with_capacity(studies.len());
     for s in &studies {
         rows.push(SummaryRow {

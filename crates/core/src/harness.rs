@@ -416,9 +416,21 @@ impl Harness {
 
         let mode = self.protocol.mode;
         let mut t = Seconds::ZERO;
-        let mut full_trace = Trace::new();
-        let mut events: Vec<(Seconds, Event)> = Vec::new();
         let record = self.protocol.record_trace;
+        // A recorded trace is sized for its busy phases up front: one large
+        // allocation instead of a doubling chain that may start in a small
+        // block another thread freed, and so grow in that thread's arena.
+        let busy_steps = |phase: Seconds| {
+            if record {
+                (phase.value() / self.protocol.busy_dt.value()).ceil() as usize
+            } else {
+                0
+            }
+        };
+        let workload_steps = busy_steps(self.protocol.workload);
+        let mut full_trace =
+            Trace::with_capacity(busy_steps(self.protocol.warmup) + workload_steps);
+        let mut events: Vec<(Seconds, Event)> = Vec::new();
         // One report reused for every step of the iteration: with
         // `Device::step_into` this keeps the steady-state loop off the heap.
         let mut report = StepReport::empty();
@@ -500,7 +512,7 @@ impl Harness {
 
         // --- Workload: metered window. ---
         let mut meter = FaultyMeter::new(self.faults.clone());
-        let mut workload_trace = Trace::new();
+        let mut workload_trace = Trace::with_capacity(workload_steps);
         let mut work_cycles = 0.0;
         let mut temp_weighted = 0.0;
         let mut freq_weighted: Vec<f64> = Vec::new();
@@ -529,8 +541,8 @@ impl Harness {
             if self.ambient.in_band() {
                 band_time += dt.value();
             }
-            let sample = report.to_sample(t);
             if record {
+                let sample = report.to_sample(t);
                 full_trace.push(sample.clone());
                 workload_trace.push(sample);
             }

@@ -664,9 +664,12 @@ macro_rules! impl_to_json {
     ($ty:ty { $($field:ident),* $(,)? }) => {
         impl $crate::ToJson for $ty {
             fn to_json(&self) -> $crate::Json {
-                let mut obj = $crate::Json::object();
-                $(obj.insert(stringify!($field), $crate::ToJson::to_json(&self.$field));)*
-                obj
+                // One allocation of the exact field count, not a push-grown
+                // vector: large documents (recorded traces) hold one object
+                // per sample.
+                $crate::Json::Object(vec![
+                    $((stringify!($field).to_owned(), $crate::ToJson::to_json(&self.$field)),)*
+                ])
             }
         }
     };

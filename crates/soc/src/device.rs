@@ -188,7 +188,8 @@ pub struct Device {
     /// bit-identical to the original implementation.
     fast_path: bool,
     /// Per-cluster governor-target → (ladder frequency, nominal voltage)
-    /// memo, keyed on the target's bit pattern (fast path only).
+    /// memo, keyed on the target's bit pattern (fast path only; empty
+    /// until [`Device::set_integrator`] turns the fast path on).
     opp_memo: Vec<Vec<(u64, MegaHertz, Volts)>>,
     /// Per-cluster power cache keyed on (frequency, quantised-temperature
     /// bin, powered cores, utilisation); values are the trimmed rail
@@ -264,7 +265,6 @@ impl Device {
         probe.reset(ambient);
         let last_supply_voltage = supply.terminal_voltage(spec.idle_power);
 
-        let n_clusters = spec.soc.clusters.len();
         Ok(Self {
             spec,
             die,
@@ -281,8 +281,8 @@ impl Device {
             last_supply_voltage,
             time: Seconds::ZERO,
             fast_path: false,
-            opp_memo: vec![Vec::new(); n_clusters],
-            power_cache: vec![Vec::new(); n_clusters],
+            opp_memo: Vec::new(),
+            power_cache: Vec::new(),
         })
     }
 
@@ -304,6 +304,12 @@ impl Device {
         }
         for c in &mut self.power_cache {
             c.clear();
+        }
+        // The per-cluster caches exist only once the fast path is on.
+        if self.fast_path {
+            let n_clusters = self.spec.soc.clusters.len();
+            self.opp_memo.resize_with(n_clusters, Vec::new);
+            self.power_cache.resize_with(n_clusters, Vec::new);
         }
     }
 

@@ -46,6 +46,13 @@ impl Trace {
         Self::default()
     }
 
+    /// Creates an empty trace with room for `capacity` samples.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            samples: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends a sample.
     pub fn push(&mut self, sample: TraceSample) {
         self.samples.push(sample);

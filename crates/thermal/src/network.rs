@@ -236,18 +236,19 @@ impl ThermalNetworkBuilder {
         {
             return Err(ThermalError::NoCapacitiveNodes);
         }
-        // Precompute per-node total conductance for the stability bound.
-        let mut total_conductance = vec![0.0f64; self.nodes.len()];
-        for e in &self.edges {
-            total_conductance[e.a] += e.conductance;
-            total_conductance[e.b] += e.conductance;
-        }
-        // Fastest time constant among capacitive nodes with any coupling.
+        // Fastest time constant among capacitive nodes with any coupling
+        // (per-node total conductance, summed in edge order).
         let mut tau_min = f64::INFINITY;
         for (i, n) in self.nodes.iter().enumerate() {
             if let NodeKind::Capacitive(c) = n.kind {
-                if total_conductance[i] > 0.0 {
-                    tau_min = tau_min.min(c.value() / total_conductance[i]);
+                let total_conductance: f64 = self
+                    .edges
+                    .iter()
+                    .filter(|e| e.a == i || e.b == i)
+                    .map(|e| e.conductance)
+                    .sum();
+                if total_conductance > 0.0 {
+                    tau_min = tau_min.min(c.value() / total_conductance);
                 }
             }
         }
@@ -300,10 +301,12 @@ fn structural_signature(nodes: &[Node], edges: &[Edge]) -> Vec<u64> {
     sig
 }
 
-/// Struct-owned per-step work buffers, sized once at build so the step
-/// loop never touches the heap. `y` holds the state snapshot, `stage` the
+/// Struct-owned per-step work buffers, so the step loop never touches the
+/// heap after its first step. `y` holds the state snapshot, `stage` the
 /// RK4 trial states, and `k1..k4` the derivative evaluations (Euler uses
 /// only `y`/`k1`; Exponential uses `y`/`k1` as mat-vec input/output).
+/// `y`/`k1` are sized at build; the RK4-only buffers on the first RK4
+/// step, so building a network costs two scratch allocations, not six.
 #[derive(Debug, Clone, Default)]
 struct StepScratch {
     y: Vec<f64>,
@@ -315,14 +318,20 @@ struct StepScratch {
 }
 
 impl StepScratch {
+    /// Sizes the buffers every integrator uses; the RK4-only stages stay
+    /// empty until [`StepScratch::size_rk4`].
     fn sized(n: usize) -> Self {
         Self {
             y: vec![0.0; n],
-            stage: vec![0.0; n],
             k1: vec![0.0; n],
-            k2: vec![0.0; n],
-            k3: vec![0.0; n],
-            k4: vec![0.0; n],
+            ..Self::default()
+        }
+    }
+
+    /// Sizes the RK4 stage buffers on first use.
+    fn size_rk4(&mut self, n: usize) {
+        for buf in [&mut self.stage, &mut self.k2, &mut self.k3, &mut self.k4] {
+            buf.resize(n, 0.0);
         }
     }
 }
@@ -563,6 +572,7 @@ impl ThermalNetwork {
     fn substep_rk4(&mut self, substeps: usize, h: f64) {
         let n = self.nodes.len();
         let mut s = std::mem::take(&mut self.scratch);
+        s.size_rk4(n);
         for _ in 0..substeps {
             for (t, node) in s.y.iter_mut().zip(&self.nodes) {
                 *t = node.temp.value();
