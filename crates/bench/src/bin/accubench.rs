@@ -23,20 +23,6 @@
 //!   --resume                    replay a completed journal instead of
 //!                               re-measuring; refuses a journal whose
 //!                               recorded configuration differs
-//!   --threads <n>               accepted for symmetry with `repro sweep`;
-//!                               a single-device session is one unit of
-//!                               work, so it always runs on one worker
-//!   --sample <k>                accepted for symmetry with `repro sweep`;
-//!                               a single-device session has a population
-//!                               of one, so it is always measured exactly
-//!   --sample-strategy <name>    srs|rss|stratified; validated, then
-//!                               ignored for the same reason
-//!   --sample-seed <u64>         validated, then ignored for the same
-//!                               reason
-//!   --oracle                    accepted for symmetry with `repro sweep`;
-//!                               a single session has no streaming
-//!                               aggregate to cross-check, so this is
-//!                               always the exact path
 //!   --max-task-seconds <w>      arm a wall-clock watchdog: a session that
 //!                               runs longer than w seconds is stopped at
 //!                               the next cooperative checkpoint and
@@ -65,12 +51,10 @@ use accubench::journal::{fnv64, Journal, Record};
 use accubench::protocol::Protocol;
 use accubench::session::Verdict;
 use accubench::storage::{FaultyStorage, Storage};
-use accubench::supervise::{DeviceStatus, OnFailure, SupervisionError, Watchdog};
-use accubench::BenchError;
+use accubench::supervise::{DeviceStatus, OnFailure, Watchdog};
 use pv_faults::{FaultHandle, FaultPlan};
 use pv_soc::catalog;
 use pv_soc::faulty::FaultyDevice;
-use pv_stats::sampling::Strategy;
 use pv_units::{Celsius, MegaHertz, Seconds};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -90,11 +74,6 @@ struct Options {
     json: bool,
     journal: Option<String>,
     resume: bool,
-    threads: usize,
-    sample: Option<usize>,
-    sample_strategy: Option<String>,
-    sample_seed: Option<u64>,
-    oracle: bool,
     max_task_seconds: Option<f64>,
     on_failure: OnFailure,
 }
@@ -112,11 +91,6 @@ fn parse_args() -> Result<Options, String> {
         json: false,
         journal: None,
         resume: false,
-        threads: 1,
-        sample: None,
-        sample_strategy: None,
-        sample_seed: None,
-        oracle: false,
         max_task_seconds: None,
         // A lone session has no fleet to degrade into, so failures abort
         // (non-zero exit) unless the caller opts into quarantine.
@@ -158,29 +132,6 @@ fn parse_args() -> Result<Options, String> {
             "--json" => opts.json = true,
             "--journal" => opts.journal = Some(value("--journal")?),
             "--resume" => opts.resume = true,
-            "--threads" => {
-                opts.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads must be a positive integer".to_owned())?
-            }
-            "--sample" => {
-                let k: usize = value("--sample")?
-                    .parse()
-                    .map_err(|_| "--sample must be a positive integer".to_owned())?;
-                if k == 0 {
-                    return Err("--sample must be at least 1".to_owned());
-                }
-                opts.sample = Some(k)
-            }
-            "--sample-strategy" => opts.sample_strategy = Some(value("--sample-strategy")?),
-            "--sample-seed" => {
-                opts.sample_seed = Some(
-                    value("--sample-seed")?
-                        .parse()
-                        .map_err(|_| "--sample-seed must be an unsigned integer".to_owned())?,
-                )
-            }
-            "--oracle" => opts.oracle = true,
             "--max-task-seconds" => {
                 let w: f64 = value("--max-task-seconds")?
                     .parse()
@@ -210,40 +161,6 @@ fn parse_args() -> Result<Options, String> {
     }
     if opts.resume && opts.journal.is_none() {
         return Err("--resume requires --journal <file>".to_owned());
-    }
-    if opts.threads == 0 {
-        return Err("--threads must be at least 1".to_owned());
-    }
-    if opts.threads > 1 {
-        eprintln!(
-            "note: a single-device session is one unit of work; \
-             --threads {} runs it on one worker (use `repro sweep --threads` \
-             to parallelise a fleet)",
-            opts.threads
-        );
-    }
-    if let Some(name) = &opts.sample_strategy {
-        Strategy::parse(name).map_err(|e| format!("--sample-strategy: {e}"))?;
-        if opts.sample.is_none() {
-            return Err("--sample-strategy requires --sample <n>".to_owned());
-        }
-    }
-    if opts.sample_seed.is_some() && opts.sample.is_none() {
-        return Err("--sample-seed requires --sample <n>".to_owned());
-    }
-    if opts.sample.is_some() {
-        eprintln!(
-            "note: a single-device session has a population of one; --sample \
-             is measured exactly here (use `repro sweep --sample` to \
-             subsample a fleet)"
-        );
-    }
-    if opts.oracle {
-        eprintln!(
-            "note: a single session has no streaming aggregate to cross-check; \
-             --oracle has no effect here (use `repro sweep --oracle` for the \
-             exact full-fleet reference)"
-        );
     }
     Ok(opts)
 }
@@ -325,10 +242,8 @@ fn main() -> ExitCode {
                 "usage: accubench --device <model:selector> [--mode unconstrained|<MHz>] \
                  [--iterations N] [--ambient °C] [--scale F] \
                  [--integrator euler|rk4|exponential] [--trace out.csv] \
-                 [--faults plan.toml] [--json] [--journal file] [--resume] [--threads N] \
-                 [--sample K] [--sample-strategy srs|rss|stratified] \
-                 [--sample-seed S] [--oracle] [--max-task-seconds W] \
-                 [--on-failure abort|quarantine]"
+                 [--faults plan.toml] [--json] [--journal file] [--resume] \
+                 [--max-task-seconds W] [--on-failure abort|quarantine]"
             );
             return ExitCode::FAILURE;
         }
@@ -526,14 +441,12 @@ fn main() -> ExitCode {
         "measuring {device}: {} iteration(s), mode {} ...",
         opts.iterations, opts.mode
     );
+    // The end-of-session records commit together: one write, one fsync.
     let journal_end = |journal: &mut Option<Journal>, mut records: Vec<Record>| {
         if let Some(j) = journal.as_mut() {
             records.push(Record::Complete { devices: 1 });
-            for r in &records {
-                if let Err(e) = j.append(r) {
-                    eprintln!("warning: journal append failed: {e}");
-                    return;
-                }
+            if let Err(e) = j.append_all(&records) {
+                eprintln!("warning: journal append failed: {e}");
             }
         }
     };
@@ -557,14 +470,7 @@ fn main() -> ExitCode {
         Ok(Err(e)) => {
             // A fatal session error is deterministic, so it completes the
             // journal: --resume replays the failure instead of re-running.
-            let status = match &e {
-                BenchError::Supervision(
-                    SupervisionError::SimBudget { .. }
-                    | SupervisionError::WallClock { .. }
-                    | SupervisionError::Killed,
-                ) => DeviceStatus::TimedOut,
-                _ => DeviceStatus::Failed,
-            };
+            let status = DeviceStatus::of_error(&e);
             journal_end(
                 &mut journal,
                 vec![Record::Outcome {

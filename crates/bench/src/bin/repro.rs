@@ -60,8 +60,11 @@
 //! per-device pseudo-random fault injection to exercise the resilient
 //! path. `--threads` (default: the host's available parallelism) fans
 //! device sessions out across a work-stealing pool; the report, database
-//! and journal stay bit-identical to `--threads 1`. Any other `--flag` is
-//! rejected with the usage text and a failing exit status.
+//! and journal stay bit-identical to `--threads 1`.
+//!
+//! Every flag comes from one table that names the targets reading it. An
+//! unknown, unread, repeated or value-less flag, or an extra argument,
+//! fails with the usage text and exit status 1 (`list` tolerates flags).
 //!
 //! By default the sweep runs on the **streaming aggregation engine**
 //! (DESIGN.md §16): per-worker partial aggregates (count/mean/M2 moments, a
@@ -183,81 +186,99 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Every flag that takes a value: the token after one is its value, never
-/// a positional target.
-const VALUE_FLAGS: &[&str] = &[
-    "--export",
-    "--faults",
-    "--devices",
-    "--seed",
-    "--journal",
-    "--threads",
-    "--integrator",
-    "--max-task-seconds",
-    "--on-failure",
-    "--chaos-seed",
-    "--chaos-panics",
-    "--chaos-stalls",
-    "--storage-faults",
-    "--storage-escalation",
-    "--sample",
-    "--sample-strategy",
-    "--sample-seed",
+/// Flag kinds: a value flag's value is the token after it, never a
+/// positional target.
+const VALUE: bool = true;
+const SWITCH: bool = false;
+
+/// Reader sets: `experiments` stands for `all` and every experiment.
+const EXPERIMENT: &[&str] = &["experiments"];
+const SWEEP: &[&str] = &["sweep"];
+const EXPERIMENT_OR_SWEEP: &[&str] = &["experiments", "sweep"];
+
+/// A flag's name, whether it takes a value, and the targets that read it.
+type Flag = (&'static str, bool, &'static [&'static str]);
+
+/// Every flag `repro` knows. An unknown flag, or one the target does not
+/// read, fails through [`usage`]; `list` reads none but tolerates all.
+const FLAGS: &[Flag] = &[
+    ("--quick", SWITCH, EXPERIMENT_OR_SWEEP),
+    ("--json", SWITCH, EXPERIMENT_OR_SWEEP),
+    ("--integrator", VALUE, EXPERIMENT_OR_SWEEP),
+    ("--export", VALUE, EXPERIMENT),
+    ("--faults", VALUE, EXPERIMENT),
+    ("--verbose", SWITCH, EXPERIMENT),
+    ("--devices", VALUE, SWEEP),
+    ("--seed", VALUE, SWEEP),
+    ("--journal", VALUE, SWEEP),
+    ("--resume", SWITCH, SWEEP),
+    ("--threads", VALUE, SWEEP),
+    ("--max-task-seconds", VALUE, SWEEP),
+    ("--on-failure", VALUE, SWEEP),
+    ("--chaos-seed", VALUE, SWEEP),
+    ("--chaos-panics", VALUE, SWEEP),
+    ("--chaos-stalls", VALUE, SWEEP),
+    ("--storage-faults", VALUE, SWEEP),
+    ("--storage-escalation", VALUE, SWEEP),
+    ("--sample", VALUE, SWEEP),
+    ("--sample-strategy", VALUE, SWEEP),
+    ("--sample-seed", VALUE, SWEEP),
+    ("--oracle", SWITCH, SWEEP),
+    ("--repair", SWITCH, &["fsck"]),
 ];
 
-/// Every flag that takes no value. Any `--flag` in neither list is a typo
-/// (or a removed option) and fails through [`usage`].
-const SWITCHES: &[&str] = &[
-    "--quick",
-    "--json",
-    "--oracle",
-    "--resume",
-    "--verbose",
-    "--repair",
-];
-
-/// The command line, split once against [`VALUE_FLAGS`] and [`SWITCHES`].
+/// The command line, split once against [`FLAGS`].
 struct Flags<'a> {
-    values: HashMap<&'static str, &'a str>,
-    switches: Vec<&'static str>,
+    /// Every flag given, with its value (`None` for a switch).
+    given: Vec<(&'static Flag, Option<&'a str>)>,
 }
 
 impl<'a> Flags<'a> {
-    /// Splits `args` into flags and positional targets. `Err` names the
-    /// first `--flag` that is in neither table.
-    fn parse(args: &'a [String]) -> Result<(Self, Vec<&'a str>), &'a str> {
-        let mut flags = Flags {
-            values: HashMap::new(),
-            switches: Vec::new(),
-        };
+    /// Splits `args` into flags and positional arguments. `Err` describes
+    /// the first `--flag` that is unknown, repeated, or missing its value.
+    fn parse(args: &'a [String]) -> Result<(Self, Vec<&'a str>), String> {
+        let mut given: Vec<(&Flag, _)> = Vec::new();
         let mut positional = Vec::new();
         let mut tokens = args.iter().map(String::as_str);
         while let Some(arg) = tokens.next() {
-            if let Some(&flag) = VALUE_FLAGS.iter().find(|f| **f == arg) {
-                if let Some(value) = tokens.next() {
-                    flags.values.entry(flag).or_insert(value);
+            if let Some(flag) = FLAGS.iter().find(|f| f.0 == arg) {
+                if given.iter().any(|(f, _)| f.0 == arg) {
+                    return Err(format!("{arg} given more than once"));
                 }
-            } else if let Some(&flag) = SWITCHES.iter().find(|f| **f == arg) {
-                flags.switches.push(flag);
+                // A switch consumes no token; a value flag the next one.
+                let value = match flag.1.then(|| tokens.next()) {
+                    Some(None) => return Err(format!("{arg} requires a value")),
+                    value => value.flatten(),
+                };
+                given.push((flag, value));
             } else if arg.starts_with("--") {
-                return Err(arg);
+                return Err(format!("unknown flag {arg}"));
             } else {
                 positional.push(arg);
             }
         }
-        Ok((flags, positional))
+        Ok((Flags { given }, positional))
     }
 
-    /// The value given for `flag`, which must be in [`VALUE_FLAGS`].
+    /// The first flag given that `command` does not read.
+    fn unread_by(&self, command: &str) -> Option<&'static str> {
+        let unread = self.given.iter().find(|(f, _)| !f.2.contains(&command));
+        unread.map(|(f, _)| f.0)
+    }
+
+    /// The value given for `flag`, which must be a value flag in [`FLAGS`].
     fn value(&self, flag: &str) -> Option<&'a str> {
-        debug_assert!(VALUE_FLAGS.contains(&flag), "{flag} is not in VALUE_FLAGS");
-        self.values.get(flag).copied()
+        debug_assert!(FLAGS.iter().any(|f| f.0 == flag && f.1 == VALUE));
+        self.given
+            .iter()
+            .find(|(f, _)| f.0 == flag)
+            .and_then(|g| g.1)
     }
 
-    /// Whether `flag`, which must be in [`SWITCHES`], was given.
+    /// Whether `flag`, which must be a switch in [`FLAGS`], was given.
     fn switch(&self, flag: &str) -> bool {
-        debug_assert!(SWITCHES.contains(&flag), "{flag} is not in SWITCHES");
-        self.switches.contains(&flag)
+        debug_assert!(FLAGS.iter().any(|f| f.0 == flag && f.1 == SWITCH));
+        self.given.iter().any(|(f, _)| f.0 == flag)
     }
 }
 
@@ -265,8 +286,33 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (flags, positional) = match Flags::parse(&args) {
         Ok(parsed) => parsed,
-        Err(unknown) => {
-            eprintln!("unknown flag {unknown}");
+        Err(e) => {
+            eprintln!("{e}");
+            return usage();
+        }
+    };
+    let Some(&target) = positional.first() else {
+        return usage();
+    };
+    // The reader-set name of `target` (see `FLAGS`).
+    let command = match target {
+        "list" | "sweep" | "fsck" | "verify" => target,
+        _ => "experiments",
+    };
+    if command == "list" {
+        println!("{}", EXPERIMENTS.join("\n"));
+        return ExitCode::SUCCESS;
+    }
+    if let Some(flag) = flags.unread_by(command) {
+        eprintln!("{target}: {flag} has no effect on this target");
+        return usage();
+    }
+    // Only `fsck` and `verify` take an operand (a path).
+    let operand = match positional[1..] {
+        [] => None,
+        [path] if matches!(command, "fsck" | "verify") => Some(path),
+        [.., extra] => {
+            eprintln!("{target}: unexpected argument {extra}");
             return usage();
         }
     };
@@ -275,24 +321,15 @@ fn main() -> ExitCode {
     let verbose = flags.switch("--verbose");
     let export_dir = flags.value("--export");
     let faults_path = flags.value("--faults");
-    let mut positional = positional.into_iter();
-    let target = match positional.next() {
-        Some(t) => t,
-        None => return usage(),
-    };
-    if target == "list" {
-        println!("{}", EXPERIMENTS.join("\n"));
-        return ExitCode::SUCCESS;
-    }
-    if target == "fsck" {
-        let Some(path) = positional.next() else {
+    if command == "fsck" {
+        let Some(path) = operand else {
             eprintln!("fsck: missing journal path");
             return usage();
         };
         return run_fsck(path, flags.switch("--repair"));
     }
-    if target == "verify" {
-        let Some(dir) = positional.next() else {
+    if command == "verify" {
+        let Some(dir) = operand else {
             eprintln!("verify: missing export directory");
             return usage();
         };
@@ -321,7 +358,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if target == "sweep" {
+    if command == "sweep" {
         return run_sweep(&cfg, &flags);
     }
     let fault_plan = match faults_path {

@@ -1,13 +1,8 @@
 //! Benchmark harness crate. See benches/ and src/bin/repro.rs.
 //!
-//! The [`timing`] module is a dependency-free stand-in for the subset of
-//! the Criterion API the benches use, so `cargo bench` works offline —
-//! upgraded to a statistics engine: fixed (pinned or once-calibrated)
-//! iteration counts, high sample counts with clean-state hooks, and
-//! robust p50/p90/MAD reporting with a `noisy` relative-spread
-//! guardrail ([`stats`]).
-//!
-//! The perf benches (`sweep`, `step`) write their results in the shared
+//! The perf benches (`sweep`, `step`) summarise their samples with robust
+//! p50/p90/MAD statistics and a `noisy` relative-spread guardrail
+//! ([`stats`]), write their results in the shared
 //! `pv-bench-report/v1` JSON schema ([`report`]), and the `benchdiff`
 //! binary ([`diff`]) gates fresh reports against the committed baselines
 //! under `benches/baselines/` in CI. DESIGN.md §14 documents the
@@ -19,4 +14,3 @@
 pub mod diff;
 pub mod report;
 pub mod stats;
-pub mod timing;

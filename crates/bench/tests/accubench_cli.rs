@@ -1,0 +1,101 @@
+//! The `accubench` binary's command line: removed options fail with the
+//! usage text, and a journaled run replays on `--resume`, refuses a
+//! journal written under a different configuration, and commits the end
+//! of its session at once.
+
+use std::path::Path;
+use std::process::{Command, Output};
+
+/// Runs one short session with the whitespace-split `extra` options, then
+/// `tail` (kept whole, so it may hold a path).
+fn accubench(extra: &str, tail: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_accubench"))
+        .args("--device nexus5:2 --scale 0.1 --iterations 2".split_whitespace())
+        .args(extra.split_whitespace())
+        .args(tail)
+        .output()
+        .expect("accubench binary runs")
+}
+
+fn journaled(journal: &Path, extra: &str) -> Output {
+    accubench(extra, &["--journal", journal.to_str().unwrap()])
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn removed_sweep_flags_are_unknown_options() {
+    for flag in [
+        "--threads 2",
+        "--sample 1",
+        "--sample-strategy srs",
+        "--sample-seed 1",
+        "--oracle",
+    ] {
+        let out = accubench(flag, &[]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {err}");
+        let name = flag.split(' ').next().unwrap();
+        assert!(err.contains(&format!("unknown option: {name}")), "{err}");
+        assert!(err.contains("usage: accubench"), "{flag}: {err}");
+        assert!(out.stdout.is_empty(), "{flag} measured anyway");
+    }
+}
+
+#[test]
+fn resume_replays_the_journaled_verdict_without_measuring() {
+    let dir = accubench::storage::TempDir::new("accubench-resume");
+    let journal = dir.file("run.journal");
+    let first = journaled(&journal, "");
+    assert!(first.status.success(), "{}", stderr(&first));
+    let bytes = std::fs::read(&journal).unwrap();
+
+    let replay = journaled(&journal, "--resume");
+    let err = stderr(&replay);
+    assert!(replay.status.success(), "{err}");
+    assert!(!err.contains("measuring"), "re-measured: {err}");
+    let stdout = String::from_utf8_lossy(&replay.stdout);
+    assert!(stdout.contains("journaled result for bin-2"), "{stdout}");
+    assert!(stdout.contains("verdict: valid"), "{stdout}");
+    assert_eq!(std::fs::read(&journal).unwrap(), bytes, "replay wrote");
+}
+
+#[test]
+fn resume_refuses_a_journal_of_a_different_configuration() {
+    let dir = accubench::storage::TempDir::new("accubench-refuse");
+    let journal = dir.file("run.journal");
+    assert!(journaled(&journal, "").status.success());
+
+    let out = journaled(&journal, "--iterations 3 --resume");
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("different configuration"), "{err}");
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn end_of_session_records_commit_as_one_write() {
+    // Storage operations 0-4 are the journal's creation, the header's
+    // write + fsync and one write + fsync for the whole end of the
+    // session. A persistent I/O fault from operation 5 on therefore
+    // never touches a run that commits its end in one batch.
+    let dir = accubench::storage::TempDir::new("accubench-one-commit");
+    let plan = dir.file("storage.toml");
+    let toml = "[[event]]\nkind = \"storage-eio-persistent\"\nat = 5.0\nduration = 1000.0\n";
+    std::fs::write(&plan, toml).unwrap();
+    let journal = dir.file("run.journal");
+    let faults = ["--faults", plan.to_str().unwrap()];
+    let journal_flag = ["--journal", journal.to_str().unwrap()];
+
+    let out = accubench("", &[&faults[..], &journal_flag].concat());
+    let err = stderr(&out);
+    assert!(out.status.success(), "{err}");
+    assert!(!err.contains("journal append failed"), "{err}");
+
+    let replay = accubench("--resume", &[&faults[..], &journal_flag].concat());
+    assert!(replay.status.success(), "{}", stderr(&replay));
+    let stdout = String::from_utf8_lossy(&replay.stdout);
+    assert!(stdout.contains("journaled result for bin-2"), "{stdout}");
+}

@@ -52,3 +52,45 @@ fn journaled_sweep_reports_its_commits_on_stderr_only() {
     );
     assert_eq!(journaled.stdout, plain.stdout);
 }
+
+/// Runs `repro` on the whitespace-split `line` and asserts it refused the
+/// command line before doing any work: exit 1, `reason` and the usage
+/// text on stderr, nothing on stdout.
+fn assert_refused(line: &str, reason: &str) {
+    let out = repro(&line.split_whitespace().collect::<Vec<_>>());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{line}: {stderr}");
+    assert!(stderr.contains(reason), "{line}: {stderr}");
+    assert!(stderr.contains("usage: repro"), "{line}: {stderr}");
+    assert!(out.stdout.is_empty(), "{line} ran anyway");
+}
+
+#[test]
+fn value_flag_without_a_value_is_refused() {
+    // A trailing `--seed` must not run an unfaulted sweep.
+    let sweep = "sweep --quick --devices 1 --seed";
+    assert_refused(sweep, "--seed requires a value");
+    assert_refused("table1 --faults", "--faults requires a value");
+}
+
+#[test]
+fn repeated_flag_is_refused() {
+    let sweep = "sweep --quick --devices 4 --devices 9";
+    assert_refused(sweep, "--devices given more than once");
+}
+
+#[test]
+fn flag_the_target_does_not_read_is_refused() {
+    let sweep = "sweep --quick --devices 1 --faults /nonexistent.toml --export /nonexistent-dir";
+    assert_refused(sweep, "--faults has no effect");
+    let dir = accubench::storage::TempDir::new("repro-unread-flag");
+    let journal = dir.file("x.journal");
+    let table1 = format!("table1 --journal {} --resume", journal.display());
+    assert_refused(&table1, "--journal has no effect");
+    assert!(!journal.exists(), "table1 wrote a journal");
+}
+
+#[test]
+fn extra_targets_are_refused() {
+    assert_refused("table1 fig3", "unexpected argument fig3");
+}

@@ -895,14 +895,7 @@ fn run_attempt(cfg: &SweepConfig, index: usize, fleet: usize, device: &Device) -
     let attempt = match caught {
         Ok(Ok(session)) => Attempt::Finished(session),
         Ok(Err(e)) => Attempt::Failed {
-            status: match &e {
-                BenchError::Supervision(
-                    SupervisionError::SimBudget { .. }
-                    | SupervisionError::WallClock { .. }
-                    | SupervisionError::Killed,
-                ) => DeviceStatus::TimedOut,
-                _ => DeviceStatus::Failed,
-            },
+            status: DeviceStatus::of_error(&e),
             detail: e.to_string(),
             backtrace: None,
         },

@@ -34,6 +34,7 @@ use std::fmt;
 use std::time::Instant;
 
 use crate::journal::CancelToken;
+use crate::BenchError;
 use pv_faults::{FaultEvent, FaultKind};
 use pv_json::{FromJson, Json, ToJson};
 use pv_rng::{Rng, SeedableRng, StdRng};
@@ -317,6 +318,20 @@ impl DeviceStatus {
         }
     }
 
+    /// Final status of a session that ended in `error`: a tripped watchdog
+    /// budget or kill switch is [`DeviceStatus::TimedOut`], anything else
+    /// [`DeviceStatus::Failed`].
+    pub fn of_error(error: &BenchError) -> Self {
+        match error {
+            BenchError::Supervision(
+                SupervisionError::SimBudget { .. }
+                | SupervisionError::WallClock { .. }
+                | SupervisionError::Killed,
+            ) => DeviceStatus::TimedOut,
+            _ => DeviceStatus::Failed,
+        }
+    }
+
     /// Inverse of [`DeviceStatus::as_str`].
     pub fn parse(s: &str) -> Option<Self> {
         match s {
@@ -508,6 +523,16 @@ mod tests {
         }
         assert_eq!(DeviceStatus::parse("nope"), None);
         assert_eq!(OnFailure::parse("nope"), None);
+    }
+
+    #[test]
+    fn watchdog_trips_are_timeouts_and_other_errors_failures() {
+        let status = |e: SupervisionError| DeviceStatus::of_error(&e.into());
+        assert_eq!(status(SupervisionError::Killed), DeviceStatus::TimedOut);
+        let wall = SupervisionError::WallClock { limit_s: 1.0 };
+        assert_eq!(status(wall), DeviceStatus::TimedOut);
+        let protocol = BenchError::InvalidProtocol("bad");
+        assert_eq!(DeviceStatus::of_error(&protocol), DeviceStatus::Failed);
     }
 
     #[test]

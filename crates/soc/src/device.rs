@@ -37,9 +37,6 @@ const POWER_CACHE_TEMP_QUANTUM: f64 = 0.1;
 /// points. Steady states touch a handful; throttle ladders a few dozen.
 const POWER_CACHE_CAP: usize = 64;
 
-/// Per-cluster cap on memoised governor-target → OPP resolutions.
-const OPP_MEMO_CAP: usize = 16;
-
 /// What the CPU cores are asked to do this step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CpuDemand {
@@ -183,14 +180,10 @@ pub struct Device {
     supply: Box<dyn PowerSupply>,
     last_supply_voltage: Volts,
     time: Seconds,
-    /// True iff the network runs [`Integrator::Exponential`]. Gates the OPP
-    /// memo and power cache so the Euler/RK4 reference paths stay
-    /// bit-identical to the original implementation.
+    /// True iff the network runs [`Integrator::Exponential`]. Gates the
+    /// power cache so the Euler/RK4 reference paths stay bit-identical to
+    /// the original implementation.
     fast_path: bool,
-    /// Per-cluster governor-target → (ladder frequency, nominal voltage)
-    /// memo, keyed on the target's bit pattern (fast path only; empty
-    /// until [`Device::set_integrator`] turns the fast path on).
-    opp_memo: Vec<Vec<(u64, MegaHertz, Volts)>>,
     /// Per-cluster power cache keyed on (frequency, quantised-temperature
     /// bin, powered cores, utilisation); values are the trimmed rail
     /// voltage and modelled power computed *at the quantised temperature*,
@@ -281,7 +274,6 @@ impl Device {
             last_supply_voltage,
             time: Seconds::ZERO,
             fast_path: false,
-            opp_memo: Vec::new(),
             power_cache: Vec::new(),
         })
     }
@@ -292,24 +284,20 @@ impl Device {
     }
 
     /// Selects the thermal integration scheme. [`Integrator::Exponential`]
-    /// additionally enables the device-level fast path (OPP memoisation and
-    /// the quantised-temperature power cache); Euler/RK4 run the original
-    /// reference arithmetic bit-for-bit. Caches are cleared on every
+    /// additionally enables the device-level fast path (the
+    /// quantised-temperature power cache); Euler/RK4 run the original
+    /// reference arithmetic bit-for-bit. The cache is cleared on every
     /// switch, so alternating schemes cannot leak stale entries.
     pub fn set_integrator(&mut self, integrator: Integrator) {
         self.network.set_integrator(integrator);
         self.fast_path = integrator == Integrator::Exponential;
-        for m in &mut self.opp_memo {
-            m.clear();
-        }
         for c in &mut self.power_cache {
             c.clear();
         }
-        // The per-cluster caches exist only once the fast path is on.
+        // The per-cluster cache exists only once the fast path is on.
         if self.fast_path {
-            let n_clusters = self.spec.soc.clusters.len();
-            self.opp_memo.resize_with(n_clusters, Vec::new);
-            self.power_cache.resize_with(n_clusters, Vec::new);
+            self.power_cache
+                .resize_with(self.spec.soc.clusters.len(), Vec::new);
         }
     }
 
@@ -487,30 +475,10 @@ impl Device {
                 target = table.min_freq();
             }
 
-            // OPP resolution: ladder snap + nominal voltage, memoised per
-            // target on the fast path (the ladder is fixed per device).
-            let freq = if self.fast_path {
-                let memo = &mut self.opp_memo[ci];
-                let bits = target.value().to_bits();
-                if let Some(pos) = memo.iter().position(|e| e.0 == bits) {
-                    let hit = memo[pos];
-                    if pos != 0 {
-                        memo.swap(pos, pos - 1);
-                    }
-                    hit.1
-                } else {
-                    let f = table
-                        .highest_freq_at_or_below(target)
-                        .unwrap_or_else(|| table.min_freq());
-                    memo.truncate(OPP_MEMO_CAP - 1);
-                    memo.insert(0, (bits, f, table.voltage_at(f)));
-                    f
-                }
-            } else {
-                table
-                    .highest_freq_at_or_below(target)
-                    .unwrap_or_else(|| table.min_freq())
-            };
+            // OPP resolution: snap the target down onto the ladder.
+            let freq = table
+                .highest_freq_at_or_below(target)
+                .unwrap_or_else(|| table.min_freq());
 
             // Hotplug floor.
             let mut cores = cluster.cores;

@@ -1,10 +1,10 @@
-//! Bit-identity tests for the device-level fast path: the OPP memo and
-//! the quantised-temperature power cache must be pure lookups — a cache
-//! hit has to reproduce, bit for bit, what an exact recompute at the
+//! Bit-identity tests for the device-level fast path: the
+//! quantised-temperature power cache must be a pure lookup — a cache hit
+//! has to reproduce, bit for bit, what an exact recompute at the
 //! quantised temperature would produce.
 //!
-//! The trick: [`pv_soc::device::Device::set_integrator`] clears both
-//! caches on every call. Stepping a twin device that re-selects the
+//! The trick: [`pv_soc::device::Device::set_integrator`] clears the cache
+//! on every call. Stepping a twin device that re-selects the
 //! integrator before *every* step forces a cache miss (and therefore an
 //! exact recompute) at each step, while the device under test runs with
 //! warm caches. Identical telemetry across the whole trajectory proves
@@ -81,8 +81,8 @@ fn assert_reports_bit_identical(a: &StepReport, b: &StepReport, step: usize) {
 
 /// Warm-cache stepping vs forced-miss stepping on the RBCPR Pixel: every
 /// report must match bit for bit. This is the satellite's "cache hits are
-/// bit-identical to recomputation" guarantee, covering both the OPP memo
-/// (frequencies) and the power cache (voltages/power), including RBCPR
+/// bit-identical to recomputation" guarantee, covering the frequencies
+/// and the power cache (voltages/power), including RBCPR
 /// trim invalidation as the die heats through temperature bins.
 #[test]
 fn fast_path_cache_hits_bit_identical_to_forced_recompute() {
@@ -97,8 +97,8 @@ fn fast_path_cache_hits_bit_identical_to_forced_recompute() {
     let mut ra = StepReport::empty();
     let mut rb = StepReport::empty();
     for (step, &(dt, demand, mode)) in trajectory().iter().enumerate() {
-        // Re-selecting the integrator clears the OPP memo and power cache,
-        // so every one of `cold`'s steps recomputes from scratch.
+        // Re-selecting the integrator clears the power cache, so every one
+        // of `cold`'s steps recomputes from scratch.
         cold.set_integrator(Integrator::Exponential);
         warm.step_into(dt, demand, mode, &mut ra).unwrap();
         cold.step_into(dt, demand, mode, &mut rb).unwrap();

@@ -5,8 +5,8 @@
 //! iteration at the Nexus 6's top frequency (§III). This crate provides:
 //!
 //! * [`pi`] — a real [Rabinowitz–Wagon spigot](pi::pi_digits) that computes
-//!   π digits on the host. Examples and Criterion benches use it for
-//!   genuine CPU-bound work, and its output is verified against the known
+//!   π digits on the host. The host examples use it for genuine
+//!   CPU-bound work, and its output is verified against the known
 //!   expansion.
 //! * [`kernels`] — additional host kernels (FLOP-bound matmul,
 //!   bandwidth-bound STREAM triad) behind one [`kernels::Kernel`] trait.

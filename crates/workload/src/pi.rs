@@ -2,10 +2,10 @@
 //!
 //! This is the actual arithmetic the paper's benchmark app performs in its
 //! JavaScript worker: compute the first 4,285 decimal digits of π, in a
-//! loop, on every core. The host-side examples and Criterion benches run
-//! this Rust port for genuine CPU-bound load; its output is testable
-//! against the known expansion, which also guards against the compiler
-//! optimising the benchmark away.
+//! loop, on every core. The host-side examples run this Rust port for
+//! genuine CPU-bound load; its output is testable against the known
+//! expansion, which also guards against the compiler optimising the
+//! benchmark away.
 
 use crate::WorkloadError;
 
