@@ -28,7 +28,8 @@ use crate::report::TextTable;
 use crate::session::{Session, Verdict};
 use crate::storage::StorageEscalation;
 use crate::supervise::{
-    DeviceStatus, OnFailure, SessionChaos, SupervisionError, SupervisionPolicy, Watchdog,
+    ChaosVictims, DeviceStatus, OnFailure, SessionChaos, SupervisionError, SupervisionPolicy,
+    Watchdog,
 };
 use crate::BenchError;
 use core::fmt;
@@ -838,7 +839,7 @@ struct AttemptFailure {
 
 /// Builds device `index`'s fault handle: the seeded instrument plan (when
 /// armed) spliced with any session-chaos events targeting this device.
-fn fault_handle_for(cfg: &SweepConfig, index: usize, fleet: usize) -> FaultHandle {
+fn fault_handle_for(cfg: &SweepConfig, index: usize, chaos: Option<&ChaosVictims>) -> FaultHandle {
     let mut plan = match cfg.fault_seed {
         Some(seed) => FaultPlan::generate(
             seed.wrapping_add(index as u64),
@@ -849,8 +850,8 @@ fn fault_handle_for(cfg: &SweepConfig, index: usize, fleet: usize) -> FaultHandl
         None => FaultPlan::empty(),
     };
     let mut armed = cfg.fault_seed.is_some();
-    if let Some(chaos) = &cfg.chaos {
-        for event in chaos.events_for(index, fleet) {
+    if let Some(chaos) = chaos {
+        for event in chaos.events_for(index) {
             plan = plan.with_event(event);
             armed = true;
         }
@@ -877,8 +878,13 @@ enum Attempt {
 /// fault handle and watchdog, with `catch_unwind` isolation. Returns the
 /// attempt result plus the fault-report count (which survives panics: the
 /// handle lives outside the unwind boundary).
-fn run_attempt(cfg: &SweepConfig, index: usize, fleet: usize, device: &Device) -> (Attempt, usize) {
-    let handle = fault_handle_for(cfg, index, fleet);
+fn run_attempt(
+    cfg: &SweepConfig,
+    index: usize,
+    chaos: Option<&ChaosVictims>,
+    device: &Device,
+) -> (Attempt, usize) {
+    let handle = fault_handle_for(cfg, index, chaos);
     let fresh = device.clone();
     let session_handle = handle.clone();
     let caught = executor::run_caught(move || -> Result<Session, BenchError> {
@@ -911,19 +917,24 @@ fn run_attempt(cfg: &SweepConfig, index: usize, fleet: usize, device: &Device) -
 /// Supervises one device session — the parallel-safe unit of work. It
 /// clones its device per attempt, builds per-attempt fault handles,
 /// watchdogs and harnesses, and touches no shared state, so its result is
-/// a pure function of `(cfg, index, fleet, device)` regardless of which
+/// a pure function of `(cfg, index, chaos, device)` regardless of which
 /// worker thread runs it. Infallible by construction: every failure mode
 /// (panic, watchdog trip, fatal session error) folds into the returned
 /// outcome, and escalation beyond quarantine is the *sink's* decision.
 /// The returned outcome's `accepted` flag is a placeholder; the sink
 /// stamps it.
-fn supervise_device(cfg: &SweepConfig, index: usize, fleet: usize, device: &Device) -> DeviceRun {
+fn supervise_device(
+    cfg: &SweepConfig,
+    index: usize,
+    chaos: Option<&ChaosVictims>,
+    device: &Device,
+) -> DeviceRun {
     let label = device.label().to_owned();
     let max_attempts = cfg.supervision.max_attempts.max(1);
     let mut failures: Vec<AttemptFailure> = Vec::new();
     let mut reports = 0usize;
     for attempt in 1..=max_attempts {
-        let (result, fault_reports) = run_attempt(cfg, index, fleet, device);
+        let (result, fault_reports) = run_attempt(cfg, index, chaos, device);
         reports = fault_reports;
         match result {
             Attempt::Finished(session) => {
@@ -1076,7 +1087,7 @@ fn prepare_journal(
 /// hand-assembled journal) are replayed, not re-run.
 fn run_chunk(
     cfg: &SweepConfig,
-    total: usize,
+    chaos: Option<&ChaosVictims>,
     chunk: Vec<(usize, Device)>,
     restored: &RestoredMap,
 ) -> Vec<DeviceRun> {
@@ -1092,7 +1103,7 @@ fn run_chunk(
                     failures: Vec::new(),
                 };
             }
-            supervise_device(cfg, index, total, &device)
+            supervise_device(cfg, index, chaos, &device)
         })
         .collect()
 }
@@ -1406,6 +1417,8 @@ fn sweep<S: SweepSink>(
         start = end;
     }
     let folder = sink.folder();
+    let chaos = cfg.chaos.as_ref().map(|c| c.resolve(total));
+    let chaos = chaos.as_ref();
     let restored = &restored;
     let starts = &starts;
     let mut writer = GroupWriter {
@@ -1422,7 +1435,7 @@ fn sweep<S: SweepSink>(
         threads,
         cancel,
         |chunk_index, chunk: Vec<(usize, Device)>| {
-            let mut runs = run_chunk(cfg, total, chunk, restored);
+            let mut runs = run_chunk(cfg, chaos, chunk, restored);
             let partial = S::prefold(&folder, starts[chunk_index], &mut runs);
             (runs, partial)
         },

@@ -345,10 +345,15 @@ impl PanicSummary {
 
     /// One-line deterministic rendering (payload + location, no
     /// backtrace) — safe to embed in journaled outcomes.
+    ///
+    /// An [injected](PanicSummary::injected) panic's headline carries no
+    /// location: it is always the same `panic!` in the harness, and its
+    /// `file:line` would tie journal bytes to the build path and to the
+    /// line numbers of that file.
     pub fn headline(&self) -> String {
         match &self.location {
-            Some(loc) => format!("panic: {} (at {loc})", self.payload),
-            None => format!("panic: {}", self.payload),
+            Some(loc) if !self.injected() => format!("panic: {} (at {loc})", self.payload),
+            _ => format!("panic: {}", self.payload),
         }
     }
 }
@@ -551,7 +556,7 @@ mod tests {
     }
 
     /// Renders a supervised run as comparable, deterministic strings
-    /// (payload + location only; no backtrace).
+    /// (headline and captured location; no backtrace).
     fn supervised_trace(total: u64, threads: usize) -> Vec<String> {
         let mut trace = Vec::new();
         let done: Result<usize, ()> = map_supervised(
@@ -567,7 +572,9 @@ mod tests {
             |i, outcome| {
                 trace.push(match outcome {
                     TaskOutcome::Completed(r) => format!("{i}:ok:{r}"),
-                    TaskOutcome::Panicked(p) => format!("{i}:panic:{}", p.headline()),
+                    TaskOutcome::Panicked(p) => {
+                        format!("{i}:panic:{} @{:?}", p.headline(), p.location)
+                    }
                 });
                 Ok(())
             },
@@ -585,6 +592,10 @@ mod tests {
                 assert!(line.contains("panic:"), "{line}");
                 assert!(line.contains(&format!("task {i} crashed")), "{line}");
                 assert!(line.contains("executor.rs"), "location captured: {line}");
+                assert!(
+                    !line.contains(" (at "),
+                    "injected headline has a location: {line}"
+                );
             } else {
                 assert_eq!(line, &format!("{i}:ok:{}", i * 2));
             }
@@ -634,6 +645,12 @@ mod tests {
             .as_deref()
             .unwrap_or("")
             .contains("executor.rs"));
+        assert!(
+            err.headline().starts_with("panic: plain bug (at ")
+                && err.headline().contains("executor.rs"),
+            "a real panic's headline keeps its location: {}",
+            err.headline()
+        );
         assert_eq!(run_caught(|| 41 + 1), Ok(42));
     }
 

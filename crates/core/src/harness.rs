@@ -344,7 +344,7 @@ impl Harness {
         if self.faults.is_armed() {
             if let Some(event) = self.faults.active(FaultKind::SessionPanic) {
                 self.faults
-                    .report_once(&event, "session task panicked (injected)");
+                    .report_once(&event, || "session task panicked (injected)".into());
                 // Caught by the sweep executor's `catch_unwind` and
                 // summarized into a `TaskOutcome::Panicked`; the message is
                 // deterministic (simulated fault-clock time, not wall time).
@@ -369,7 +369,7 @@ impl Harness {
     /// (chaos stall windows are effectively infinite).
     fn stall_through(&mut self, event: pv_faults::FaultEvent) -> Result<(), BenchError> {
         self.faults
-            .report_once(&event, "session wedged (injected stall)");
+            .report_once(&event, || "session wedged (injected stall)".into());
         let quantum = self.protocol.idle_dt.value();
         while self.faults.active(FaultKind::SessionStall).is_some() {
             self.faults.advance(quantum);

@@ -425,29 +425,25 @@ impl SessionChaos {
         (panics, stalls)
     }
 
+    /// Draws the victim sets for a fleet of `fleet` devices once, so a
+    /// sweep looks each device up instead of redrawing them per attempt.
+    pub(crate) fn resolve(&self, fleet: usize) -> ChaosVictims {
+        let (panics, stalls) = self.victims(fleet);
+        ChaosVictims {
+            panics,
+            stalls,
+            at: self.at,
+        }
+    }
+
     /// The chaos events to splice into device `index`'s fault plan (empty
     /// for non-victims). Windows are effectively unbounded
     /// ([`STALL_FOREVER`]), so only supervision ends a victim's session.
+    ///
+    /// Each call draws the victim sets afresh; the sweep engine draws them
+    /// once per sweep and looks every device up in them.
     pub fn events_for(&self, index: usize, fleet: usize) -> Vec<FaultEvent> {
-        let (panics, stalls) = self.victims(fleet);
-        let mut events = Vec::new();
-        if panics.contains(&index) {
-            events.push(FaultEvent {
-                at: self.at,
-                duration: STALL_FOREVER,
-                kind: FaultKind::SessionPanic,
-                magnitude: 0.0,
-            });
-        }
-        if stalls.contains(&index) {
-            events.push(FaultEvent {
-                at: self.at,
-                duration: STALL_FOREVER,
-                kind: FaultKind::SessionStall,
-                magnitude: 0.0,
-            });
-        }
-        events
+        self.resolve(fleet).events_for(index)
     }
 
     /// Stable serialization folded into sweep config digests.
@@ -456,6 +452,39 @@ impl SessionChaos {
             "seed={},panic={},stall={},at={}",
             self.seed, self.panic_devices, self.stall_devices, self.at
         )
+    }
+}
+
+/// A [`SessionChaos`] resolved against one fleet size: its victim sets,
+/// drawn once by [`SessionChaos::resolve`].
+#[derive(Debug)]
+pub(crate) struct ChaosVictims {
+    panics: BTreeSet<usize>,
+    stalls: BTreeSet<usize>,
+    at: f64,
+}
+
+impl ChaosVictims {
+    /// [`SessionChaos::events_for`] on the resolved victim sets.
+    pub(crate) fn events_for(&self, index: usize) -> Vec<FaultEvent> {
+        let mut events = Vec::new();
+        if self.panics.contains(&index) {
+            events.push(FaultEvent {
+                at: self.at,
+                duration: STALL_FOREVER,
+                kind: FaultKind::SessionPanic,
+                magnitude: 0.0,
+            });
+        }
+        if self.stalls.contains(&index) {
+            events.push(FaultEvent {
+                at: self.at,
+                duration: STALL_FOREVER,
+                kind: FaultKind::SessionStall,
+                magnitude: 0.0,
+            });
+        }
+        events
     }
 }
 

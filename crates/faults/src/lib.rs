@@ -132,6 +132,15 @@ pub const STORAGE_KINDS: [FaultKind; 6] = [
 ];
 
 impl FaultKind {
+    /// How many fault kinds there are: the length of a table indexed by
+    /// [`FaultKind::index`].
+    pub const COUNT: usize = 18;
+
+    /// Dense index in `0..FaultKind::COUNT`, in declaration order.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Stable kebab-case name used in TOML plans and JSON exports.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -443,10 +452,15 @@ pv_json::impl_to_json!(FaultReport {
     detail
 });
 
-/// Runtime state: the armed plan, the simulation clock, and the report log.
+/// Runtime state: the armed plan indexed by kind, the simulation clock,
+/// and the report log.
 #[derive(Debug)]
 pub struct Injector {
-    plan: FaultPlan,
+    /// The plan's events, stably sorted by kind, so each kind's events
+    /// keep their plan order.
+    events: Vec<FaultEvent>,
+    /// Kind `k`'s events are `events[by_kind[k]..by_kind[k + 1]]`.
+    by_kind: [usize; FaultKind::COUNT + 1],
     now: f64,
     reports: Vec<FaultReport>,
     reported: HashSet<(FaultKind, u64)>,
@@ -454,12 +468,33 @@ pub struct Injector {
 
 impl Injector {
     fn new(plan: FaultPlan) -> Self {
+        let mut events = plan.events;
+        events.sort_by_key(|e| e.kind.index());
+        let mut by_kind = [0; FaultKind::COUNT + 1];
+        for e in &events {
+            by_kind[e.kind.index() + 1] += 1;
+        }
+        for k in 0..FaultKind::COUNT {
+            by_kind[k + 1] += by_kind[k];
+        }
         Self {
-            plan,
+            events,
+            by_kind,
             now: 0.0,
             reports: Vec::new(),
             reported: HashSet::new(),
         }
+    }
+
+    /// The first event of `kind`, in plan order, covering the current
+    /// time. Every event of the kind is examined: [`FaultPlan::events`] is
+    /// public, so a hand-built plan need not be sorted by start time.
+    fn active(&self, kind: FaultKind) -> Option<FaultEvent> {
+        let k = kind.index();
+        self.events[self.by_kind[k]..self.by_kind[k + 1]]
+            .iter()
+            .find(|e| e.active_at(self.now))
+            .cloned()
     }
 }
 
@@ -480,7 +515,9 @@ impl FaultHandle {
         Self { inner: None }
     }
 
-    /// Arms a plan. The clock starts at zero.
+    /// Arms a plan. The clock starts at zero. The plan's events are
+    /// grouped by kind once here, so each [`FaultHandle::active`] query
+    /// scans only the events of the kind it asks about.
     pub fn armed(plan: FaultPlan) -> Self {
         Self {
             inner: Some(Rc::new(RefCell::new(Injector::new(plan)))),
@@ -512,17 +549,13 @@ impl FaultHandle {
         self.inner.as_ref().map_or(0.0, |i| i.borrow().now)
     }
 
-    /// The first scheduled event of `kind` covering the current time, if
-    /// any. Disarmed handles always return `None`.
+    /// The first scheduled event of `kind` (in plan order) covering the
+    /// current time, if any. Disarmed handles always return `None`.
+    ///
+    /// Inlined so the disarmed check costs wrapped components no call.
+    #[inline]
     pub fn active(&self, kind: FaultKind) -> Option<FaultEvent> {
-        let inner = self.inner.as_ref()?;
-        let inner = inner.borrow();
-        inner
-            .plan
-            .events
-            .iter()
-            .find(|e| e.kind == kind && e.active_at(inner.now))
-            .cloned()
+        self.inner.as_ref()?.borrow().active(kind)
     }
 
     /// Records that `event` actually perturbed the session, with a short
@@ -545,14 +578,17 @@ impl FaultHandle {
     /// repeats (e.g. one fault window perturbing thousands of samples, or
     /// the same window biting several retry attempts) return `false`
     /// silently. Keeps report logs bounded and replay-comparable.
-    pub fn report_once(&self, event: &FaultEvent, detail: impl Into<String>) -> bool {
+    ///
+    /// `detail` runs only for a fresh report, so a window perturbing every
+    /// step formats its description once, not once per step.
+    pub fn report_once(&self, event: &FaultEvent, detail: impl FnOnce() -> String) -> bool {
         if let Some(inner) = &self.inner {
             let fresh = inner
                 .borrow_mut()
                 .reported
                 .insert((event.kind, event.at.to_bits()));
             if fresh {
-                self.report(event, detail);
+                self.report(event, detail());
             }
             fresh
         } else {
@@ -594,6 +630,20 @@ mod tests {
             assert_eq!(FaultKind::parse(kind.as_str()), Some(kind));
         }
         assert_eq!(FaultKind::parse("nope"), None);
+    }
+
+    #[test]
+    fn kind_indices_are_dense_and_distinct() {
+        let mut seen = [false; FaultKind::COUNT];
+        for kind in ALL_KINDS
+            .iter()
+            .chain(SESSION_KINDS.iter())
+            .chain(STORAGE_KINDS.iter())
+        {
+            assert!(!seen[kind.index()], "{kind} shares an index");
+            seen[kind.index()] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "every index names a kind");
     }
 
     #[test]

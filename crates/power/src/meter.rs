@@ -133,21 +133,20 @@ impl FaultyMeter {
     pub fn record(&mut self, power: Watts, dt: Seconds) -> Result<(), PowerError> {
         if let Some(e) = self.faults.active(FaultKind::MeterDisconnect) {
             self.faults
-                .report_once(&e, "meter disconnected; sample lost");
+                .report_once(&e, || "meter disconnected; sample lost".into());
             return Err(PowerError::MeterDisconnected);
         }
         if let Some(e) = self.faults.active(FaultKind::MeterMissedSample) {
             self.faults
-                .report_once(&e, "meter missed samples (buffer overrun)");
+                .report_once(&e, || "meter missed samples (buffer overrun)".into());
             return Ok(());
         }
         let mut power = power;
         if let Some(e) = self.faults.active(FaultKind::MeterGainDrift) {
             power = Watts(power.value() * (1.0 + e.magnitude));
-            self.faults.report_once(
-                &e,
-                format!("meter gain drifted by {:+.1}%", e.magnitude * 100.0),
-            );
+            self.faults.report_once(&e, || {
+                format!("meter gain drifted by {:+.1}%", e.magnitude * 100.0)
+            });
         }
         self.inner.record(power, dt)
     }

@@ -98,7 +98,7 @@ impl Dut for FaultyDevice {
     fn try_read_sensor(&mut self) -> Result<Celsius, SocError> {
         if let Some(e) = self.faults.active(FaultKind::ProbeDropout) {
             self.faults
-                .report_once(&e, "device sensor returned no reading");
+                .report_once(&e, || "device sensor returned no reading".into());
             return Err(SocError::Thermal(pv_thermal::ThermalError::ProbeDropout));
         }
         if let Some(e) = self.faults.active(FaultKind::ProbeStuck) {
@@ -111,15 +111,16 @@ impl Dut for FaultyDevice {
                 }
             };
             self.faults
-                .report_once(&e, format!("device sensor stuck at {held}"));
+                .report_once(&e, || format!("device sensor stuck at {held}"));
             return Ok(held);
         }
         self.stuck_reading = None;
         let mut reading = self.inner.read_sensor();
         if let Some(e) = self.faults.active(FaultKind::ProbeSpike) {
             reading += TempDelta(e.magnitude);
-            self.faults
-                .report_once(&e, format!("device sensor spiked by {:+.2} K", e.magnitude));
+            self.faults.report_once(&e, || {
+                format!("device sensor spiked by {:+.2} K", e.magnitude)
+            });
         }
         Ok(reading)
     }
@@ -148,15 +149,16 @@ impl Dut for FaultyDevice {
         if matches!(demand, CpuDemand::Busy { .. }) {
             if let Some(e) = self.faults.active(FaultKind::HotplugFlap) {
                 self.faults
-                    .report_once(&e, "core flapped offline; busy step refused");
+                    .report_once(&e, || "core flapped offline; busy step refused".into());
                 return Err(SocError::HotplugFlap);
             }
         }
         let mut mode = mode;
         if let Some(e) = self.faults.active(FaultKind::ThrottleGlitch) {
             let floor = self.frequency_floor();
-            self.faults
-                .report_once(&e, format!("spurious throttle pinned frequency to {floor}"));
+            self.faults.report_once(&e, || {
+                format!("spurious throttle pinned frequency to {floor}")
+            });
             mode = FrequencyMode::Fixed(floor);
         }
         self.inner.step_into(dt, demand, mode, out)

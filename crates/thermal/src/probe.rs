@@ -216,7 +216,8 @@ impl FaultyProbe {
     /// active.
     pub fn read(&mut self) -> Result<Celsius, ThermalError> {
         if let Some(e) = self.faults.active(FaultKind::ProbeDropout) {
-            self.faults.report_once(&e, "probe returned no reading");
+            self.faults
+                .report_once(&e, || "probe returned no reading".into());
             return Err(ThermalError::ProbeDropout);
         }
         if let Some(e) = self.faults.active(FaultKind::ProbeStuck) {
@@ -229,7 +230,7 @@ impl FaultyProbe {
                 }
             };
             self.faults
-                .report_once(&e, format!("probe stuck at {held}"));
+                .report_once(&e, || format!("probe stuck at {held}"));
             return Ok(held);
         }
         self.stuck = None;
@@ -237,7 +238,7 @@ impl FaultyProbe {
         if let Some(e) = self.faults.active(FaultKind::ProbeSpike) {
             reading += TempDelta(e.magnitude);
             self.faults
-                .report_once(&e, format!("probe spiked by {:+.2} K", e.magnitude));
+                .report_once(&e, || format!("probe spiked by {:+.2} K", e.magnitude));
         }
         Ok(reading)
     }

@@ -349,7 +349,7 @@ impl FaultyThermaBox {
             Some(e) => {
                 self.inner.set_controller_stalled(true);
                 self.faults
-                    .report_once(&e, "chamber controller stalled (plants frozen)");
+                    .report_once(&e, || "chamber controller stalled (plants frozen)".into());
             }
             None => self.inner.set_controller_stalled(false),
         }
@@ -359,8 +359,9 @@ impl FaultyThermaBox {
             if self.last_excursion != Some(e.at) {
                 self.last_excursion = Some(e.at);
                 self.inner.perturb_air(TempDelta(e.magnitude));
-                self.faults
-                    .report_once(&e, format!("chamber air kicked by {:+.2} K", e.magnitude));
+                self.faults.report_once(&e, || {
+                    format!("chamber air kicked by {:+.2} K", e.magnitude)
+                });
             }
         }
     }
@@ -388,7 +389,7 @@ impl FaultyThermaBox {
         self.apply_faults();
         if let Some(e) = self.faults.active(FaultKind::ChamberControllerStall) {
             self.faults
-                .report_once(&e, "settle refused: controller stalled");
+                .report_once(&e, || "settle refused: controller stalled".into());
             return Err(ThermalError::ChamberStalled);
         }
         let elapsed = self.inner.settle(max_time)?;

@@ -5,8 +5,13 @@
 # `bash scripts/chaos_gate.sh`).
 #
 # A degraded sweep (injected panics + stalls) must exit 0 with a
-# survivor CI line; the abort policy must journal the hole, then fail.
+# survivor CI line; the abort policy must journal the hole, then fail;
+# a journaled chaos sweep must write the same bytes at 1 and 4 threads.
 set -euo pipefail
+
+# Backtraces are the one thread-dependent part of a journal (DESIGN.md
+# §12); the byte-identity gate below is stated with them off.
+export RUST_BACKTRACE=0
 
 cargo build --release -p pv-bench
 
@@ -21,5 +26,16 @@ if ./target/release/repro sweep --quick --devices 12 \
   --on-failure abort --threads 4; then
   echo "FAIL: abort policy exited 0"; exit 1
 fi
+
+# The armed fault path must be thread-count independent byte for byte:
+# the same journaled chaos sweep at 1 and at 4 threads.
+dir=$(mktemp -d)
+trap 'rm -rf "$dir"' EXIT
+for threads in 1 4; do
+  ./target/release/repro sweep --quick --devices 64 --seed 7 \
+    --chaos-seed 3053 --chaos-panics 2 --chaos-stalls 1 \
+    --threads "$threads" --journal "$dir/t$threads.journal" > /dev/null
+done
+cmp "$dir/t1.journal" "$dir/t4.journal"
 
 echo "OK: chaos CLI gates passed"
