@@ -5,10 +5,11 @@
 //! 10³–10⁴ devices. [`ScoreAggregate`] replaces that with a constant-size
 //! partial aggregate: count/mean/M2 moments ([`pv_stats::stream::Moments`]),
 //! a fixed-bin score histogram ([`pv_stats::histogram::Histogram`]) and a
-//! bounded top-K leaderboard. Workers fold their chunk of the fleet locally
-//! and the single-writer sink merges the O(workers) partials in canonical
-//! (ascending device index) order, so sweep memory is O(bins + K) however
-//! large the fleet grows.
+//! bounded top-K leaderboard. The sweep's single-writer merge step folds
+//! each device into the partial of its fixed-size device group and merges
+//! the group partials in canonical (ascending device index) order, holding
+//! one open partial at a time, so sweep memory is O(bins + K) however large
+//! the fleet grows.
 //!
 //! ## Aggregation algebra
 //!
@@ -57,7 +58,7 @@ pub struct TopEntry {
 
 /// A bounded best-first leaderboard with exact merge semantics: the top-K
 /// of a union equals the merge of the per-part top-Ks, so partial
-/// leaderboards can be folded worker-side and combined in any grouping.
+/// leaderboards can be folded separately and combined in any grouping.
 /// Ordering is score-descending with the device label as a total
 /// tie-break, so the result is independent of fold order even with tied
 /// scores.
@@ -184,8 +185,8 @@ impl ScoreAggregate {
         })
     }
 
-    /// An empty partial with this aggregate's layout — what each worker
-    /// folds its chunk into.
+    /// An empty partial with this aggregate's layout — what the sweep
+    /// folds each device group into.
     pub fn fresh_partial(&self) -> Self {
         let mut p = self.clone();
         p.moments = Moments::new();

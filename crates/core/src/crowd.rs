@@ -587,9 +587,12 @@ impl SweepReport {
         self.outcomes.iter().filter(|o| o.accepted).count()
     }
 
-    /// Devices that died on a fatal error.
+    /// Holes whose final status was [`DeviceStatus::Failed`]: the session
+    /// died on a fatal error. Panicked and timed-out holes also carry an
+    /// error but count under [`panicked`](Self::panicked) and
+    /// [`timed_out`](Self::timed_out) instead.
     pub fn failed(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.error.is_some()).count()
+        self.count_status(DeviceStatus::Failed)
     }
 
     /// Devices quarantined by supervision (status ≠ `Completed`) — the
@@ -668,7 +671,7 @@ impl fmt::Display for SweepReport {
                 self.quarantined_devices(),
                 self.panicked(),
                 self.timed_out(),
-                self.count_status(DeviceStatus::Failed),
+                self.failed(),
             )?;
         }
         for o in &self.outcomes {
@@ -1082,61 +1085,54 @@ fn prepare_journal(
     Ok((restored, already_complete))
 }
 
-/// Runs one execution chunk, one supervised session per device. Restored
-/// outcomes beyond the contiguous prefix (possible only in a
-/// hand-assembled journal) are replayed, not re-run.
-fn run_chunk(
+/// Runs device `index`: replays its restored outcome when the journal has
+/// one past the contiguous prefix (possible only in a hand-assembled
+/// journal), and supervises a fresh session otherwise.
+fn run_device(
     cfg: &SweepConfig,
     chaos: Option<&ChaosVictims>,
-    chunk: Vec<(usize, Device)>,
+    index: usize,
+    device: &Device,
     restored: &RestoredMap,
-) -> Vec<DeviceRun> {
-    chunk
-        .into_iter()
-        .map(|(index, device)| {
-            if let Some((outcome, score, rsd)) = restored.get(&index) {
-                return DeviceRun {
-                    outcome: outcome.clone(),
-                    score: *score,
-                    rsd: *rsd,
-                    fresh: false,
-                    failures: Vec::new(),
-                };
-            }
-            supervise_device(cfg, index, chaos, &device)
-        })
-        .collect()
+) -> DeviceRun {
+    match restored.get(&index) {
+        Some((outcome, score, rsd)) => DeviceRun {
+            outcome: outcome.clone(),
+            score: *score,
+            rsd: *rsd,
+            fresh: false,
+            failures: Vec::new(),
+        },
+        None => supervise_device(cfg, index, chaos, device),
+    }
 }
 
-/// Defense-in-depth when a whole chunk task panics (the supervision
-/// machinery itself crashed): every device of the chunk becomes a
-/// quarantined hole carrying the same headline.
-fn panicked_chunk_runs(labels: &[String], panic: &executor::PanicSummary) -> Vec<DeviceRun> {
+/// Defense-in-depth when a device task itself panics (the supervision
+/// machinery crashed, not the session): the device becomes a quarantined
+/// hole carrying the panic headline.
+fn panicked_run(label: String, panic: &executor::PanicSummary) -> DeviceRun {
     let detail = panic.headline();
-    labels
-        .iter()
-        .map(|label| DeviceRun {
-            outcome: SweepOutcome {
-                device: label.clone(),
-                verdict: None,
-                accepted: false,
-                quarantined: 0,
-                fault_reports: 0,
-                error: Some(detail.clone()),
-                status: DeviceStatus::Panicked,
-                attempts: 1,
-            },
-            score: None,
-            rsd: None,
-            fresh: true,
-            failures: vec![AttemptFailure {
-                attempt: 1,
-                status: DeviceStatus::Panicked,
-                detail: detail.clone(),
-                backtrace: panic.backtrace.clone(),
-            }],
-        })
-        .collect()
+    DeviceRun {
+        outcome: SweepOutcome {
+            device: label,
+            verdict: None,
+            accepted: false,
+            quarantined: 0,
+            fault_reports: 0,
+            error: Some(detail.clone()),
+            status: DeviceStatus::Panicked,
+            attempts: 1,
+        },
+        score: None,
+        rsd: None,
+        fresh: true,
+        failures: vec![AttemptFailure {
+            attempt: 1,
+            status: DeviceStatus::Panicked,
+            detail,
+            backtrace: panic.backtrace.clone(),
+        }],
+    }
 }
 
 /// Stages one freshly simulated outcome for the next group commit: its
@@ -1287,31 +1283,11 @@ impl GroupWriter<'_> {
 /// [`crate::aggregate::ScoreAggregate`]. The engine ([`sweep`]) owns the
 /// rest: validation, digest and journal preparation, prefix replay, the
 /// supervised executor, journaling with storage escalation, abort-on-hole
-/// and the `Complete` seal. Every merge-side method runs on the calling
-/// thread only, in canonical device order.
+/// and the `Complete` seal. Every method runs on the calling thread only,
+/// in canonical device order.
 trait SweepSink {
-    /// Read-only worker-side state, shared by every worker thread.
-    type Folder: Sync;
-    /// What a worker pre-folds its chunk into before the merge step.
-    type Partial: Send;
     /// The sweep's result.
     type Output;
-
-    /// End (exclusive) of the execution chunk that starts at device
-    /// `start`; the engine clamps it to the fleet size.
-    fn chunk_end(start: usize) -> usize;
-
-    /// The worker-side state, built once after the prefix replay.
-    fn folder(&self) -> Self::Folder;
-
-    /// Worker side: optionally pre-folds the chunk, stamping its fresh
-    /// runs' `accepted` flags. `Some` tells [`SweepSink::submit`] the runs
-    /// are already folded and stamped.
-    fn prefold(
-        folder: &Self::Folder,
-        start: usize,
-        runs: &mut [DeviceRun],
-    ) -> Option<Self::Partial>;
 
     /// Submits device `index` (replayed or fresh) and sets its `accepted`
     /// flag. Runs before the device is journaled.
@@ -1319,22 +1295,10 @@ trait SweepSink {
     /// # Errors
     ///
     /// Sink-specific merge failures.
-    fn submit(
-        &mut self,
-        index: usize,
-        run: &mut DeviceRun,
-        prefolded: bool,
-    ) -> Result<(), BenchError>;
+    fn submit(&mut self, index: usize, run: &mut DeviceRun) -> Result<(), BenchError>;
 
     /// Takes ownership of a submitted device's outcome.
     fn keep(&mut self, outcome: SweepOutcome);
-
-    /// Closes one execution chunk, merging its pre-folded partial.
-    ///
-    /// # Errors
-    ///
-    /// Sink-specific merge failures.
-    fn end_chunk(&mut self, partial: Option<Self::Partial>) -> Result<(), BenchError>;
 
     /// Builds the result.
     ///
@@ -1393,34 +1357,21 @@ fn sweep<S: SweepSink>(
             fresh: false,
             failures: Vec::new(),
         };
-        sink.submit(prefix, &mut run, false)?;
+        sink.submit(prefix, &mut run)?;
         sink.keep(run.outcome);
         resumed += 1;
         prefix += 1;
     }
 
-    // Chunk the unsimulated tail on the sink's layout and fan it out. The
-    // worker is a pure function of the device indices; the merge closure
-    // below runs on this thread only, in canonical device order.
-    let mut starts: Vec<usize> = Vec::new();
-    let mut chunks: Vec<Vec<(usize, Device)>> = Vec::new();
-    let mut feed = devices.into_iter().enumerate().skip(prefix);
-    let mut start = prefix;
-    while start < total {
-        let end = S::chunk_end(start).min(total);
-        // Sized exactly: a `collect` from this iterator would round small
-        // chunks up to four devices, several MB on a large fleet.
-        let mut chunk = Vec::with_capacity(end - start);
-        chunk.extend(feed.by_ref().take(end - start));
-        starts.push(start);
-        chunks.push(chunk);
-        start = end;
-    }
-    let folder = sink.folder();
+    // Fan the unsimulated tail out, one task per device: task `k` is
+    // device `prefix + k`. The worker is a pure function of the device
+    // index; the merge closure below runs on this thread only, in
+    // canonical device order.
+    let mut tail = devices;
+    tail.drain(..prefix);
     let chaos = cfg.chaos.as_ref().map(|c| c.resolve(total));
     let chaos = chaos.as_ref();
     let restored = &restored;
-    let starts = &starts;
     let mut writer = GroupWriter {
         journal,
         escalation: cfg.storage_escalation,
@@ -1431,59 +1382,48 @@ fn sweep<S: SweepSink>(
     // Devices the merge step processed past the restored prefix.
     let mut sunk = 0usize;
     let ran = executor::map_supervised(
-        chunks,
+        tail,
         threads,
         cancel,
-        |chunk_index, chunk: Vec<(usize, Device)>| {
-            let mut runs = run_chunk(cfg, chaos, chunk, restored);
-            let partial = S::prefold(&folder, starts[chunk_index], &mut runs);
-            (runs, partial)
-        },
-        |chunk_index, caught| -> Result<(), BenchError> {
-            let start = starts[chunk_index];
+        |k, device: Device| run_device(cfg, chaos, prefix + k, &device, restored),
+        |k, caught| -> Result<(), BenchError> {
+            let index = prefix + k;
             // `supervise_device` is infallible — panics inside a session
             // are caught per attempt — so a panicked task means the
-            // supervision machinery itself crashed: its devices become
-            // quarantined holes instead of tearing the sweep down.
-            let (runs, partial) = match caught {
-                TaskOutcome::Completed(done) => done,
-                TaskOutcome::Panicked(panic) => {
-                    let end = S::chunk_end(start).min(total);
-                    (panicked_chunk_runs(&labels[start..end], &panic), None)
-                }
+            // supervision machinery itself crashed: the device becomes a
+            // quarantined hole instead of tearing the sweep down.
+            let mut run = match caught {
+                TaskOutcome::Completed(run) => run,
+                TaskOutcome::Panicked(panic) => panicked_run(labels[index].clone(), &panic),
             };
-            let prefolded = partial.is_some();
-            for (k, mut run) in runs.into_iter().enumerate() {
-                let index = start + k;
-                sink.submit(index, &mut run, prefolded)?;
-                if run.fresh {
-                    writer.stage(index, &run);
-                } else {
-                    resumed += 1;
-                }
-                sunk += 1;
-                // Escalation: under `abort`, a supervision hole fails the
-                // whole sweep — but only *after* its outcome is journaled
-                // (the early-stop commit below), so a resume replays the
-                // hole instead of aborting on it again and picks up right
-                // after the device that tripped the policy.
-                if run.outcome.is_hole() && cfg.supervision.on_failure == OnFailure::Abort {
-                    return Err(SupervisionError::FleetAborted {
-                        device: run.outcome.device,
-                        attempts: run.outcome.attempts,
-                        detail: run.outcome.error.unwrap_or_else(|| "unknown".into()),
-                    }
-                    .into());
-                }
-                sink.keep(run.outcome);
-                // Group boundaries depend on the device index alone, so
-                // the commit (and storage-op) sequence is the same at
-                // every thread count.
-                if (index + 1).is_multiple_of(STREAM_GROUP) || index + 1 == total {
-                    writer.commit()?;
-                }
+            sink.submit(index, &mut run)?;
+            if run.fresh {
+                writer.stage(index, &run);
+            } else {
+                resumed += 1;
             }
-            sink.end_chunk(partial)
+            sunk += 1;
+            // Escalation: under `abort`, a supervision hole fails the
+            // whole sweep — but only *after* its outcome is journaled (the
+            // early-stop commit below), so a resume replays the hole
+            // instead of aborting on it again and picks up right after
+            // the device that tripped the policy.
+            if run.outcome.is_hole() && cfg.supervision.on_failure == OnFailure::Abort {
+                return Err(SupervisionError::FleetAborted {
+                    device: run.outcome.device,
+                    attempts: run.outcome.attempts,
+                    detail: run.outcome.error.unwrap_or_else(|| "unknown".into()),
+                }
+                .into());
+            }
+            sink.keep(run.outcome);
+            // Group boundaries depend on the device index alone, so the
+            // commit (and storage-op) sequence is the same at every
+            // thread count.
+            if (index + 1).is_multiple_of(STREAM_GROUP) || index + 1 == total {
+                writer.commit()?;
+            }
+            Ok(())
         },
     );
     // Cancellation, abort-on-hole and sink errors stop the executor inside
@@ -1504,8 +1444,8 @@ fn sweep<S: SweepSink>(
     })
 }
 
-/// The exact oracle sink: one device per task, every accepted score
-/// submitted to a [`CrowdDatabase`], every outcome kept.
+/// The exact oracle sink: every accepted score submitted to a
+/// [`CrowdDatabase`], every outcome kept.
 struct DatabaseSink<'a> {
     db: &'a mut CrowdDatabase,
     model: &'a str,
@@ -1513,21 +1453,9 @@ struct DatabaseSink<'a> {
 }
 
 impl SweepSink for DatabaseSink<'_> {
-    type Folder = ();
-    type Partial = ();
     type Output = JournaledSweep;
 
-    fn chunk_end(start: usize) -> usize {
-        start + 1
-    }
-
-    fn folder(&self) {}
-
-    fn prefold(_: &(), _: usize, _: &mut [DeviceRun]) -> Option<()> {
-        None
-    }
-
-    fn submit(&mut self, _: usize, run: &mut DeviceRun, _: bool) -> Result<(), BenchError> {
+    fn submit(&mut self, _: usize, run: &mut DeviceRun) -> Result<(), BenchError> {
         if let (Some(score), Some(rsd)) = (run.score, run.rsd) {
             run.outcome.accepted = self.db.submit(CrowdScore {
                 model: self.model.to_owned(),
@@ -1543,10 +1471,6 @@ impl SweepSink for DatabaseSink<'_> {
         self.outcomes.push(outcome);
     }
 
-    fn end_chunk(&mut self, _: Option<()>) -> Result<(), BenchError> {
-        Ok(())
-    }
-
     fn finish(self, end: SweepEnd) -> Result<JournaledSweep, BenchError> {
         Ok(JournaledSweep {
             report: SweepReport {
@@ -1559,13 +1483,14 @@ impl SweepSink for DatabaseSink<'_> {
     }
 }
 
-/// The fixed streaming-aggregation and journal-commit grid: device scores
-/// are folded into per-group partial aggregates of this many consecutive
-/// devices, aligned to absolute device index 0, and the partials are
-/// merged in ascending group order. The grid is independent of
-/// `--threads` and the resume prefix, which is what makes a streamed
-/// sweep's aggregate byte-identical across thread counts and kill+resume
-/// (see `pv_stats::stream` for the underlying floating-point argument).
+/// The fixed streaming-aggregation and journal-commit grid: the merge step
+/// folds device scores, in ascending device order, into a fresh partial
+/// aggregate per group of this many consecutive devices, aligned to
+/// absolute device index 0, and merges each partial into the fleet
+/// aggregate as its group closes. The grid is independent of `--threads`
+/// and the resume prefix, which is what makes a streamed sweep's
+/// aggregate byte-identical across thread counts and kill+resume (see
+/// `pv_stats::stream` for the underlying floating-point argument).
 ///
 /// Both sinks also commit the sweep journal on this grid: one write and
 /// one fsync per group instead of per device (see [`populate_parallel`]).
@@ -1646,18 +1571,13 @@ impl StreamedSweep {
 
 impl fmt::Display for StreamedSweep {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let failed = self
-            .holes
-            .iter()
-            .filter(|o| o.error.is_some() && o.status == DeviceStatus::Failed)
-            .count();
+        let failed = self.count_status(DeviceStatus::Failed);
         writeln!(
             f,
-            "crowd sweep: {} devices, {} completed, {} accepted, {} failed",
+            "crowd sweep: {} devices, {} completed, {} accepted, {failed} failed",
             self.devices,
             self.completed,
             self.aggregate.accepted(),
-            failed
         )?;
         if !self.holes.is_empty() {
             writeln!(
@@ -1666,7 +1586,7 @@ impl fmt::Display for StreamedSweep {
                 self.holes.len(),
                 self.count_status(DeviceStatus::Panicked),
                 self.count_status(DeviceStatus::TimedOut),
-                self.count_status(DeviceStatus::Failed),
+                failed,
             )?;
         }
         // Only the holes get per-device lines — a million healthy devices
@@ -1699,15 +1619,14 @@ impl fmt::Display for StreamedSweep {
 /// Semantics match [`populate_parallel`] exactly — same validation, journal
 /// header/digest/healing, resume replay, supervision, chaos, storage
 /// escalation and cancellation, producing byte-identical journals — but
-/// instead of funneling every score through a [`CrowdDatabase`], workers
-/// fold their chunk into a partial [`crate::aggregate::ScoreAggregate`]
-/// and the single-writer sink merges the partials in canonical ascending
-/// order. Memory is O(bins + K + holes (+ retained sample)), independent
-/// of fleet size.
+/// instead of funneling every score through a [`CrowdDatabase`], the
+/// single-writer merge step folds each device into its group's partial
+/// [`crate::aggregate::ScoreAggregate`] and merges the partials in
+/// ascending group order. Memory is O(bins + K + holes (+ retained
+/// sample)), independent of fleet size.
 ///
-/// Execution chunks are aligned to the absolute [`STREAM_GROUP`] grid, so
-/// the aggregate's fold/merge order — and hence its bits — depends only on
-/// the grid.
+/// Groups lie on the absolute [`STREAM_GROUP`] grid, so the aggregate's
+/// fold/merge order — and hence its bits — depends only on the grid.
 ///
 /// `agg` must be freshly constructed (it is the merge identity); pass
 /// `retain_scores = true` to also collect `(index, score)` for every
@@ -1746,11 +1665,11 @@ pub fn populate_streamed(
     sweep(sink, model, devices, cfg, journal, cancel, threads)
 }
 
-/// The streamed sink: workers pre-fold whole [`STREAM_GROUP`] groups; the
-/// merge step folds replayed devices and the resume-straddle chunk into
-/// the open group partial, and merges every group into the fleet aggregate
-/// in ascending order. Only holes (and requested retained scores) are kept
-/// per device.
+/// The streamed sink: the merge step folds every device, replayed or
+/// fresh, into the open group partial in ascending device order, and
+/// merges each [`STREAM_GROUP`] group into the fleet aggregate as the
+/// group closes. Only holes (and requested retained scores) are kept per
+/// device.
 struct AggregateSink<'a> {
     agg: &'a mut crate::aggregate::ScoreAggregate,
     model: &'a str,
@@ -1774,60 +1693,19 @@ impl AggregateSink<'_> {
 }
 
 impl SweepSink for AggregateSink<'_> {
-    /// An owned empty aggregate with the caller's layout: the template
-    /// workers fold their groups with.
-    type Folder = crate::aggregate::ScoreAggregate;
-    type Partial = crate::aggregate::ScoreAggregate;
     type Output = StreamedSweep;
 
-    fn chunk_end(start: usize) -> usize {
-        (start / STREAM_GROUP + 1) * STREAM_GROUP
-    }
-
-    fn folder(&self) -> Self::Folder {
-        self.agg.fresh_partial()
-    }
-
-    fn prefold(
-        folder: &Self::Folder,
-        start: usize,
-        runs: &mut [DeviceRun],
-    ) -> Option<Self::Partial> {
-        // A chunk on the grid is one whole group: fold it here, stamping
-        // each fresh run's `accepted` flag before the merge step journals
-        // it. The resume-straddle chunk is folded (and stamped) on the
-        // merge side instead, into the group the replayed prefix left open.
-        if !start.is_multiple_of(STREAM_GROUP) {
-            return None;
-        }
-        let mut partial = folder.fresh_partial();
-        for run in runs {
-            if let (Some(s), Some(r)) = (run.score, run.rsd) {
-                let admitted = partial.fold(&run.outcome.device, s, r);
-                if run.fresh {
-                    run.outcome.accepted = admitted;
-                }
-            }
-        }
-        Some(partial)
-    }
-
-    fn submit(
-        &mut self,
-        index: usize,
-        run: &mut DeviceRun,
-        prefolded: bool,
-    ) -> Result<(), BenchError> {
-        if !prefolded && index.is_multiple_of(STREAM_GROUP) {
-            self.flush()?;
-        }
+    fn submit(&mut self, index: usize, run: &mut DeviceRun) -> Result<(), BenchError> {
         if let (Some(s), Some(r)) = (run.score, run.rsd) {
-            if !prefolded {
-                run.outcome.accepted = self.open.fold(&run.outcome.device, s, r);
-            }
+            run.outcome.accepted = self.open.fold(&run.outcome.device, s, r);
             if self.retain_scores && run.outcome.accepted {
                 self.retained.push((index, s));
             }
+        }
+        // Close the group on the grid the journal commits on, so groups
+        // merge in ascending order whatever the resume prefix was.
+        if (index + 1).is_multiple_of(STREAM_GROUP) {
+            self.flush()?;
         }
         Ok(())
     }
@@ -1841,19 +1719,9 @@ impl SweepSink for AggregateSink<'_> {
         }
     }
 
-    fn end_chunk(&mut self, partial: Option<Self::Partial>) -> Result<(), BenchError> {
-        // Every chunk ends on the grid (or at the fleet end): close the
-        // open group first, so groups merge in ascending order.
-        self.flush()?;
-        match partial {
-            Some(partial) => self.agg.merge(&partial),
-            None => Ok(()),
-        }
-    }
-
     fn finish(mut self, end: SweepEnd) -> Result<StreamedSweep, BenchError> {
-        // Flush any still-open group (a sweep cancelled before the
-        // straddle chunk ran, or a fully restored unaligned fleet).
+        // Merge the still-open group: the fleet's last, short group, or
+        // the part of a group a cancelled sweep reached.
         self.flush()?;
         Ok(StreamedSweep {
             model: self.model.to_owned(),
@@ -2065,6 +1933,38 @@ mod tests {
             SweepReport::from_journal(&[]),
             Err(JournalError::MissingHeader)
         ));
+    }
+
+    #[test]
+    fn headline_failed_count_matches_the_hole_breakdown() {
+        let hole = |device: &str, status: DeviceStatus| SweepOutcome {
+            device: device.to_owned(),
+            verdict: None,
+            accepted: false,
+            quarantined: 0,
+            fault_reports: 0,
+            error: Some(format!("{status}")),
+            status,
+            attempts: 1,
+        };
+        let report = SweepReport {
+            outcomes: vec![
+                hole("crashed", DeviceStatus::Panicked),
+                hole("stuck", DeviceStatus::TimedOut),
+                hole("dead", DeviceStatus::Failed),
+            ],
+        };
+        assert_eq!(report.failed(), 1);
+        let text = report.to_string();
+        let mut lines = text.lines();
+        assert_eq!(
+            lines.next(),
+            Some("crowd sweep: 3 devices, 0 completed, 0 accepted, 1 failed")
+        );
+        assert_eq!(
+            lines.next(),
+            Some("  fleet degraded: 3 device(s) quarantined (1 panicked, 1 timed out, 1 failed)")
+        );
     }
 
     #[test]

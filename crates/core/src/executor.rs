@@ -72,10 +72,14 @@ enum Claim<T> {
     Drained,
 }
 
-/// Shared injector queue plus per-worker deques.
+/// Shared injector queue plus per-worker deques of task indices, and the
+/// tasks' items, each taken by the worker that claims its index. The
+/// queues move only indices, so a large item (a whole device) is never
+/// copied from queue to queue.
 struct Pool<T> {
-    injector: Mutex<VecDeque<(usize, T)>>,
-    locals: Vec<Mutex<VecDeque<(usize, T)>>>,
+    items: Mutex<Vec<Option<T>>>,
+    injector: Mutex<VecDeque<usize>>,
+    locals: Vec<Mutex<VecDeque<usize>>>,
     /// Tasks not yet claimed for execution (they may sit in the injector,
     /// a local deque, or be mid-transfer). Workers only exit on zero, so a
     /// task can never be stranded in a deque nobody will revisit.
@@ -88,7 +92,8 @@ impl<T> Pool<T> {
     fn new(items: Vec<T>, threads: usize) -> Self {
         let total = items.len();
         Pool {
-            injector: Mutex::new(items.into_iter().enumerate().collect()),
+            items: Mutex::new(items.into_iter().map(Some).collect()),
+            injector: Mutex::new((0..total).collect()),
             locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
             unclaimed: AtomicUsize::new(total),
             batch: total.div_ceil(threads * 2).max(1),
@@ -98,12 +103,12 @@ impl<T> Pool<T> {
     /// Claims the next task for worker `who`: own deque first, then a
     /// batch from the injector, then the back half of a sibling's deque.
     /// At most one lock is held at a time, so claims cannot deadlock.
-    fn try_claim(&self, who: usize) -> Claim<(usize, T)> {
+    fn try_claim(&self, who: usize) -> Claim<usize> {
         if let Some(task) = lock(&self.locals[who]).pop_front() {
             self.unclaimed.fetch_sub(1, Ordering::SeqCst);
             return Claim::Task(task);
         }
-        let refill: VecDeque<(usize, T)> = {
+        let refill: VecDeque<usize> = {
             let mut injector = lock(&self.injector);
             let take = self.batch.min(injector.len());
             injector.drain(..take).collect()
@@ -130,7 +135,7 @@ impl<T> Pool<T> {
     }
 
     /// Moves `tasks` into `who`'s deque and claims the first of them.
-    fn adopt(&self, who: usize, tasks: VecDeque<(usize, T)>) -> Option<(usize, T)> {
+    fn adopt(&self, who: usize, tasks: VecDeque<usize>) -> Option<usize> {
         if tasks.is_empty() {
             return None;
         }
@@ -141,6 +146,12 @@ impl<T> Pool<T> {
             self.unclaimed.fetch_sub(1, Ordering::SeqCst);
         }
         task
+    }
+
+    /// Takes the item of a claimed task. Each index is claimed exactly
+    /// once, so the item is always still there.
+    fn take(&self, index: usize) -> Option<T> {
+        lock(&self.items).get_mut(index).and_then(Option::take)
     }
 }
 
@@ -201,7 +212,10 @@ where
                         break;
                     }
                     match pool.try_claim(who) {
-                        Claim::Task((index, item)) => {
+                        Claim::Task(index) => {
+                            let Some(item) = pool.take(index) else {
+                                continue;
+                            };
                             // Send fails only when the writer already
                             // returned (sink error); nothing left to do
                             // either way.

@@ -9,7 +9,7 @@ use accubench::aggregate::ScoreAggregate;
 use accubench::crowd::{
     populate_parallel, populate_streamed, CrowdDatabase, FleetVerdict, SweepConfig, STREAM_GROUP,
 };
-use accubench::journal::{CancelToken, Journal};
+use accubench::journal::{decode_line, CancelToken, Journal, Record};
 use accubench::protocol::Protocol;
 use accubench::supervise::SessionChaos;
 use pv_faults::ALL_KINDS;
@@ -194,13 +194,18 @@ fn streamed_aggregate_bit_identical_across_threads() {
     }
 }
 
-/// Kill a streaming journaled sweep at seeded random byte offsets, resume
-/// with a different thread count, and require the aggregate bits and the
-/// healed journal to match the uninterrupted run exactly. This exercises
-/// the resume-straddle path: a cut rarely lands on the [`STREAM_GROUP`]
-/// grid, so the sink must top up the open group partial device-by-device.
+/// Kill a streaming journaled sweep at byte offsets, resume with a
+/// different thread count, and require the aggregate bits, holes, retained
+/// scores and healed journal to match the uninterrupted run exactly. The
+/// fleet spans two [`STREAM_GROUP`] groups. Three cuts are fixed: the
+/// header alone, just after device 63's outcome (the replayed prefix ends
+/// on the grid) and just after device 64's (one past it). Seeded random
+/// cuts rarely land on the grid, so the resumed sweep must fold replayed
+/// and fresh devices of one group into the same group partial the
+/// uninterrupted run built.
 #[test]
 fn streamed_kill_resume_is_bit_deterministic() {
+    const FLEET: usize = STREAM_GROUP + 2;
     let cfg = faulty_cfg();
 
     let full_path = tmp_path("kill-full");
@@ -210,7 +215,7 @@ fn streamed_kill_resume_is_bit_deterministic() {
     let baseline = populate_streamed(
         &mut base,
         "Pixel",
-        fleet(DEVICES),
+        fleet(FLEET),
         &cfg,
         Some(&mut journal),
         &CancelToken::new(),
@@ -224,10 +229,31 @@ fn streamed_kill_resume_is_bit_deterministic() {
     let full_bytes = std::fs::read(&full_path).unwrap();
     let base_print = print_of(&base);
 
+    // Byte offset just past the first line whose record matches.
+    let line_end = |wanted: &dyn Fn(&Record) -> bool| -> usize {
+        let mut end = 0;
+        for line in full_bytes.split(|&b| b == b'\n') {
+            end += line.len() + 1;
+            let record = decode_line(std::str::from_utf8(line).unwrap()).unwrap();
+            if wanted(&record) {
+                return end;
+            }
+        }
+        panic!("no such record in the journal");
+    };
+    let outcome_end = |device: usize| {
+        line_end(&|r: &Record| matches!(r, Record::Outcome { index, .. } if *index == device))
+    };
+    let mut cuts = vec![
+        line_end(&|r: &Record| matches!(r, Record::Header { .. })),
+        outcome_end(STREAM_GROUP - 1),
+        outcome_end(STREAM_GROUP),
+    ];
     let mut rng = StdRng::seed_from_u64(0x57EA_4001);
+    cuts.extend((0..6).map(|_| rng.gen_range(1..full_bytes.len())));
+
     let resume_path = tmp_path("kill-resume");
-    for round in 0..6 {
-        let cut = rng.gen_range(1..full_bytes.len());
+    for (round, cut) in cuts.into_iter().enumerate() {
         std::fs::write(&resume_path, &full_bytes[..cut]).unwrap();
 
         let mut a = agg();
@@ -235,7 +261,7 @@ fn streamed_kill_resume_is_bit_deterministic() {
         let resumed = populate_streamed(
             &mut a,
             "Pixel",
-            fleet(DEVICES),
+            fleet(FLEET),
             &cfg,
             Some(&mut journal),
             &CancelToken::new(),

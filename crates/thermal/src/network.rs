@@ -23,17 +23,12 @@
 use crate::ThermalError;
 use core::fmt;
 use pv_units::{Celsius, Seconds, ThermalCapacitance, ThermalResistance, Watts};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// Entries kept in the per-step-size propagator cache. Sessions alternate
 /// between a busy and an idle step size (plus occasional tail steps), so a
 /// handful of slots covers every realistic protocol without ever growing.
 const PROPAGATOR_CACHE_CAP: usize = 8;
-
-/// Entries kept in the process-wide archetype-keyed propagator cache. A
-/// fleet sweep uses one topology and two step sizes; the headroom covers
-/// mixed-model fleets and test suites without unbounded growth.
-const SHARED_PROPAGATOR_CACHE_CAP: usize = 32;
 
 /// Handle to a node of a [`ThermalNetwork`].
 ///
@@ -253,7 +248,6 @@ impl ThermalNetworkBuilder {
             }
         }
         let n = self.nodes.len();
-        let signature = structural_signature(&self.nodes, &self.edges);
         Ok(ThermalNetwork {
             nodes: self.nodes,
             edges: self.edges,
@@ -266,39 +260,8 @@ impl ThermalNetworkBuilder {
             heat_scratch: vec![0.0; n],
             scratch: StepScratch::sized(n),
             propagators: Vec::new(),
-            signature,
         })
     }
-}
-
-/// Canonical encoding of everything [`ThermalNetwork::build_propagator`]
-/// reads: node kinds and capacitance bit patterns plus the ordered edge
-/// list (edge order matters — conductances accumulate into the system
-/// matrix in list order, and float addition is not associative). Two
-/// networks with equal signatures build bit-identical propagators for any
-/// step size, which is the invariant the shared cache rests on.
-fn structural_signature(nodes: &[Node], edges: &[Edge]) -> Vec<u64> {
-    let mut sig = Vec::with_capacity(2 + 2 * nodes.len() + 3 * edges.len());
-    sig.push(nodes.len() as u64);
-    sig.push(edges.len() as u64);
-    for node in nodes {
-        match node.kind {
-            NodeKind::Capacitive(c) => {
-                sig.push(1);
-                sig.push(c.value().to_bits());
-            }
-            NodeKind::Boundary => {
-                sig.push(0);
-                sig.push(0);
-            }
-        }
-    }
-    for e in edges {
-        sig.push(e.a as u64);
-        sig.push(e.b as u64);
-        sig.push(e.conductance.to_bits());
-    }
-    sig
 }
 
 /// Struct-owned per-step work buffers, so the step loop never touches the
@@ -340,30 +303,13 @@ impl StepScratch {
 /// with `Φ = exp(M·dt)` and `B = (∫₀^dt exp(M·τ) dτ)·diag(1/Cᵢ)`, both
 /// dense `n×n` row-major. Exact for heat held constant over the step.
 ///
-/// Propagators are pure functions of the network's structural signature
-/// and the step size, so one `Arc` can be shared across every device of an
-/// archetype (and across threads) without affecting a single bit of the
-/// trajectory.
+/// Held behind an `Arc`, so cloning a network (a device cloned per session
+/// attempt) shares its cached propagators instead of copying them.
 #[derive(Debug, Clone)]
 struct Propagator {
     dt_bits: u64,
     phi: Vec<f64>,
     b: Vec<f64>,
-}
-
-/// One entry of the process-wide archetype-keyed propagator cache.
-struct SharedPropagator {
-    signature: Vec<u64>,
-    dt_bits: u64,
-    propagator: Arc<Propagator>,
-}
-
-/// Process-wide propagator cache keyed by (structural signature, dt bits).
-/// Guards cold-start sweeps: the first device of an archetype to see a step
-/// size builds the matrix exponential, every other device clones the `Arc`.
-fn shared_propagators() -> &'static Mutex<Vec<SharedPropagator>> {
-    static CACHE: OnceLock<Mutex<Vec<SharedPropagator>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 /// A built thermal network. Step it with [`ThermalNetwork::step`], read
@@ -382,7 +328,6 @@ pub struct ThermalNetwork {
     heat_scratch: Vec<f64>,
     scratch: StepScratch,
     propagators: Vec<Arc<Propagator>>,
-    signature: Vec<u64>,
 }
 
 /// Equality is semantic: two networks are equal when they would produce
@@ -648,8 +593,9 @@ impl ThermalNetwork {
         }
     }
 
-    /// Index of the propagator for `dt` in the local cache, consulting the
-    /// process-wide archetype cache on miss. Hits are moved to the front so
+    /// Index of the propagator for `dt` in the network's cache, building it
+    /// on a miss (microseconds for a phone-scale network, and a session
+    /// misses once per step size). Hits move one slot toward the front so
     /// the two protocol step sizes stay in the first slots; the cache is
     /// capped at [`PROPAGATOR_CACHE_CAP`] entries (oldest evicted) so
     /// pathological dt sequences cannot grow it.
@@ -662,54 +608,15 @@ impl ThermalNetwork {
             }
             return 0;
         }
-        let p = self.shared_propagator(dt);
+        let p = Arc::new(self.build_propagator(dt));
         self.propagators.truncate(PROPAGATOR_CACHE_CAP - 1);
         self.propagators.insert(0, p);
         0
     }
 
-    /// Looks up `dt` in the process-wide archetype-keyed cache, building
-    /// and publishing the propagator on miss. The build happens under the
-    /// lock: it is microseconds for phone-scale networks, and holding the
-    /// lock means concurrent workers of one archetype never race to build
-    /// the same matrix (they all leave with the same `Arc`). Either way the
-    /// result is bit-identical to a per-device build — `build_propagator`
-    /// is a pure function of the structural signature and `dt`.
-    fn shared_propagator(&self, dt: f64) -> Arc<Propagator> {
-        let dt_bits = dt.to_bits();
-        let mut cache = match shared_propagators().lock() {
-            Ok(guard) => guard,
-            // A poisoned lock only means another thread panicked mid-scan;
-            // the entries themselves are immutable Arcs, so keep going.
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(pos) = cache
-            .iter()
-            .position(|e| e.dt_bits == dt_bits && e.signature == self.signature)
-        {
-            // Gradual move-to-front, mirroring the local cache policy.
-            let hit = cache[pos].propagator.clone();
-            if pos != 0 {
-                cache.swap(pos, pos - 1);
-            }
-            return hit;
-        }
-        let built = Arc::new(self.build_propagator(dt));
-        cache.truncate(SHARED_PROPAGATOR_CACHE_CAP - 1);
-        cache.insert(
-            0,
-            SharedPropagator {
-                signature: self.signature.clone(),
-                dt_bits,
-                propagator: built.clone(),
-            },
-        );
-        built
-    }
-
     /// The discrete-time propagator for step size `dt`, as a shareable
-    /// handle, through the same local and process-wide caches the
-    /// [`Integrator::Exponential`] step path uses.
+    /// handle, through the same cache the [`Integrator::Exponential`] step
+    /// path uses.
     #[cfg(test)]
     fn exponential_propagator(&mut self, dt: Seconds) -> Result<Arc<Propagator>, ThermalError> {
         if !(dt.value() > 0.0 && dt.is_finite()) {
@@ -1231,63 +1138,6 @@ mod exponential_tests {
             net.step(Seconds(0.01 * i as f64), &[]).unwrap();
         }
         assert!(net.propagators.len() <= PROPAGATOR_CACHE_CAP);
-    }
-
-    #[test]
-    fn identical_topologies_share_one_propagator() {
-        // Two devices of the same archetype must end up holding the *same*
-        // allocation after seeing the same step size — the fleet-wide
-        // shared-cache contract.
-        let (mut a, _) = decay_pair(Integrator::Exponential);
-        let (mut b, _) = decay_pair(Integrator::Exponential);
-        assert_eq!(a.signature, b.signature);
-        let pa = a.exponential_propagator(Seconds(0.125)).unwrap();
-        let pb = b.exponential_propagator(Seconds(0.125)).unwrap();
-        assert!(Arc::ptr_eq(&pa, &pb), "archetype cache must share the Arc");
-        assert_eq!(pa.phi.len(), 2 * 2);
-        assert_eq!(pa.dt_bits, 0.125f64.to_bits());
-    }
-
-    #[test]
-    fn distinct_topologies_do_not_share() {
-        let (mut a, _) = decay_pair(Integrator::Exponential);
-        let mut builder = ThermalNetworkBuilder::new();
-        builder.integrator(Integrator::Exponential);
-        let die = builder
-            .add_node("die", ThermalCapacitance(9.5), Celsius(80.0))
-            .unwrap();
-        let amb = builder.add_boundary("ambient", Celsius(26.0)).unwrap();
-        builder.connect(die, amb, ThermalResistance(5.0)).unwrap();
-        let mut other = builder.build().unwrap();
-        assert_ne!(a.signature, other.signature);
-        let pa = a.exponential_propagator(Seconds(0.25)).unwrap();
-        let po = other.exponential_propagator(Seconds(0.25)).unwrap();
-        assert!(!Arc::ptr_eq(&pa, &po));
-    }
-
-    #[test]
-    fn shared_cache_hit_is_bit_identical_to_cold_build() {
-        // The second network's trajectory through a shared propagator must
-        // match a freshly built one bit for bit.
-        let (mut warm, _) = decay_pair(Integrator::Exponential);
-        warm.exponential_propagator(Seconds(0.37)).unwrap(); // publish
-        let (mut via_cache, die_c) = decay_pair(Integrator::Exponential);
-        let (mut rebuilt, die_r) = decay_pair(Integrator::Exponential);
-        // Force a private rebuild for comparison.
-        let fresh = rebuilt.build_propagator(0.37);
-        let shared = via_cache.exponential_propagator(Seconds(0.37)).unwrap();
-        assert_eq!(fresh.phi, shared.phi);
-        assert_eq!(fresh.b, shared.b);
-        for _ in 0..40 {
-            via_cache
-                .step(Seconds(0.37), &[(die_c, Watts(2.0))])
-                .unwrap();
-            rebuilt.step(Seconds(0.37), &[(die_r, Watts(2.0))]).unwrap();
-        }
-        assert_eq!(
-            via_cache.temperature(die_c).value().to_bits(),
-            rebuilt.temperature(die_r).value().to_bits()
-        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 # `bash scripts/chaos_gate.sh`).
 #
 # A degraded sweep (injected panics + stalls) must exit 0 with a
-# survivor CI line; the abort policy must journal the hole, then fail;
+# survivor CI line, and the oracle engine must report the same headline
+# and hole breakdown; the abort policy must journal the hole, then fail;
 # a journaled chaos sweep must write the same bytes at 1 and 4 threads.
 set -euo pipefail
 
@@ -19,6 +20,12 @@ out=$(./target/release/repro sweep --quick --devices 12 \
   --chaos-seed 3053 --chaos-panics 2 --chaos-stalls 1 --threads 4)
 echo "$out" | grep "fleet degraded: 3 device(s) quarantined"
 echo "$out" | grep "survivor score:"
+
+# The oracle engine must account for the same sweep's holes the same
+# way: its headline and `fleet degraded:` lines equal the streamed ones.
+oracle=$(./target/release/repro sweep --quick --devices 12 \
+  --chaos-seed 3053 --chaos-panics 2 --chaos-stalls 1 --threads 4 --oracle)
+diff <(echo "$out" | head -n 2) <(echo "$oracle" | head -n 2)
 
 # Abort policy must journal the hole, then fail the process.
 if ./target/release/repro sweep --quick --devices 12 \
