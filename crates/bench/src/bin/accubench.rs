@@ -20,9 +20,10 @@
 //!                               operations, not seconds)
 //!   --json                      emit the session as JSON
 //!   --journal <file>            journal the run (self-checksummed, fsynced)
-//!   --resume                    replay a completed journal instead of
-//!                               re-measuring; refuses a journal whose
-//!                               recorded configuration differs
+//!   --resume                    replay the journaled result instead of
+//!                               re-measuring (re-measures only when no
+//!                               result was journaled); refuses a journal
+//!                               whose recorded configuration differs
 //!   --max-task-seconds <w>      arm a wall-clock watchdog: a session that
 //!                               runs longer than w seconds is stopped at
 //!                               the next cooperative checkpoint and
@@ -44,14 +45,15 @@
 //! accubench --device nexus5:2 --faults examples/fault_plan.toml
 //! ```
 
-use accubench::crowd::SweepOutcome;
 use accubench::executor;
 use accubench::harness::{Ambient, Harness};
-use accubench::journal::{fnv64, Journal, Record};
+use accubench::journal::{
+    fnv64, journal_outcome, prepare_journal, AttemptFailure, Journal, JournalError,
+    JournaledOutcome, Record,
+};
 use accubench::protocol::Protocol;
-use accubench::session::Verdict;
 use accubench::storage::{FaultyStorage, Storage};
-use accubench::supervise::{DeviceStatus, OnFailure, Watchdog};
+use accubench::supervise::{OnFailure, Watchdog};
 use pv_faults::{FaultHandle, FaultPlan};
 use pv_soc::catalog;
 use pv_soc::faulty::FaultyDevice;
@@ -204,18 +206,14 @@ fn failure_exit(on_failure: OnFailure) -> ExitCode {
 
 /// Prints a journaled outcome (the `--resume` replay path) and converts
 /// it to an exit code.
-fn replay_outcome(
-    outcome: &SweepOutcome,
-    score: Option<f64>,
-    rsd: Option<f64>,
-    on_failure: OnFailure,
-) -> ExitCode {
+fn replay_outcome(journaled: &JournaledOutcome, on_failure: OnFailure) -> ExitCode {
+    let outcome = &journaled.outcome;
     println!("journaled result for {}:", outcome.device);
     match outcome.verdict {
         Some(v) => println!("verdict: {v}"),
         None => println!("verdict: {}", outcome.status),
     }
-    if let (Some(score), Some(rsd)) = (score, rsd) {
+    if let (Some(score), Some(rsd)) = (journaled.score, journaled.rsd) {
         println!("performance: {score:.1} iterations (RSD {rsd:.2}%)");
     }
     if outcome.quarantined > 0 {
@@ -306,8 +304,9 @@ fn main() -> ExitCode {
         None => FaultHandle::disarmed(),
     };
 
-    // Journal handling: open (recovering any torn tail), then either seal a
-    // fresh header or verify the existing one before anything runs.
+    // Journal handling: open (recovering any torn tail) and bind it to this
+    // run before anything runs. An accubench journal is a one-device sweep
+    // journal: a journaled outcome is replayed instead of re-measured.
     let digest = run_digest(&opts, &fault_toml);
     let storage = match &storage_plan {
         Some(plan) => Storage::new(Arc::new(FaultyStorage::new(Storage::os(), plan))),
@@ -332,33 +331,25 @@ fn main() -> ExitCode {
         None => None,
     };
     if let Some(j) = journal.as_mut() {
-        if j.recovered().is_empty() {
-            let header = Record::Header {
-                model: opts.device.clone(),
-                digest: digest.clone(),
-                devices: 1,
-            };
-            if let Err(e) = j.append(&header) {
+        let replay = match prepare_journal(j, &opts.device, digest, 1) {
+            Ok(replay) => replay,
+            Err(JournalError::DigestMismatch { .. }) => {
+                eprintln!(
+                    "--journal: journal was written by a different configuration; \
+                     refusing to resume (re-run with matching options or a fresh path)"
+                );
+                return ExitCode::FAILURE;
+            }
+            Err(JournalError::MissingHeader) => {
+                eprintln!("--journal: journal does not start with a header");
+                return ExitCode::FAILURE;
+            }
+            Err(e) => {
                 eprintln!("--journal: {e}");
                 return ExitCode::FAILURE;
             }
-        } else {
-            match &j.recovered()[0] {
-                Record::Header {
-                    digest: journaled, ..
-                } if *journaled == digest => {}
-                Record::Header { .. } => {
-                    eprintln!(
-                        "--journal: journal was written by a different configuration; \
-                         refusing to resume (re-run with matching options or a fresh path)"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                _ => {
-                    eprintln!("--journal: journal does not start with a header");
-                    return ExitCode::FAILURE;
-                }
-            }
+        };
+        if !j.recovered().is_empty() {
             if !opts.resume {
                 eprintln!(
                     "--journal: journal already holds {} record(s); \
@@ -367,24 +358,13 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::FAILURE;
             }
-            let mut done = None;
-            let mut complete = false;
-            for r in &j.recovered()[1..] {
-                match r {
-                    Record::Outcome {
-                        outcome,
-                        score,
-                        rsd,
-                        ..
-                    } => done = Some((outcome.clone(), *score, *rsd)),
-                    Record::Complete { .. } => complete = true,
-                    _ => {}
+            if let Some(done) = replay.outcomes.get(&0) {
+                if !replay.sealed {
+                    if let Err(e) = j.append(&Record::Complete { devices: 1 }) {
+                        eprintln!("warning: journal append failed: {e}");
+                    }
                 }
-            }
-            if complete {
-                if let Some((outcome, score, rsd)) = done {
-                    return replay_outcome(&outcome, score, rsd, opts.on_failure);
-                }
+                return replay_outcome(done, opts.on_failure);
             }
             eprintln!("journal is incomplete; re-measuring");
         }
@@ -441,106 +421,47 @@ fn main() -> ExitCode {
         "measuring {device}: {} iteration(s), mode {} ...",
         opts.iterations, opts.mode
     );
-    // The end-of-session records commit together: one write, one fsync.
-    let journal_end = |journal: &mut Option<Journal>, mut records: Vec<Record>| {
-        if let Some(j) = journal.as_mut() {
-            records.push(Record::Complete { devices: 1 });
-            if let Err(e) = j.append_all(&records) {
-                eprintln!("warning: journal append failed: {e}");
-            }
-        }
-    };
     // The session runs under panic isolation: a panic (injected or real)
     // is caught, summarized, journaled with its typed status, and turned
     // into an exit code by the escalation policy instead of unwinding
-    // through main.
+    // through main. A fatal session error is deterministic, so it
+    // completes the journal too: --resume replays the failure instead of
+    // re-running.
     let caught = executor::run_caught(|| harness.run_session(&mut device, opts.iterations));
-    let failed_outcome = |status: DeviceStatus, detail: &str| SweepOutcome {
-        device: device_label.clone(),
-        verdict: None,
-        accepted: false,
-        quarantined: 0,
-        fault_reports: faults.report_count(),
-        error: Some(detail.to_owned()),
-        status,
-        attempts: 1,
+    let (session, failures) = match caught {
+        Ok(Ok(session)) => (Some(session), Vec::new()),
+        Ok(Err(e)) => (None, vec![AttemptFailure::of_error(1, &e)]),
+        Err(panic) => (None, vec![AttemptFailure::of_panic(1, panic)]),
     };
-    let session = match caught {
-        Ok(Ok(s)) => s,
-        Ok(Err(e)) => {
-            // A fatal session error is deterministic, so it completes the
-            // journal: --resume replays the failure instead of re-running.
-            let status = DeviceStatus::of_error(&e);
-            journal_end(
-                &mut journal,
-                vec![Record::Outcome {
-                    index: 0,
-                    outcome: failed_outcome(status, &e.to_string()),
-                    score: None,
-                    rsd: None,
-                }],
-            );
-            eprintln!("error ({status}): {e}");
-            return failure_exit(opts.on_failure);
+    let result = match &session {
+        Some(session) => {
+            let mut result =
+                JournaledOutcome::finished(device_label, session, faults.report_count(), 1);
+            // A lone run has no crowd database to filter it: a submitted
+            // score is accepted.
+            result.outcome.accepted = result.score.is_some();
+            result
         }
-        Err(panic) => {
-            let headline = panic.headline();
-            // The deterministic headline goes into the outcome; the
-            // backtrace (when RUST_BACKTRACE enables capture) only into
-            // the free-form note, where nondeterminism is harmless.
-            let mut note = format!("{device_label}: {headline}");
-            if let Some(bt) = &panic.backtrace {
-                note.push_str("\nbacktrace:\n");
-                note.push_str(bt);
-            }
-            journal_end(
-                &mut journal,
-                vec![
-                    Record::Note {
-                        index: 0,
-                        text: note,
-                    },
-                    Record::Outcome {
-                        index: 0,
-                        outcome: failed_outcome(DeviceStatus::Panicked, &headline),
-                        score: None,
-                        rsd: None,
-                    },
-                ],
-            );
-            eprintln!("error (panicked): {headline}");
-            if let Some(bt) = &panic.backtrace {
+        None => JournaledOutcome::hole(device_label, faults.report_count(), &failures),
+    };
+    // The end-of-session records commit together: one write, one fsync.
+    if let Some(j) = journal.as_mut() {
+        let mut records = Vec::new();
+        journal_outcome(&mut records, 0, &result, &failures);
+        records.push(Record::Complete { devices: 1 });
+        if let Err(e) = j.append_all(&records) {
+            eprintln!("warning: journal append failed: {e}");
+        }
+    }
+    let Some(session) = session else {
+        for failure in &failures {
+            eprintln!("error ({}): {}", failure.status, failure.detail);
+            if let Some(bt) = &failure.backtrace {
                 eprintln!("{bt}");
             }
-            return failure_exit(opts.on_failure);
         }
+        return failure_exit(opts.on_failure);
     };
-    let (score, rsd) = if session.verdict == Verdict::Invalid {
-        (None, None)
-    } else {
-        session
-            .performance_summary()
-            .map(|p| (Some(p.mean()), Some(p.rsd_percent())))
-            .unwrap_or((None, None))
-    };
-    journal_end(
-        &mut journal,
-        vec![Record::Outcome {
-            index: 0,
-            outcome: SweepOutcome {
-                device: device_label,
-                verdict: Some(session.verdict),
-                accepted: session.verdict != Verdict::Invalid,
-                quarantined: session.quarantined.len(),
-                fault_reports: faults.report_count(),
-                error: None,
-                status: DeviceStatus::Completed,
-                attempts: 1,
-            },
-            score,
-            rsd,
-        }],
-    );
 
     if let Some(path) = &opts.trace {
         let csv = session

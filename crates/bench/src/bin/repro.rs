@@ -1050,12 +1050,6 @@ fn run_sweep_oracle(
     ExitCode::SUCCESS
 }
 
-/// Histogram layout of the streaming sweep aggregate: wide enough for any
-/// protocol scaling the CLI offers, at ~10-point quantile resolution.
-const SWEEP_HIST_LO: f64 = 0.0;
-const SWEEP_HIST_HI: f64 = 2000.0;
-const SWEEP_HIST_BINS: usize = 200;
-
 /// The default streaming path: constant-memory mergeable aggregates, plus
 /// sampled estimation when a `--sample` selection rode along.
 fn run_sweep_streamed(
@@ -1069,13 +1063,7 @@ fn run_sweep_streamed(
 ) -> ExitCode {
     let json = flags.switch("--json");
     let journal_path = flags.value("--journal");
-    let mut agg = match ScoreAggregate::with_layout(
-        5.0,
-        SWEEP_HIST_LO,
-        SWEEP_HIST_HI,
-        SWEEP_HIST_BINS,
-        accubench::aggregate::DEFAULT_TOP_K,
-    ) {
+    let mut agg = match ScoreAggregate::new(5.0) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -1225,16 +1213,18 @@ fn render_streamed_stats(agg: &ScoreAggregate) {
     if let (Ok(mean), Ok(rsd)) = (agg.mean(), agg.rsd_percent()) {
         println!("fleet mean score: {mean:.1} (RSD {rsd:.2}%)");
     }
+    let hist = agg.histogram();
+    let (lo, hi) = (hist.bin_edge(0), hist.bin_edge(hist.bins()));
     if let (Some(p50), Some(p90)) = (agg.approx_quantile(0.50), agg.approx_quantile(0.90)) {
         println!(
             "approx p50 {p50:.0}, p90 {p90:.0} (histogram resolution {:.0})",
-            (SWEEP_HIST_HI - SWEEP_HIST_LO) / SWEEP_HIST_BINS as f64
+            (hi - lo) / hist.bins() as f64
         );
     }
     let oor = agg.out_of_range_fraction();
     if oor > 0.01 {
         eprintln!(
-            "warning: {:.1}% of scores outside the [{SWEEP_HIST_LO}, {SWEEP_HIST_HI}] \
+            "warning: {:.1}% of scores outside the [{lo}, {hi}] \
              histogram range; quantiles are clamped",
             oor * 100.0
         );

@@ -1,7 +1,7 @@
 //! The `accubench` binary's command line: removed options fail with the
 //! usage text, and a journaled run replays on `--resume`, refuses a
-//! journal written under a different configuration, and commits the end
-//! of its session at once.
+//! journal written under a different configuration, commits the end of
+//! its session at once, and heals a cut journal to the uninterrupted bytes.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -9,7 +9,9 @@ use std::process::{Command, Output};
 /// Runs one short session with the whitespace-split `extra` options, then
 /// `tail` (kept whole, so it may hold a path).
 fn accubench(extra: &str, tail: &[&str]) -> Output {
+    // Backtraces would put thread-dependent stacks into panic notes.
     Command::new(env!("CARGO_BIN_EXE_accubench"))
+        .env("RUST_BACKTRACE", "0")
         .args("--device nexus5:2 --scale 0.1 --iterations 2".split_whitespace())
         .args(extra.split_whitespace())
         .args(tail)
@@ -98,4 +100,64 @@ fn end_of_session_records_commit_as_one_write() {
     assert!(replay.status.success(), "{}", stderr(&replay));
     let stdout = String::from_utf8_lossy(&replay.stdout);
     assert!(stdout.contains("journaled result for bin-2"), "{stdout}");
+}
+
+/// `repro fsck <journal>`'s exit code.
+fn fsck(journal: &Path) -> Option<i32> {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fsck", journal.to_str().unwrap()])
+        .output()
+        .expect("repro binary runs")
+        .status
+        .code()
+}
+
+#[test]
+fn resume_seals_a_journal_cut_inside_its_seal() {
+    let dir = accubench::storage::TempDir::new("accubench-cut-seal");
+    let journal = dir.file("run.journal");
+    assert!(journaled(&journal, "").status.success());
+    let whole = std::fs::read(&journal).unwrap();
+    // Five bytes short: the torn `complete` line is all that is lost, and
+    // the device's outcome is journaled.
+    std::fs::write(&journal, &whole[..whole.len() - 5]).unwrap();
+
+    let replay = journaled(&journal, "--resume");
+    let err = stderr(&replay);
+    assert!(replay.status.success(), "{err}");
+    assert!(!err.contains("measuring"), "re-measured: {err}");
+    let stdout = String::from_utf8_lossy(&replay.stdout);
+    assert!(stdout.contains("journaled result for bin-2"), "{stdout}");
+    assert_eq!(std::fs::read(&journal).unwrap(), whole, "healed bytes");
+    assert_eq!(fsck(&journal), Some(0));
+}
+
+#[test]
+fn resume_re_measures_a_device_cut_before_its_outcome() {
+    let dir = accubench::storage::TempDir::new("accubench-cut-note");
+    let plan = dir.file("panic.toml");
+    let toml = "[[event]]\nkind = \"session-panic\"\nat = 0.0\nduration = 1000.0\n";
+    std::fs::write(&plan, toml).unwrap();
+    let journal = dir.file("run.journal");
+    let faults = ["--faults", plan.to_str().unwrap()];
+    let journal_flag = ["--journal", journal.to_str().unwrap()];
+    let args = [&faults[..], &journal_flag].concat();
+
+    let first = accubench("", &args);
+    assert_eq!(first.status.code(), Some(1), "{}", stderr(&first));
+    let whole = std::fs::read(&journal).unwrap();
+    let text = String::from_utf8_lossy(&whole);
+    assert_eq!(text.matches(r#""t":"note""#).count(), 1, "{text}");
+    // Cut just after the note: the device's supervision and note records
+    // survive, but no outcome commits them.
+    let note = text.find(r#""t":"note""#).unwrap();
+    let cut = note + text[note..].find('\n').unwrap() + 1;
+    std::fs::write(&journal, &whole[..cut]).unwrap();
+
+    let resumed = accubench("--resume", &args);
+    let err = stderr(&resumed);
+    assert_eq!(resumed.status.code(), Some(1), "{err}");
+    assert!(err.contains("re-measuring"), "{err}");
+    assert_eq!(std::fs::read(&journal).unwrap(), whole, "healed bytes");
+    assert_eq!(fsck(&journal), Some(0));
 }

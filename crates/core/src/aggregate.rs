@@ -37,13 +37,13 @@ use pv_stats::StatsError;
 /// Default score-histogram lower bound.
 pub const DEFAULT_HIST_LO: f64 = 0.0;
 /// Default score-histogram upper bound. ACCUBENCH scores are iterations per
-/// workload window; the default range is generous and out-of-range scores
-/// still land in the tracked under/overflow counters (and are flagged by
-/// the renderer), so a mis-sized range loses percentile resolution, never
-/// data.
-pub const DEFAULT_HIST_HI: f64 = 400.0;
-/// Default score-histogram bin count.
-pub const DEFAULT_HIST_BINS: usize = 80;
+/// workload window; the default range is wide enough for any protocol
+/// scaling the CLI offers, and out-of-range scores still land in the
+/// tracked under/overflow counters (and are flagged by the renderer), so a
+/// mis-sized range loses percentile resolution, never data.
+pub const DEFAULT_HIST_HI: f64 = 2000.0;
+/// Default score-histogram bin count: ~10-point quantile resolution.
+pub const DEFAULT_HIST_BINS: usize = 200;
 /// Default leaderboard capacity.
 pub const DEFAULT_TOP_K: usize = 10;
 

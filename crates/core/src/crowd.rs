@@ -22,7 +22,10 @@
 
 use crate::executor::{self, TaskOutcome};
 use crate::harness::{Ambient, Harness};
-use crate::journal::{fnv64, CancelToken, Journal, JournalError, Record};
+use crate::journal::{
+    fnv64, journal_outcome, prepare_journal, AttemptFailure, CancelToken, Journal, JournalError,
+    JournaledOutcome, Record, Replay,
+};
 use crate::protocol::{CooldownTarget, Protocol};
 use crate::report::TextTable;
 use crate::session::{Session, Verdict};
@@ -562,18 +565,9 @@ impl SweepReport {
     /// Returns [`JournalError::MissingHeader`] when the records do not
     /// start with a sweep header.
     pub fn from_journal(records: &[Record]) -> Result<Self, JournalError> {
-        match records.first() {
-            Some(Record::Header { .. }) => {}
-            _ => return Err(JournalError::MissingHeader),
-        }
-        let mut by_index: BTreeMap<usize, SweepOutcome> = BTreeMap::new();
-        for r in records {
-            if let Record::Outcome { index, outcome, .. } = r {
-                by_index.insert(*index, outcome.clone());
-            }
-        }
+        let replay = Replay::from_records(records)?;
         Ok(SweepReport {
-            outcomes: by_index.into_values().collect(),
+            outcomes: replay.outcomes.into_values().map(|j| j.outcome).collect(),
         })
     }
 
@@ -656,43 +650,58 @@ const SURVIVOR_CI_SEED: u64 = 0x05EE_D0C1;
 
 impl fmt::Display for SweepReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_sweep(
+            f,
+            [self.outcomes.len(), self.completed(), self.accepted()],
+            self.outcomes.iter().filter(|o| o.is_hole()),
+            &self.outcomes,
+        )
+    }
+}
+
+/// Writes the lines both sweep reports print, so they cannot drift: the
+/// `crowd sweep:` headline over `devices`, `completed` and `accepted`
+/// counts, the `fleet degraded:` breakdown of `holes` when there are any,
+/// and one line per `listed` device.
+fn write_sweep<'a>(
+    f: &mut fmt::Formatter<'_>,
+    [devices, completed, accepted]: [usize; 3],
+    holes: impl Iterator<Item = &'a SweepOutcome> + Clone,
+    listed: impl IntoIterator<Item = &'a SweepOutcome>,
+) -> fmt::Result {
+    let count = |status: DeviceStatus| holes.clone().filter(|o| o.status == status).count();
+    let failed = count(DeviceStatus::Failed);
+    writeln!(
+        f,
+        "crowd sweep: {devices} devices, {completed} completed, {accepted} accepted, {failed} failed",
+    )?;
+    let quarantined = holes.clone().count();
+    if quarantined > 0 {
         writeln!(
             f,
-            "crowd sweep: {} devices, {} completed, {} accepted, {} failed",
-            self.outcomes.len(),
-            self.completed(),
-            self.accepted(),
-            self.failed()
+            "  fleet degraded: {quarantined} device(s) quarantined ({} panicked, {} timed out, {failed} failed)",
+            count(DeviceStatus::Panicked),
+            count(DeviceStatus::TimedOut),
         )?;
-        if self.fleet_verdict() == FleetVerdict::Degraded {
-            writeln!(
-                f,
-                "  fleet degraded: {} device(s) quarantined ({} panicked, {} timed out, {} failed)",
-                self.quarantined_devices(),
-                self.panicked(),
-                self.timed_out(),
-                self.failed(),
-            )?;
-        }
-        for o in &self.outcomes {
-            let verdict = o
-                .verdict
-                .map_or_else(|| o.status.to_string(), |v| v.to_string());
-            write!(
-                f,
-                "  {}: {verdict}, {} quarantined, {} faults",
-                o.device, o.quarantined, o.fault_reports
-            )?;
-            if o.attempts > 1 {
-                write!(f, ", {} attempts", o.attempts)?;
-            }
-            if let Some(e) = &o.error {
-                write!(f, " ({e})")?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
     }
+    for o in listed {
+        let verdict = o
+            .verdict
+            .map_or_else(|| o.status.to_string(), |v| v.to_string());
+        write!(
+            f,
+            "  {}: {verdict}, {} quarantined, {} faults",
+            o.device, o.quarantined, o.fault_reports
+        )?;
+        if o.attempts > 1 {
+            write!(f, ", {} attempts", o.attempts)?;
+        }
+        if let Some(e) = &o.error {
+            write!(f, " ({e})")?;
+        }
+        writeln!(f)?;
+    }
+    Ok(())
 }
 
 /// Populates `db` with one supervised session per device — the §VI
@@ -818,9 +827,9 @@ impl JournaledSweep {
 /// Result of simulating one device, before the canonical-order merge step
 /// submits it to the sink and journals it.
 struct DeviceRun {
-    outcome: SweepOutcome,
-    score: Option<f64>,
-    rsd: Option<f64>,
+    /// The device's outcome and submitted score, as the journal records
+    /// them.
+    result: JournaledOutcome,
     /// `false` when the outcome was replayed from the journal instead of
     /// being re-simulated (replays are never re-journaled).
     fresh: bool,
@@ -829,15 +838,74 @@ struct DeviceRun {
     failures: Vec<AttemptFailure>,
 }
 
-/// One failed supervised attempt, recorded for the journal and notes.
-struct AttemptFailure {
-    attempt: u32,
-    status: DeviceStatus,
-    /// Deterministic one-line description (panic headline or error text).
-    detail: String,
-    /// Backtrace summary, present only when `RUST_BACKTRACE` enables
-    /// capture. Goes into the free-form note, never into digested state.
-    backtrace: Option<String>,
+impl DeviceRun {
+    /// A freshly simulated device.
+    fn fresh(result: JournaledOutcome, failures: Vec<AttemptFailure>) -> Self {
+        Self {
+            result,
+            fresh: true,
+            failures,
+        }
+    }
+}
+
+impl JournaledOutcome {
+    /// The result of a session that finished on attempt `attempts`: its
+    /// verdict, and the submitted score and RSD unless the verdict is
+    /// [`Verdict::Invalid`]. A session without a performance summary is a
+    /// [`DeviceStatus::Failed`] hole. `accepted` is left `false`: whoever
+    /// admits the score stamps it.
+    pub fn finished(
+        device: String,
+        session: &Session,
+        fault_reports: usize,
+        attempts: u32,
+    ) -> Self {
+        let summary = (session.verdict != Verdict::Invalid).then(|| session.performance_summary());
+        let (score, rsd, error) = match summary {
+            Some(Ok(perf)) => (Some(perf.mean()), Some(perf.rsd_percent()), None),
+            Some(Err(e)) => (None, None, Some(e.to_string())),
+            None => (None, None, None),
+        };
+        Self {
+            outcome: SweepOutcome {
+                device,
+                verdict: error.is_none().then_some(session.verdict),
+                accepted: false,
+                quarantined: session.quarantined_count(),
+                fault_reports,
+                status: if error.is_none() {
+                    DeviceStatus::Completed
+                } else {
+                    DeviceStatus::Failed
+                },
+                error,
+                attempts,
+            },
+            score,
+            rsd,
+        }
+    }
+
+    /// A supervision hole: every attempt in `failures` failed, and the last
+    /// one's status and detail describe the device.
+    pub fn hole(device: String, fault_reports: usize, failures: &[AttemptFailure]) -> Self {
+        let last = failures.last();
+        Self {
+            outcome: SweepOutcome {
+                device,
+                verdict: None,
+                accepted: false,
+                quarantined: 0,
+                fault_reports,
+                error: last.map(|f| f.detail.clone()),
+                status: last.map_or(DeviceStatus::Failed, |f| f.status),
+                attempts: failures.len() as u32,
+            },
+            score: None,
+            rsd: None,
+        }
+    }
 }
 
 /// Builds device `index`'s fault handle: the seeded instrument plan (when
@@ -866,27 +934,18 @@ fn fault_handle_for(cfg: &SweepConfig, index: usize, chaos: Option<&ChaosVictims
     }
 }
 
-/// What one supervised attempt produced: a finished session (whose verdict
-/// may still be anything), or a typed failure.
-enum Attempt {
-    Finished(Session),
-    Failed {
-        status: DeviceStatus,
-        detail: String,
-        backtrace: Option<String>,
-    },
-}
-
-/// Runs one session attempt on a pristine clone of `device` under a fresh
-/// fault handle and watchdog, with `catch_unwind` isolation. Returns the
-/// attempt result plus the fault-report count (which survives panics: the
-/// handle lives outside the unwind boundary).
+/// Runs attempt `attempt` of one session on a pristine clone of `device`
+/// under a fresh fault handle and watchdog, with `catch_unwind` isolation.
+/// Returns the finished session (whose verdict may still be anything) or
+/// the typed failure, plus the fault-report count (which survives panics:
+/// the handle lives outside the unwind boundary).
 fn run_attempt(
     cfg: &SweepConfig,
     index: usize,
     chaos: Option<&ChaosVictims>,
     device: &Device,
-) -> (Attempt, usize) {
+    attempt: u32,
+) -> (Result<Session, AttemptFailure>, usize) {
     let handle = fault_handle_for(cfg, index, chaos);
     let fresh = device.clone();
     let session_handle = handle.clone();
@@ -901,20 +960,12 @@ fn run_attempt(
             .with_watchdog(watchdog);
         harness.run_session(&mut gated, cfg.iterations)
     });
-    let attempt = match caught {
-        Ok(Ok(session)) => Attempt::Finished(session),
-        Ok(Err(e)) => Attempt::Failed {
-            status: DeviceStatus::of_error(&e),
-            detail: e.to_string(),
-            backtrace: None,
-        },
-        Err(panic) => Attempt::Failed {
-            status: DeviceStatus::Panicked,
-            detail: panic.headline(),
-            backtrace: panic.backtrace,
-        },
+    let result = match caught {
+        Ok(Ok(session)) => Ok(session),
+        Ok(Err(e)) => Err(AttemptFailure::of_error(attempt, &e)),
+        Err(panic) => Err(AttemptFailure::of_panic(attempt, panic)),
     };
-    (attempt, handle.report_count())
+    (result, handle.report_count())
 }
 
 /// Supervises one device session — the parallel-safe unit of work. It
@@ -933,159 +984,27 @@ fn supervise_device(
     device: &Device,
 ) -> DeviceRun {
     let label = device.label().to_owned();
-    let max_attempts = cfg.supervision.max_attempts.max(1);
     let mut failures: Vec<AttemptFailure> = Vec::new();
     let mut reports = 0usize;
-    for attempt in 1..=max_attempts {
-        let (result, fault_reports) = run_attempt(cfg, index, chaos, device);
+    for attempt in 1..=cfg.supervision.max_attempts.max(1) {
+        let (result, fault_reports) = run_attempt(cfg, index, chaos, device, attempt);
         reports = fault_reports;
         match result {
-            Attempt::Finished(session) => {
-                let mut score = None;
-                let mut rsd = None;
-                let mut verdict = Some(session.verdict);
-                let mut error = None;
-                if session.verdict != Verdict::Invalid {
-                    match session.performance_summary() {
-                        Ok(perf) => {
-                            score = Some(perf.mean());
-                            rsd = Some(perf.rsd_percent());
-                        }
-                        Err(e) => {
-                            verdict = None;
-                            error = Some(e.to_string());
-                        }
-                    }
-                }
-                let completed = verdict.is_some();
-                return DeviceRun {
-                    outcome: SweepOutcome {
-                        device: label,
-                        verdict,
-                        accepted: false,
-                        quarantined: session.quarantined_count(),
-                        fault_reports: reports,
-                        error,
-                        status: if completed {
-                            DeviceStatus::Completed
-                        } else {
-                            DeviceStatus::Failed
-                        },
-                        attempts: attempt,
-                    },
-                    score,
-                    rsd,
-                    fresh: true,
-                    failures,
-                };
+            Ok(session) => {
+                let result = JournaledOutcome::finished(label, &session, reports, attempt);
+                return DeviceRun::fresh(result, failures);
             }
-            Attempt::Failed {
-                status,
-                detail,
-                backtrace,
-            } => failures.push(AttemptFailure {
-                attempt,
-                status,
-                detail,
-                backtrace,
-            }),
+            Err(failure) => failures.push(failure),
         }
     }
     // Every attempt failed: the device is a supervision hole. Injected
     // faults are deterministic, so retries fail identically — but real
     // fleets retry against nondeterministic hardware, which is what
     // `max_attempts > 1` models.
-    let last = failures.last();
-    let status = last.map_or(DeviceStatus::Failed, |f| f.status);
-    let error = last.map(|f| f.detail.clone());
-    DeviceRun {
-        outcome: SweepOutcome {
-            device: label,
-            verdict: None,
-            accepted: false,
-            quarantined: 0,
-            fault_reports: reports,
-            error,
-            status,
-            attempts: max_attempts,
-        },
-        score: None,
-        rsd: None,
-        fresh: true,
-        failures,
-    }
+    DeviceRun::fresh(JournaledOutcome::hole(label, reports, &failures), failures)
 }
 
-/// Journal-restored device state, keyed by device index: the journaled
-/// outcome plus its raw `(score, rsd)` pair.
-type RestoredMap = BTreeMap<usize, (SweepOutcome, Option<f64>, Option<f64>)>;
-
-/// Sweep-engine preamble: validates the recovered journal (or writes the
-/// fresh header), heals an uncommitted record tail, and returns the
-/// restored `(outcome, score, rsd)` map plus whether a `Complete` seal was
-/// already journaled.
-fn prepare_journal(
-    journal: &mut Option<&mut Journal>,
-    model: &str,
-    digest: String,
-    total: usize,
-) -> Result<(RestoredMap, bool), BenchError> {
-    let mut restored: RestoredMap = BTreeMap::new();
-    let mut already_complete = false;
-    if let Some(j) = journal.as_deref_mut() {
-        if j.recovered().is_empty() {
-            j.append(&Record::Header {
-                model: model.to_owned(),
-                digest,
-                devices: total,
-            })?;
-        } else {
-            match &j.recovered()[0] {
-                Record::Header {
-                    digest: journaled,
-                    devices: n,
-                    ..
-                } => {
-                    if *journaled != digest || *n != total {
-                        return Err(JournalError::DigestMismatch {
-                            journaled: journaled.clone(),
-                            requested: digest,
-                        }
-                        .into());
-                    }
-                }
-                _ => return Err(JournalError::MissingHeader.into()),
-            }
-            // A device commits at its Outcome record. A crash inside a
-            // device's batch can leave valid Supervision/Note lines with no
-            // sealing outcome; drop them so the re-run (which re-emits
-            // them) heals the journal to the uninterrupted bytes.
-            let committed = j
-                .recovered()
-                .iter()
-                .rposition(|r| !matches!(r, Record::Supervision { .. } | Record::Note { .. }))
-                .map_or(0, |i| i + 1);
-            j.truncate_recovered(committed)?;
-            for r in &j.recovered()[1..] {
-                match r {
-                    Record::Outcome {
-                        index,
-                        outcome,
-                        score,
-                        rsd,
-                    } => {
-                        restored.insert(*index, (outcome.clone(), *score, *rsd));
-                    }
-                    Record::Complete { .. } => already_complete = true,
-                    _ => {}
-                }
-            }
-        }
-    }
-    Ok((restored, already_complete))
-}
-
-/// Runs device `index`: replays its restored outcome when the journal has
+/// Runs device `index`: replays its journaled outcome when the journal has
 /// one past the contiguous prefix (possible only in a hand-assembled
 /// journal), and supervises a fresh session otherwise.
 fn run_device(
@@ -1093,13 +1012,11 @@ fn run_device(
     chaos: Option<&ChaosVictims>,
     index: usize,
     device: &Device,
-    restored: &RestoredMap,
+    journaled: &BTreeMap<usize, JournaledOutcome>,
 ) -> DeviceRun {
-    match restored.get(&index) {
-        Some((outcome, score, rsd)) => DeviceRun {
-            outcome: outcome.clone(),
-            score: *score,
-            rsd: *rsd,
+    match journaled.get(&index) {
+        Some(result) => DeviceRun {
+            result: result.clone(),
             fresh: false,
             failures: Vec::new(),
         },
@@ -1110,84 +1027,9 @@ fn run_device(
 /// Defense-in-depth when a device task itself panics (the supervision
 /// machinery crashed, not the session): the device becomes a quarantined
 /// hole carrying the panic headline.
-fn panicked_run(label: String, panic: &executor::PanicSummary) -> DeviceRun {
-    let detail = panic.headline();
-    DeviceRun {
-        outcome: SweepOutcome {
-            device: label,
-            verdict: None,
-            accepted: false,
-            quarantined: 0,
-            fault_reports: 0,
-            error: Some(detail.clone()),
-            status: DeviceStatus::Panicked,
-            attempts: 1,
-        },
-        score: None,
-        rsd: None,
-        fresh: true,
-        failures: vec![AttemptFailure {
-            attempt: 1,
-            status: DeviceStatus::Panicked,
-            detail,
-            backtrace: panic.backtrace.clone(),
-        }],
-    }
-}
-
-/// Stages one freshly simulated outcome for the next group commit: its
-/// per-attempt supervision records, its fault/quarantine note (when
-/// warranted), and the outcome record that seals the device. Both sinks go
-/// through here, so their journal bytes cannot diverge.
-fn journal_outcome(
-    staged: &mut Vec<Record>,
-    index: usize,
-    outcome: &SweepOutcome,
-    score: Option<f64>,
-    rsd: Option<f64>,
-    failures: &[AttemptFailure],
-) {
-    for failure in failures {
-        staged.push(Record::Supervision {
-            index,
-            attempt: failure.attempt,
-            status: failure.status,
-            detail: failure.detail.clone(),
-        });
-    }
-    if outcome.quarantined > 0
-        || outcome.fault_reports > 0
-        || outcome.error.is_some()
-        || !failures.is_empty()
-    {
-        let mut text = format!(
-            "{}: {} quarantined, {} fault(s){}",
-            outcome.device,
-            outcome.quarantined,
-            outcome.fault_reports,
-            outcome
-                .error
-                .as_deref()
-                .map(|e| format!(", fatal: {e}"))
-                .unwrap_or_default()
-        );
-        // Backtrace summaries (present only when RUST_BACKTRACE is set)
-        // make a quarantine diagnosable from artifacts alone. They are
-        // thread-dependent, so enabling them trades away byte-identical
-        // journals across thread counts — see PanicSummary::backtrace.
-        for failure in failures {
-            if let Some(bt) = &failure.backtrace {
-                let _ = write!(text, "\nattempt {} backtrace:\n{bt}", failure.attempt);
-            }
-        }
-        staged.push(Record::Note { index, text });
-    }
-    staged.push(Record::Outcome {
-        index,
-        outcome: outcome.clone(),
-        score,
-        rsd,
-    });
+fn panicked_run(label: String, panic: executor::PanicSummary) -> DeviceRun {
+    let failures = vec![AttemptFailure::of_panic(1, panic)];
+    DeviceRun::fresh(JournaledOutcome::hole(label, 0, &failures), failures)
 }
 
 /// The sweep's journal writer: stages each fresh device's records and
@@ -1218,14 +1060,7 @@ impl GroupWriter<'_> {
         if self.staged.is_empty() {
             self.first = index;
         }
-        journal_outcome(
-            &mut self.staged,
-            index,
-            &run.outcome,
-            run.score,
-            run.rsd,
-            &run.failures,
-        );
+        journal_outcome(&mut self.staged, index, &run.result, &run.failures);
     }
 
     /// Commits the open group with a single append; a no-op when nothing
@@ -1295,7 +1130,7 @@ trait SweepSink {
     /// # Errors
     ///
     /// Sink-specific merge failures.
-    fn submit(&mut self, index: usize, run: &mut DeviceRun) -> Result<(), BenchError>;
+    fn submit(&mut self, index: usize, result: &mut JournaledOutcome) -> Result<(), BenchError>;
 
     /// Takes ownership of a submitted device's outcome.
     fn keep(&mut self, outcome: SweepOutcome);
@@ -1341,7 +1176,10 @@ fn sweep<S: SweepSink>(
     let labels: Vec<String> = devices.iter().map(|d| d.label().to_owned()).collect();
     let digest = cfg.digest(model, &labels);
     let total = devices.len();
-    let (mut restored, already_complete) = prepare_journal(&mut journal, model, digest, total)?;
+    let mut replay = match journal.as_deref_mut() {
+        Some(j) => prepare_journal(j, model, digest, total)?,
+        None => Replay::default(),
+    };
     let mut resumed = 0usize;
 
     // Replay the journal's contiguous restored prefix on the caller — no
@@ -1349,16 +1187,9 @@ fn sweep<S: SweepSink>(
     // sink identical to the uninterrupted run; admission filtering is
     // deterministic in the score alone, so `accepted` cannot diverge.
     let mut prefix = 0usize;
-    while let Some((outcome, score, rsd)) = restored.remove(&prefix) {
-        let mut run = DeviceRun {
-            outcome,
-            score,
-            rsd,
-            fresh: false,
-            failures: Vec::new(),
-        };
-        sink.submit(prefix, &mut run)?;
-        sink.keep(run.outcome);
+    while let Some(mut result) = replay.outcomes.remove(&prefix) {
+        sink.submit(prefix, &mut result)?;
+        sink.keep(result.outcome);
         resumed += 1;
         prefix += 1;
     }
@@ -1371,7 +1202,7 @@ fn sweep<S: SweepSink>(
     tail.drain(..prefix);
     let chaos = cfg.chaos.as_ref().map(|c| c.resolve(total));
     let chaos = chaos.as_ref();
-    let restored = &restored;
+    let journaled = &replay.outcomes;
     let mut writer = GroupWriter {
         journal,
         escalation: cfg.storage_escalation,
@@ -1385,7 +1216,7 @@ fn sweep<S: SweepSink>(
         tail,
         threads,
         cancel,
-        |k, device: Device| run_device(cfg, chaos, prefix + k, &device, restored),
+        |k, device: Device| run_device(cfg, chaos, prefix + k, &device, journaled),
         |k, caught| -> Result<(), BenchError> {
             let index = prefix + k;
             // `supervise_device` is infallible — panics inside a session
@@ -1394,29 +1225,30 @@ fn sweep<S: SweepSink>(
             // quarantined hole instead of tearing the sweep down.
             let mut run = match caught {
                 TaskOutcome::Completed(run) => run,
-                TaskOutcome::Panicked(panic) => panicked_run(labels[index].clone(), &panic),
+                TaskOutcome::Panicked(panic) => panicked_run(labels[index].clone(), panic),
             };
-            sink.submit(index, &mut run)?;
+            sink.submit(index, &mut run.result)?;
             if run.fresh {
                 writer.stage(index, &run);
             } else {
                 resumed += 1;
             }
             sunk += 1;
+            let outcome = run.result.outcome;
             // Escalation: under `abort`, a supervision hole fails the
             // whole sweep — but only *after* its outcome is journaled (the
             // early-stop commit below), so a resume replays the hole
             // instead of aborting on it again and picks up right after
             // the device that tripped the policy.
-            if run.outcome.is_hole() && cfg.supervision.on_failure == OnFailure::Abort {
+            if outcome.is_hole() && cfg.supervision.on_failure == OnFailure::Abort {
                 return Err(SupervisionError::FleetAborted {
-                    device: run.outcome.device,
-                    attempts: run.outcome.attempts,
-                    detail: run.outcome.error.unwrap_or_else(|| "unknown".into()),
+                    device: outcome.device,
+                    attempts: outcome.attempts,
+                    detail: outcome.error.unwrap_or_else(|| "unknown".into()),
                 }
                 .into());
             }
-            sink.keep(run.outcome);
+            sink.keep(outcome);
             // Group boundaries depend on the device index alone, so the
             // commit (and storage-op) sequence is the same at every
             // thread count.
@@ -1432,7 +1264,7 @@ fn sweep<S: SweepSink>(
     ran?;
 
     let complete = prefix + sunk == total;
-    if complete && !already_complete {
+    if complete && !replay.sealed {
         writer.seal(total)?;
     }
     sink.finish(SweepEnd {
@@ -1455,11 +1287,11 @@ struct DatabaseSink<'a> {
 impl SweepSink for DatabaseSink<'_> {
     type Output = JournaledSweep;
 
-    fn submit(&mut self, _: usize, run: &mut DeviceRun) -> Result<(), BenchError> {
-        if let (Some(score), Some(rsd)) = (run.score, run.rsd) {
-            run.outcome.accepted = self.db.submit(CrowdScore {
+    fn submit(&mut self, _: usize, result: &mut JournaledOutcome) -> Result<(), BenchError> {
+        if let (Some(score), Some(rsd)) = (result.score, result.rsd) {
+            result.outcome.accepted = self.db.submit(CrowdScore {
                 model: self.model.to_owned(),
-                device: run.outcome.device.clone(),
+                device: result.outcome.device.clone(),
                 score,
                 rsd,
             });
@@ -1539,11 +1371,6 @@ impl StreamedSweep {
         }
     }
 
-    /// Holes with the given status.
-    fn count_status(&self, status: DeviceStatus) -> usize {
-        self.holes.iter().filter(|o| o.status == status).count()
-    }
-
     /// 95 % confidence interval for the survivors' mean score, from the
     /// streaming moments (normal approximation `mean ± 1.96·se`). The
     /// oracle path quotes a bootstrap interval instead — it has the raw
@@ -1571,41 +1398,19 @@ impl StreamedSweep {
 
 impl fmt::Display for StreamedSweep {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let failed = self.count_status(DeviceStatus::Failed);
-        writeln!(
-            f,
-            "crowd sweep: {} devices, {} completed, {} accepted, {failed} failed",
-            self.devices,
-            self.completed,
-            self.aggregate.accepted(),
-        )?;
-        if !self.holes.is_empty() {
-            writeln!(
-                f,
-                "  fleet degraded: {} device(s) quarantined ({} panicked, {} timed out, {} failed)",
-                self.holes.len(),
-                self.count_status(DeviceStatus::Panicked),
-                self.count_status(DeviceStatus::TimedOut),
-                failed,
-            )?;
-        }
         // Only the holes get per-device lines — a million healthy devices
         // print nothing. Capped so a pathological fleet stays readable.
         const MAX_HOLE_LINES: usize = 32;
-        for o in self.holes.iter().take(MAX_HOLE_LINES) {
-            write!(
-                f,
-                "  {}: {}, {} quarantined, {} faults",
-                o.device, o.status, o.quarantined, o.fault_reports
-            )?;
-            if o.attempts > 1 {
-                write!(f, ", {} attempts", o.attempts)?;
-            }
-            if let Some(e) = &o.error {
-                write!(f, " ({e})")?;
-            }
-            writeln!(f)?;
-        }
+        write_sweep(
+            f,
+            [
+                self.devices,
+                self.completed,
+                self.aggregate.accepted() as usize,
+            ],
+            self.holes.iter(),
+            self.holes.iter().take(MAX_HOLE_LINES),
+        )?;
         if self.holes.len() > MAX_HOLE_LINES {
             writeln!(f, "  … {} more hole(s)", self.holes.len() - MAX_HOLE_LINES)?;
         }
@@ -1695,10 +1500,10 @@ impl AggregateSink<'_> {
 impl SweepSink for AggregateSink<'_> {
     type Output = StreamedSweep;
 
-    fn submit(&mut self, index: usize, run: &mut DeviceRun) -> Result<(), BenchError> {
-        if let (Some(s), Some(r)) = (run.score, run.rsd) {
-            run.outcome.accepted = self.open.fold(&run.outcome.device, s, r);
-            if self.retain_scores && run.outcome.accepted {
+    fn submit(&mut self, index: usize, result: &mut JournaledOutcome) -> Result<(), BenchError> {
+        if let (Some(s), Some(r)) = (result.score, result.rsd) {
+            result.outcome.accepted = self.open.fold(&result.outcome.device, s, r);
+            if self.retain_scores && result.outcome.accepted {
                 self.retained.push((index, s));
             }
         }

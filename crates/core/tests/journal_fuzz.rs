@@ -203,3 +203,23 @@ fn deeply_nested_line_is_a_corrupt_record_not_a_crash() {
     assert_eq!(recovered, records);
     assert_eq!(valid_len as usize, valid);
 }
+
+#[test]
+fn over_long_line_is_torn_tail_however_it_is_chunked() {
+    // A correctly framed 5 MiB note as the second record: longer than any
+    // line recovery buffers, so the slice scan and the chunked stream scan
+    // both keep only the header before it.
+    let (records, bytes) = corpus();
+    let header = encode_line(&records[0]);
+    let note = encode_line(&Record::Note {
+        index: 0,
+        text: "x".repeat(5 * 1024 * 1024),
+    });
+    assert!(decode_line(note.trim_end()).is_ok());
+    let mut input = header.clone().into_bytes();
+    input.extend_from_slice(note.as_bytes());
+    input.extend_from_slice(&bytes[header.len()..]);
+    let (recovered, valid_len) = check_recovery(&input, "over-long note");
+    assert_eq!(recovered, records[..1]);
+    assert_eq!(valid_len as usize, header.len());
+}

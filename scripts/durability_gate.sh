@@ -42,6 +42,19 @@ if ./target/release/repro sweep --quick --devices 130 --threads 2 \
   echo "FAIL: abort escalation exited 0"; exit 1
 fi
 
+# An accubench journal is a one-device sweep journal: cut a finished one
+# 5 bytes short, inside its `complete` seal, and `--resume` must replay the
+# journaled outcome, append only the seal, and leave the uninterrupted
+# bytes, which fsck calls clean.
+acc=(./target/release/accubench --device nexus5:2 --scale 0.1 --iterations 2
+  --journal "$workdir/acc.journal")
+"${acc[@]}" > /dev/null
+cp "$workdir/acc.journal" "$workdir/acc.whole"
+truncate -s -5 "$workdir/acc.journal"
+"${acc[@]}" --resume > /dev/null
+cmp "$workdir/acc.journal" "$workdir/acc.whole"
+./target/release/repro fsck "$workdir/acc.journal"
+
 # Exporter self-check: tamper with an exported file and require
 # `repro verify` to fail naming the file and both checksums.
 ./target/release/repro fig2 --quick --export "$workdir/figs" > /dev/null
