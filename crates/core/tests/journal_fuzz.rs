@@ -57,6 +57,41 @@ fn corpus() -> (Vec<Record>, Vec<u8>) {
     (records, bytes)
 }
 
+/// A record's `Debug` form, cut to a length a failure message can show:
+/// a fuzzed note can hold megabytes.
+fn brief(r: &Record) -> String {
+    const MAX_CHARS: usize = 300;
+    let full = format!("{r:?}");
+    if full.chars().count() <= MAX_CHARS {
+        return full;
+    }
+    let head: String = full.chars().take(MAX_CHARS).collect();
+    format!("{head}… ({} bytes in all)", full.len())
+}
+
+/// Asserts that `actual` and `expected` hold equal records in the same
+/// order. A failure names both lengths and the first differing index with
+/// its two records, never the whole vectors.
+fn assert_same_records(actual: &[Record], expected: &[Record], what: &str) {
+    if actual == expected {
+        return;
+    }
+    let i = actual
+        .iter()
+        .zip(expected)
+        .position(|(a, e)| a != e)
+        .unwrap_or(actual.len().min(expected.len()));
+    let show = |r: Option<&Record>| r.map_or_else(|| "(none)".to_owned(), brief);
+    panic!(
+        "{what}: {} record(s), expected {}; first difference at record {i}:\n  \
+         actual:   {}\n  expected: {}",
+        actual.len(),
+        expected.len(),
+        show(actual.get(i)),
+        show(expected.get(i))
+    );
+}
+
 /// The invariants every recovery must uphold, whatever the input bytes.
 fn check_recovery(bytes: &[u8], tag: &str) -> (Vec<Record>, u64) {
     let (records, valid_len) = scan_bytes(bytes);
@@ -64,15 +99,23 @@ fn check_recovery(bytes: &[u8], tag: &str) -> (Vec<Record>, u64) {
 
     // Every yielded record survives its own encode/decode round trip —
     // i.e. nothing that fails the line checksum is ever returned.
-    for r in &records {
+    for (i, r) in records.iter().enumerate() {
         let line = encode_line(r);
-        assert_eq!(decode_line(line.trim_end()).as_ref(), Ok(r), "{tag}");
+        assert!(
+            decode_line(line.trim_end()).as_ref() == Ok(r),
+            "{tag}: record {i} does not survive its round trip: {}",
+            brief(r)
+        );
     }
 
     // The valid prefix is closed under re-scanning: scanning just the
     // bytes declared valid yields the same records and the same length.
     let (again, len_again) = scan_bytes(&bytes[..valid_len as usize]);
-    assert_eq!(again, records, "{tag}: valid prefix is not a fixpoint");
+    assert_same_records(
+        &again,
+        &records,
+        &format!("{tag}: valid prefix is not a fixpoint"),
+    );
     assert_eq!(
         len_again, valid_len,
         "{tag}: valid prefix is not a fixpoint"
@@ -90,10 +133,10 @@ fn check_recovery(bytes: &[u8], tag: &str) -> (Vec<Record>, u64) {
         f.sync_data().unwrap();
     }
     let journal = Journal::open_with(storage, path).unwrap();
-    assert_eq!(
+    assert_same_records(
         journal.recovered(),
-        &records[..],
-        "{tag}: stream/slice scan disagree"
+        &records,
+        &format!("{tag}: stream/slice scan disagree"),
     );
     assert_eq!(
         journal.dropped_bytes(),
@@ -114,7 +157,7 @@ fn check_recovery(bytes: &[u8], tag: &str) -> (Vec<Record>, u64) {
 fn pristine_corpus_recovers_completely() {
     let (records, bytes) = corpus();
     let (recovered, valid_len) = check_recovery(&bytes, "pristine");
-    assert_eq!(recovered, records);
+    assert_same_records(&recovered, &records, "pristine");
     assert_eq!(valid_len as usize, bytes.len());
 }
 
@@ -149,7 +192,8 @@ fn mid_record_truncation_recovers_the_record_prefix() {
         );
         // Whatever survives is a prefix of the original record sequence,
         // and the valid bytes never reach past the cut.
-        assert_eq!(recovered[..], records[..recovered.len()], "round {round}");
+        let prefix = &records[..recovered.len().min(records.len())];
+        assert_same_records(&recovered, prefix, &format!("round {round}"));
         assert!(valid_len as usize <= cut, "round {round}");
     }
 }
@@ -200,7 +244,7 @@ fn deeply_nested_line_is_a_corrupt_record_not_a_crash() {
     let valid = bytes.len();
     bytes.extend_from_slice(line.as_bytes());
     let (recovered, valid_len) = check_recovery(&bytes, "deep nesting");
-    assert_eq!(recovered, records);
+    assert_same_records(&recovered, &records, "deep nesting");
     assert_eq!(valid_len as usize, valid);
 }
 
@@ -220,6 +264,6 @@ fn over_long_line_is_torn_tail_however_it_is_chunked() {
     input.extend_from_slice(note.as_bytes());
     input.extend_from_slice(&bytes[header.len()..]);
     let (recovered, valid_len) = check_recovery(&input, "over-long note");
-    assert_eq!(recovered, records[..1]);
+    assert_same_records(&recovered, &records[..1], "over-long note");
     assert_eq!(valid_len as usize, header.len());
 }

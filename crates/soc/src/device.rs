@@ -26,16 +26,25 @@ use pv_thermal::network::{Integrator, NodeId, ThermalNetwork, ThermalNetworkBuil
 use pv_thermal::probe::Probe;
 use pv_units::{Celsius, MegaHertz, Seconds, TempDelta, Volts, Watts};
 
-/// Fast-path power-cache temperature resolution in kelvin. Die temperature
+/// Fast-path power-table temperature resolution in kelvin. Die temperature
 /// is snapped to this grid before the voltage trim and power model run, so
-/// an unchanged operating point turns into a cache hit. 0.1 K bounds the
+/// an unchanged operating point turns into a table hit. 0.1 K bounds the
 /// leakage error at roughly 0.25 % (β ≈ 0.025/K), well inside the
 /// documented fast-path tolerance budget (DESIGN.md §11).
-const POWER_CACHE_TEMP_QUANTUM: f64 = 0.1;
+const POWER_TABLE_TEMP_QUANTUM: f64 = 0.1;
 
-/// Per-cluster cap on cached (frequency, temperature-bin, load) power
-/// points. Steady states touch a handful; throttle ladders a few dozen.
-const POWER_CACHE_CAP: usize = 64;
+/// Slots per cluster in the fast-path power table, a power of two. The
+/// table is direct-mapped: a (frequency, temperature-bin, load) point
+/// lives in the one slot its key hashes to, so a lookup makes at most one
+/// key compare and a miss overwrites that slot. 512 slots hold the
+/// hundreds of temperature bins of a cold busy ramp; at 56 bytes a slot a
+/// two-cluster device carries 56 KiB, allocated only once its fast path is
+/// enabled and emptied in O(1) by an epoch bump on every
+/// [`Device::set_integrator`]. Counted on the benchmark workloads (seed 1),
+/// a lookup averages 0.24–0.91 key compares and a device evaluates the
+/// power model 204 (`durable`), 2257 (`crowd`) and 1511 (`census`) times
+/// (DESIGN.md §11).
+const POWER_TABLE_SLOTS: usize = 512;
 
 /// What the CPU cores are asked to do this step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -181,25 +190,125 @@ pub struct Device {
     last_supply_voltage: Volts,
     time: Seconds,
     /// True iff the network runs [`Integrator::Exponential`]. Gates the
-    /// power cache so the Euler/RK4 reference paths stay bit-identical to
+    /// power table so the Euler/RK4 reference paths stay bit-identical to
     /// the original implementation.
     fast_path: bool,
-    /// Per-cluster power cache keyed on (frequency, quantised-temperature
+    /// Per-cluster power table keyed on (frequency, quantised-temperature
     /// bin, powered cores, utilisation); values are the trimmed rail
     /// voltage and modelled power computed *at the quantised temperature*,
     /// so a hit is bit-identical to recomputing (fast path only). The
     /// temperature bin in the key is what invalidates RBCPR trims when the
     /// die moves: a new bin is a miss and an exact recompute.
-    power_cache: Vec<Vec<(PowerKey, Volts, Watts)>>,
+    power_table: PowerTable,
 }
 
-/// Operating-point key for the fast-path power cache.
+/// Operating-point key for the fast-path power table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PowerKey {
     freq_bits: u64,
     temp_bin: i64,
     powered_bits: u64,
     util_bits: u64,
+}
+
+impl PowerKey {
+    /// The key's slot within its cluster's stretch of the table. The load
+    /// and frequency fields are mixed into an offset and the temperature bin
+    /// is added to it, so one operating point's consecutive bins fill
+    /// consecutive slots: a ramp through up to [`POWER_TABLE_SLOTS`] bins
+    /// never evicts its own entries.
+    fn slot(&self) -> usize {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut h = self.freq_bits.wrapping_mul(K);
+        h = (h.rotate_left(23) ^ self.powered_bits).wrapping_mul(K);
+        h = (h.rotate_left(23) ^ self.util_bits).wrapping_mul(K);
+        (h >> 32).wrapping_add(self.temp_bin as u64) as usize & (POWER_TABLE_SLOTS - 1)
+    }
+}
+
+/// One slot of the [`PowerTable`]: a key, the epoch it was written in, and
+/// the rail voltage and power computed for it.
+#[derive(Debug, Clone, Copy)]
+struct PowerSlot {
+    key: PowerKey,
+    epoch: u32,
+    volts: Volts,
+    watts: Watts,
+}
+
+/// Direct-mapped memo of the fast path's voltage trim and power model:
+/// [`POWER_TABLE_SLOTS`] slots per cluster, cluster-major. A slot is live
+/// only while its epoch equals the table's, so [`PowerTable::clear`] is one
+/// increment instead of a pass over every slot.
+#[derive(Debug, Clone)]
+struct PowerTable {
+    /// Empty until the device's fast path is first enabled.
+    slots: Vec<PowerSlot>,
+    /// Epoch of the live slots; never 0, the epoch of unwritten slots.
+    epoch: u32,
+}
+
+impl PowerTable {
+    /// A table with no slots, as a device starts: it costs nothing until
+    /// [`PowerTable::allocate`].
+    fn unallocated() -> Self {
+        Self {
+            slots: Vec::new(),
+            epoch: 1,
+        }
+    }
+
+    /// Gives every one of `clusters` its stretch of empty slots.
+    fn allocate(&mut self, clusters: usize) {
+        let empty = PowerSlot {
+            key: PowerKey {
+                freq_bits: 0,
+                temp_bin: 0,
+                powered_bits: 0,
+                util_bits: 0,
+            },
+            epoch: 0,
+            volts: Volts::ZERO,
+            watts: Watts::ZERO,
+        };
+        self.slots = vec![empty; clusters * POWER_TABLE_SLOTS];
+    }
+
+    /// Empties every slot by starting a new epoch.
+    fn clear(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // The epoch wrapped, so slots written 2³² clears ago could
+            // match again: retag every slot as unwritten, once.
+            for slot in &mut self.slots {
+                slot.epoch = 0;
+            }
+            self.epoch = 1;
+        }
+    }
+
+    /// The (voltage, power) pair for `key` on `cluster`: the slot's value if
+    /// it holds `key` in this epoch, else `compute()` written over the slot.
+    fn get_or_insert_with(
+        &mut self,
+        cluster: usize,
+        key: PowerKey,
+        compute: impl FnOnce() -> (Volts, Watts),
+    ) -> (Volts, Watts) {
+        let epoch = self.epoch;
+        let slot = &mut self.slots[cluster * POWER_TABLE_SLOTS + key.slot()];
+        if slot.epoch == epoch && slot.key == key {
+            return (slot.volts, slot.watts);
+        }
+        let (volts, watts) = compute();
+        *slot = PowerSlot {
+            key,
+            epoch,
+            volts,
+            watts,
+        };
+        (volts, watts)
+    }
 }
 
 const _: () = {
@@ -274,7 +383,7 @@ impl Device {
             last_supply_voltage,
             time: Seconds::ZERO,
             fast_path: false,
-            power_cache: Vec::new(),
+            power_table: PowerTable::unallocated(),
         })
     }
 
@@ -285,19 +394,23 @@ impl Device {
 
     /// Selects the thermal integration scheme. [`Integrator::Exponential`]
     /// additionally enables the device-level fast path (the
-    /// quantised-temperature power cache); Euler/RK4 run the original
-    /// reference arithmetic bit-for-bit. The cache is cleared on every
-    /// switch, so alternating schemes cannot leak stale entries.
+    /// quantised-temperature power table); Euler/RK4 run the original
+    /// reference arithmetic bit-for-bit.
+    ///
+    /// The power table (512 direct-mapped slots per cluster, 56 KiB on a
+    /// two-cluster device) is allocated the first time the fast path is
+    /// enabled, never by the constructors, so a device that never runs it
+    /// carries none. Every later call empties it by bumping its epoch, an
+    /// O(1) clear with no allocation, so alternating schemes cannot leak
+    /// stale entries and a call before each step forces a miss on every
+    /// step.
     pub fn set_integrator(&mut self, integrator: Integrator) {
         self.network.set_integrator(integrator);
         self.fast_path = integrator == Integrator::Exponential;
-        for c in &mut self.power_cache {
-            c.clear();
-        }
-        // The per-cluster cache exists only once the fast path is on.
-        if self.fast_path {
-            self.power_cache
-                .resize_with(self.spec.soc.clusters.len(), Vec::new);
+        if self.fast_path && self.power_table.slots.is_empty() {
+            self.power_table.allocate(self.spec.soc.clusters.len());
+        } else {
+            self.power_table.clear();
         }
     }
 
@@ -444,11 +557,11 @@ impl Device {
         let idle = matches!(demand, CpuDemand::Idle) || decision.emergency_stop;
 
         // Fast path: the power model (and RBCPR trim) sees the die
-        // temperature snapped to the cache grid, so an unchanged operating
+        // temperature snapped to the table's grid, so an unchanged operating
         // point is a pure lookup and a hit is bit-identical to recomputing.
-        let temp_bin = (die_temp.value() / POWER_CACHE_TEMP_QUANTUM).round() as i64;
+        let temp_bin = (die_temp.value() / POWER_TABLE_TEMP_QUANTUM).round() as i64;
         let power_temp = if self.fast_path {
-            Celsius(temp_bin as f64 * POWER_CACHE_TEMP_QUANTUM)
+            Celsius(temp_bin as f64 * POWER_TABLE_TEMP_QUANTUM)
         } else {
             die_temp
         };
@@ -494,7 +607,7 @@ impl Device {
                 (f64::from(cores), demand.util())
             };
 
-            // Rail voltage + modelled power. The fast path caches both per
+            // Rail voltage + modelled power. The fast path memoises both per
             // (frequency, temperature bin, load) point; the temperature bin
             // in the key invalidates RBCPR trims as the die moves.
             let (v, power) = if self.fast_path {
@@ -504,14 +617,7 @@ impl Device {
                     powered_bits: powered.to_bits(),
                     util_bits: util.to_bits(),
                 };
-                let cache = &mut self.power_cache[ci];
-                if let Some(pos) = cache.iter().position(|e| e.0 == key) {
-                    let hit = cache[pos];
-                    if pos != 0 {
-                        cache.swap(pos, pos - 1);
-                    }
-                    (hit.1, hit.2)
-                } else {
+                self.power_table.get_or_insert_with(ci, key, || {
                     let nominal_v = table.voltage_at(freq);
                     let v = match &self.spec.voltage_scheme {
                         VoltageScheme::StaticTable => nominal_v,
@@ -525,10 +631,8 @@ impl Device {
                         powered * util,
                         powered,
                     );
-                    cache.truncate(POWER_CACHE_CAP - 1);
-                    cache.insert(0, (key, v, p));
                     (v, p)
-                }
+                })
             } else {
                 let nominal_v = table.voltage_at(freq);
                 let v = match &self.spec.voltage_scheme {
@@ -1065,5 +1169,36 @@ mod tests {
             .unwrap();
         }
         assert!(d.headroom().unwrap() < h0);
+    }
+
+    #[test]
+    fn power_table_is_lazy_and_clears_across_an_epoch_wrap() {
+        let mut d = n5(1);
+        assert!(d.power_table.slots.is_empty(), "built by the constructor");
+        d.set_integrator(Integrator::Euler);
+        assert!(d.power_table.slots.is_empty(), "built off the fast path");
+        d.set_integrator(Integrator::Exponential);
+        let clusters = d.spec().soc.clusters.len();
+        assert_eq!(d.power_table.slots.len(), clusters * POWER_TABLE_SLOTS);
+
+        let key = PowerKey {
+            freq_bits: 1.0f64.to_bits(),
+            temp_bin: 300,
+            powered_bits: 4.0f64.to_bits(),
+            util_bits: 1.0f64.to_bits(),
+        };
+        let computed = (Volts(0.9), Watts(1.5));
+        let table = &mut d.power_table;
+        assert_eq!(table.get_or_insert_with(0, key, || computed), computed);
+        let hit = table.get_or_insert_with(0, key, || unreachable!("a hit"));
+        assert_eq!(hit, computed);
+        // Jump to the last epoch before the wrap, as 2³² − 2 clears would:
+        // the clear that wraps it back to epoch 1 must still empty the slot
+        // written in epoch 1.
+        table.epoch = u32::MAX;
+        table.clear();
+        assert_eq!(table.epoch, 1);
+        let fresh = (Volts(0.8), Watts(1.0));
+        assert_eq!(table.get_or_insert_with(0, key, || fresh), fresh);
     }
 }

@@ -1,13 +1,13 @@
 //! Bit-identity tests for the device-level fast path: the
-//! quantised-temperature power cache must be a pure lookup — a cache hit
-//! has to reproduce, bit for bit, what an exact recompute at the
-//! quantised temperature would produce.
+//! quantised-temperature power table must be a pure lookup — a hit has to
+//! reproduce, bit for bit, what an exact recompute at the quantised
+//! temperature would produce.
 //!
-//! The trick: [`pv_soc::device::Device::set_integrator`] clears the cache
+//! The trick: [`pv_soc::device::Device::set_integrator`] clears the table
 //! on every call. Stepping a twin device that re-selects the
-//! integrator before *every* step forces a cache miss (and therefore an
+//! integrator before *every* step forces a miss (and therefore an
 //! exact recompute) at each step, while the device under test runs with
-//! warm caches. Identical telemetry across the whole trajectory proves
+//! a warm table. Identical telemetry across the whole trajectory proves
 //! hits and recomputes are interchangeable.
 
 use pv_soc::catalog;
@@ -79,25 +79,23 @@ fn assert_reports_bit_identical(a: &StepReport, b: &StepReport, step: usize) {
     assert_eq!(a.throttled, b.throttled, "throttle diverged at step {step}");
 }
 
-/// Warm-cache stepping vs forced-miss stepping on the RBCPR Pixel: every
-/// report must match bit for bit. This is the satellite's "cache hits are
-/// bit-identical to recomputation" guarantee, covering the frequencies
-/// and the power cache (voltages/power), including RBCPR
-/// trim invalidation as the die heats through temperature bins.
-#[test]
-fn fast_path_cache_hits_bit_identical_to_forced_recompute() {
-    let mut warm = catalog::pixel(0.4, "fast-path-twin").unwrap();
-    let mut cold = catalog::pixel(0.4, "fast-path-twin").unwrap();
-    assert!(matches!(
-        warm.spec().voltage_scheme,
-        VoltageScheme::Rbcpr(_)
-    ));
+/// Steps `warm` and its forced-miss twin `cold` through `trajectory`,
+/// re-pinning `warm` before each step listed in `repins`, and asserts
+/// every pair of reports is bit-identical.
+fn assert_twins_agree(
+    mut warm: Device,
+    mut cold: Device,
+    trajectory: &[(Seconds, CpuDemand, FrequencyMode)],
+    repins: &[usize],
+) {
     warm.set_integrator(Integrator::Exponential);
-
     let mut ra = StepReport::empty();
     let mut rb = StepReport::empty();
-    for (step, &(dt, demand, mode)) in trajectory().iter().enumerate() {
-        // Re-selecting the integrator clears the power cache, so every one
+    for (step, &(dt, demand, mode)) in trajectory.iter().enumerate() {
+        if repins.contains(&step) {
+            warm.set_integrator(Integrator::Exponential);
+        }
+        // Re-selecting the integrator clears the power table, so every one
         // of `cold`'s steps recomputes from scratch.
         cold.set_integrator(Integrator::Exponential);
         warm.step_into(dt, demand, mode, &mut ra).unwrap();
@@ -106,30 +104,96 @@ fn fast_path_cache_hits_bit_identical_to_forced_recompute() {
     }
 }
 
+/// Warm-table stepping vs forced-miss stepping on the RBCPR Pixel: every
+/// report must match bit for bit. Hits are bit-identical to
+/// recomputation, covering the frequencies and the power table
+/// (voltages/power), including RBCPR trim invalidation as the die heats
+/// through temperature bins.
+#[test]
+fn fast_path_cache_hits_bit_identical_to_forced_recompute() {
+    let warm = catalog::pixel(0.4, "fast-path-twin").unwrap();
+    let cold = catalog::pixel(0.4, "fast-path-twin").unwrap();
+    assert!(matches!(
+        warm.spec().voltage_scheme,
+        VoltageScheme::Rbcpr(_)
+    ));
+    assert_twins_agree(warm, cold, &trajectory(), &[]);
+}
+
 /// Same twin construction for a static-table device (Nexus 5 bins): the
-/// power cache must also be exact when no runtime trim is in play.
+/// power table must also be exact when no runtime trim is in play.
 #[test]
 fn fast_path_bit_identical_on_static_table_device() {
     use pv_silicon::binning::BinId;
-    let mut warm = catalog::nexus5(BinId(1)).unwrap();
-    let mut cold = catalog::nexus5(BinId(1)).unwrap();
+    let warm = catalog::nexus5(BinId(1)).unwrap();
+    let cold = catalog::nexus5(BinId(1)).unwrap();
     assert!(matches!(
         warm.spec().voltage_scheme,
         VoltageScheme::StaticTable
     ));
-    warm.set_integrator(Integrator::Exponential);
-
-    let mut ra = StepReport::empty();
-    let mut rb = StepReport::empty();
-    for (step, &(dt, demand, mode)) in trajectory().iter().enumerate() {
-        cold.set_integrator(Integrator::Exponential);
-        warm.step_into(dt, demand, mode, &mut ra).unwrap();
-        cold.step_into(dt, demand, mode, &mut rb).unwrap();
-        assert_reports_bit_identical(&ra, &rb, step);
-    }
+    assert_twins_agree(warm, cold, &trajectory(), &[]);
 }
 
-/// The power-cache key's temperature bin must invalidate RBCPR trims as
+/// Slots per cluster in the device's direct-mapped power table.
+const TABLE_SLOTS: usize = 512;
+
+/// A busy ramp that steps through ten (frequency, load) points in turn,
+/// so each temperature bin is visited at several operating points and
+/// revisited at the same ones.
+fn conflict_trajectory() -> Vec<(Seconds, CpuDemand, FrequencyMode)> {
+    let modes = [
+        FrequencyMode::Fixed(MegaHertz(307.0)),
+        FrequencyMode::Fixed(MegaHertz(998.0)),
+        FrequencyMode::Fixed(MegaHertz(1594.0)),
+        FrequencyMode::Fixed(MegaHertz(1996.0)),
+        FrequencyMode::Unconstrained,
+    ];
+    (0..4_000)
+        .map(|step| {
+            let util = if step % 2 == 0 { 1.0 } else { 0.5 };
+            let mode = modes[(step / 2) % modes.len()];
+            (Seconds(0.1), CpuDemand::Busy { util }, mode)
+        })
+        .collect()
+}
+
+/// More distinct keys between two re-pins than the table has slots, so
+/// keys overwrite each other's slots and are looked up again after
+/// eviction; a re-pin mid-run empties the table. The warm device must
+/// still agree bit for bit with its forced-miss twin.
+#[test]
+fn evicted_slots_stay_bit_identical_to_forced_recompute() {
+    const REPIN: usize = 2_000;
+    let trajectory = conflict_trajectory();
+
+    // Count the distinct performance-cluster keys (frequency, temperature
+    // bin, powered cores, utilisation) before the re-pin.
+    let mut probe = catalog::pixel(0.3, "fast-path-conflicts").unwrap();
+    probe.set_integrator(Integrator::Exponential);
+    let mut report = StepReport::empty();
+    let mut keys = std::collections::BTreeSet::new();
+    for &(dt, demand, mode) in &trajectory[..REPIN] {
+        let bin = (probe.die_temp().value() / 0.1).round() as i64;
+        probe.step_into(dt, demand, mode, &mut report).unwrap();
+        keys.insert((
+            report.cluster_freqs[0].value().to_bits(),
+            bin,
+            report.active_cores[0],
+            demand.util().to_bits(),
+        ));
+    }
+    assert!(
+        keys.len() > TABLE_SLOTS,
+        "only {} distinct key(s) before the re-pin: nothing is evicted",
+        keys.len()
+    );
+
+    let warm = catalog::pixel(0.3, "fast-path-conflicts").unwrap();
+    let cold = catalog::pixel(0.3, "fast-path-conflicts").unwrap();
+    assert_twins_agree(warm, cold, &trajectory, &[REPIN]);
+}
+
+/// The power-table key's temperature bin must invalidate RBCPR trims as
 /// the die moves: on a cold busy ramp the rail voltage at an unchanged
 /// frequency has to track the (quantised) die temperature, matching
 /// `RbcprSpec::trim` recomputed independently at every step.
@@ -154,7 +218,7 @@ fn rbcpr_trim_tracks_temperature_bins_through_the_cache() {
         )
         .unwrap();
         // The power model saw the *step-start* die temperature snapped to
-        // the 0.1 °C cache grid.
+        // the 0.1 °C table grid.
         let bin = (start_temp.value() / 0.1).round();
         let quantised = Celsius(bin * 0.1);
         for (ci, (&freq, &v)) in report

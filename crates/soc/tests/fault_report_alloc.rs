@@ -1,13 +1,15 @@
 //! Allocation tests for fault reporting: a fault window that perturbs
 //! every step logs one report, and the steps after that first report must
 //! not touch the heap — the report's description is built only when the
-//! report is fresh.
+//! report is fresh. The fast path's power table is held to the same rule:
+//! allocated once, then filled, evicted and cleared in place.
 
 use pv_faults::{FaultEvent, FaultHandle, FaultKind, FaultPlan};
 use pv_power::meter::FaultyMeter;
 use pv_soc::catalog;
 use pv_soc::device::{CpuDemand, Dut, FrequencyMode, StepReport};
 use pv_soc::faulty::FaultyDevice;
+use pv_thermal::network::Integrator;
 use pv_units::{Seconds, Watts};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -117,4 +119,51 @@ fn meter_gain_drift_records_after_the_first_report_allocate_nothing() {
     }
     assert_eq!(allocs() - before, 0, "samples inside the window allocated");
     assert_eq!(handle.report_count(), 1, "one report per window");
+}
+
+#[test]
+fn fast_path_steps_after_the_first_allocate_nothing() {
+    let mut device = catalog::pixel(0.5, "pixel-table-alloc").unwrap();
+    device.set_integrator(Integrator::Exponential);
+    let mut report = StepReport::empty();
+    // One dt throughout, so the network needs only the propagator the
+    // first step builds.
+    let dt = Seconds(0.1);
+    device
+        .step_into(
+            dt,
+            CpuDemand::busy(),
+            FrequencyMode::Unconstrained,
+            &mut report,
+        )
+        .unwrap();
+
+    let before = allocs();
+    // Steps that start in a temperature bin other than the last step's.
+    let (mut last_bin, mut new_bins) = (i64::MIN, 0);
+    for step in 0..5_000 {
+        // Two re-pins empty the table mid-run, as every harness iteration
+        // does.
+        if step == 2_500 || step == 4_000 {
+            device.set_integrator(Integrator::Exponential);
+        }
+        // A cold busy ramp (a new temperature bin, so a miss, on most
+        // steps), an idle stretch, then busy again.
+        let demand = if (2_000..3_500).contains(&step) {
+            CpuDemand::Idle
+        } else {
+            CpuDemand::busy()
+        };
+        let bin = (device.die_temp().value() * 10.0).round() as i64;
+        new_bins += usize::from(bin != last_bin);
+        last_bin = bin;
+        device
+            .step_into(dt, demand, FrequencyMode::Unconstrained, &mut report)
+            .unwrap();
+    }
+    assert_eq!(allocs() - before, 0, "fast-path steps allocated");
+    assert!(
+        new_bins > 500,
+        "only {new_bins} step(s) started in a new temperature bin"
+    );
 }

@@ -372,7 +372,10 @@ pub fn estimate(
         }
     }
     let n: usize = live.iter().map(|g| g.values.len()).sum();
-    let point = point_estimates(&live)?;
+    // One buffer of (value, weight) pairs, refilled and sorted once per
+    // replicate for both quantiles.
+    let mut pairs = Vec::with_capacity(n);
+    let point = point_estimates(&live, &mut pairs)?;
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut boots: [Vec<f64>; 4] = [
@@ -395,7 +398,7 @@ pub fn estimate(
             }
         }
         let refs: Vec<&StratumSample> = resampled.iter().collect();
-        let p = point_estimates(&refs)?;
+        let p = point_estimates(&refs, &mut pairs)?;
         boots[0].push(p[0]);
         boots[1].push(p[1]);
         boots[2].push(p[2]);
@@ -419,8 +422,12 @@ pub fn estimate(
     })
 }
 
-/// `[mean, rsd_percent, p50, p90]` for one set of weighted groups.
-fn point_estimates(groups: &[&StratumSample]) -> Result<[f64; 4], StatsError> {
+/// `[mean, rsd_percent, p50, p90]` for one set of weighted groups;
+/// `pairs` is scratch space for the quantiles.
+fn point_estimates(
+    groups: &[&StratumSample],
+    pairs: &mut Vec<(f64, f64)>,
+) -> Result<[f64; 4], StatsError> {
     let wsum: f64 = groups.iter().map(|g| g.weight).sum();
     let mut mean = 0.0;
     let mut mean_sq = 0.0;
@@ -438,16 +445,20 @@ fn point_estimates(groups: &[&StratumSample]) -> Result<[f64; 4], StatsError> {
     } else {
         return Err(StatsError::InvalidParameter("zero mean"));
     };
-    let p50 = weighted_quantile(groups, wsum, 0.50)?;
-    let p90 = weighted_quantile(groups, wsum, 0.90)?;
+    sort_weighted(groups, wsum, pairs)?;
+    let p50 = weighted_quantile(pairs, 0.50);
+    let p90 = weighted_quantile(pairs, 0.90);
     Ok([mean, rsd, p50, p90])
 }
 
-/// Weighted empirical quantile: each value in group `h` carries weight
-/// `W_h / n_h`; returns the smallest value whose cumulative weight reaches
-/// `q`.
-fn weighted_quantile(groups: &[&StratumSample], wsum: f64, q: f64) -> Result<f64, StatsError> {
-    let mut pairs: Vec<(f64, f64)> = Vec::new();
+/// Refills `pairs` with every value and its weight — `W_h / n_h` for a
+/// value in group `h` — stably sorted by value.
+fn sort_weighted(
+    groups: &[&StratumSample],
+    wsum: f64,
+    pairs: &mut Vec<(f64, f64)>,
+) -> Result<(), StatsError> {
+    pairs.clear();
     for g in groups {
         let per = g.weight / wsum / g.values.len() as f64;
         pairs.extend(g.values.iter().map(|&v| (v, per)));
@@ -456,14 +467,20 @@ fn weighted_quantile(groups: &[&StratumSample], wsum: f64, q: f64) -> Result<f64
         return Err(StatsError::EmptySample);
     }
     pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(core::cmp::Ordering::Equal));
+    Ok(())
+}
+
+/// Weighted empirical quantile of non-empty value-sorted (value, weight)
+/// pairs: the smallest value whose cumulative weight reaches `q`.
+fn weighted_quantile(sorted: &[(f64, f64)], q: f64) -> f64 {
     let mut acc = 0.0;
-    for &(v, w) in &pairs {
+    for &(v, w) in sorted {
         acc += w;
         if acc >= q - 1e-12 {
-            return Ok(v);
+            return v;
         }
     }
-    Ok(pairs[pairs.len() - 1].0)
+    sorted[sorted.len() - 1].0
 }
 
 #[cfg(test)]
@@ -648,7 +665,9 @@ mod tests {
             },
         ];
         let refs: Vec<&StratumSample> = groups.iter().collect();
-        assert_eq!(weighted_quantile(&refs, 1.0, 0.5).unwrap(), 10.0);
-        assert_eq!(weighted_quantile(&refs, 1.0, 0.95).unwrap(), 100.0);
+        let mut pairs = Vec::new();
+        sort_weighted(&refs, 1.0, &mut pairs).unwrap();
+        assert_eq!(weighted_quantile(&pairs, 0.5), 10.0);
+        assert_eq!(weighted_quantile(&pairs, 0.95), 100.0);
     }
 }

@@ -7,7 +7,8 @@
 # A degraded sweep (injected panics + stalls) must exit 0 with a
 # survivor CI line, and the oracle engine must report the same headline
 # and hole breakdown; the abort policy must journal the hole, then fail;
-# a journaled chaos sweep must write the same bytes at 1 and 4 threads.
+# a journaled chaos sweep must write the same bytes at 1 and 4 threads on
+# either integrator.
 set -euo pipefail
 
 # Backtraces are the one thread-dependent part of a journal (DESIGN.md
@@ -35,14 +36,19 @@ if ./target/release/repro sweep --quick --devices 12 \
 fi
 
 # The armed fault path must be thread-count independent byte for byte:
-# the same journaled chaos sweep at 1 and at 4 threads.
+# the same journaled chaos sweep at 1 and at 4 threads, once on the
+# default Euler integrator and once on the exponential one, whose device
+# fast path (the power table) Euler never runs.
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
-for threads in 1 4; do
-  ./target/release/repro sweep --quick --devices 64 --seed 7 \
-    --chaos-seed 3053 --chaos-panics 2 --chaos-stalls 1 \
-    --threads "$threads" --journal "$dir/t$threads.journal" > /dev/null
+for integrator in euler exponential; do
+  for threads in 1 4; do
+    ./target/release/repro sweep --quick --devices 64 --seed 7 \
+      --chaos-seed 3053 --chaos-panics 2 --chaos-stalls 1 \
+      --integrator "$integrator" --threads "$threads" \
+      --journal "$dir/$integrator-t$threads.journal" > /dev/null
+  done
+  cmp "$dir/$integrator-t1.journal" "$dir/$integrator-t4.journal"
 done
-cmp "$dir/t1.journal" "$dir/t4.journal"
 
 echo "OK: chaos CLI gates passed"
