@@ -1,4 +1,4 @@
-//! Fleet-sweep throughput: serial vs work-stealing parallel executor.
+//! Fleet-sweep throughput: serial vs parallel executor (index-order claims).
 //!
 //! Runs the same journal-free crowd sweep at several thread counts,
 //! checks the merged reports are identical (the executor's determinism

@@ -6,9 +6,10 @@
 //! repro list
 //! ```
 //!
-//! Experiments: `table1 fig1 fig2 fig3 fig4 fig5 fig10 fig11 fig12 fig13
-//! table2 rsd cluster ablation` (`fig6`–`fig9` are the per-SoC studies and
-//! run as part of `table2`, or individually as `fig6 fig7 fig8 fig9`).
+//! `repro list` prints every experiment. `fig6`–`fig9` are four of the
+//! five per-SoC studies behind `table2` and `fig13`; `repro all` runs the
+//! five once and derives all six targets from that pass, as it derives
+//! `fig4`/`fig5` and `fig11`/`fig12` from one run each.
 //!
 //! By default the paper's full protocol is used (3 min warmup, 5 min
 //! workload, 5 iterations); `--quick` shrinks it for a fast smoke pass,
@@ -59,8 +60,9 @@
 //! report is bit-identical to an uninterrupted run. `--seed` arms
 //! per-device pseudo-random fault injection to exercise the resilient
 //! path. `--threads` (default: the host's available parallelism) fans
-//! device sessions out across a work-stealing pool; the report, database
-//! and journal stay bit-identical to `--threads 1`.
+//! device sessions out across workers that claim devices in index order;
+//! the report, database and journal stay bit-identical to `--threads 1`,
+//! and an interrupted sweep journals every device it simulated.
 //!
 //! Every flag comes from one table that names the targets reading it. An
 //! unknown, unread, repeated or value-less flag, or an extra argument,
@@ -119,7 +121,8 @@ use accubench::crowd::{
     populate_parallel, populate_streamed, CrowdDatabase, FleetVerdict, SamplePlan, SweepConfig,
 };
 use accubench::executor;
-use accubench::experiments::{self, study, ExperimentConfig};
+use accubench::experiments::study::{self, SocStudy};
+use accubench::experiments::{self, ExperimentConfig};
 use accubench::journal::Journal;
 use accubench::protocol::Protocol;
 use accubench::storage::{FaultyStorage, Storage, StorageEscalation};
@@ -129,6 +132,7 @@ use pv_soc::catalog;
 use pv_soc::device::Device;
 use pv_stats::sampling::{self, Strategy, StratumSample};
 use pv_units::Seconds;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -394,6 +398,23 @@ fn main() -> ExitCode {
         },
         None => None,
     };
+    // Results several targets share, each computed at most once: fig4 and
+    // fig5 read one run, fig11 and fig12 another. Under `all`, the five
+    // paper studies of table2 also serve fig6–fig9 and fig13; a single
+    // study target runs only its own study.
+    let (fig45_cell, fig1112_cell, table2_cell) =
+        (OnceCell::new(), OnceCell::new(), OnceCell::new());
+    let fig45 = || cached(&fig45_cell, || experiments::fig45::run(&cfg));
+    let fig1112 = || cached(&fig1112_cell, || experiments::fig1112::run(&cfg));
+    let table2 = || cached(&table2_cell, || experiments::table2::run(&cfg));
+    let soc_study = |index: usize, alone: StudyRun| match target {
+        "all" => Ok(table2()?.studies[index].clone()),
+        _ => alone(&cfg),
+    };
+    let fig13 = || match target {
+        "all" => Ok(experiments::fig13::from_studies(&table2()?.studies)),
+        _ => experiments::fig13::run(&cfg),
+    };
     let run_one = |name: &str| -> Result<(), accubench::BenchError> {
         if let Some(exporter) = &exporter {
             match name {
@@ -402,24 +423,24 @@ fn main() -> ExitCode {
                     eprintln!("exported {} file(s) for fig2", paths.len());
                 }
                 "fig4" | "fig5" => {
-                    let paths = exporter.export_fig45(&experiments::fig45::run(&cfg)?)?;
+                    let paths = exporter.export_fig45(fig45()?)?;
                     eprintln!("exported {} file(s) for fig4/fig5", paths.len());
                 }
                 "fig11" | "fig12" => {
-                    let paths = exporter.export_fig1112(&experiments::fig1112::run(&cfg)?)?;
+                    let paths = exporter.export_fig1112(fig1112()?)?;
                     eprintln!("exported {} file(s) for fig11/fig12", paths.len());
                 }
                 "fig6" => {
-                    exporter.export_study("fig6", &study::plans::nexus5(&cfg)?)?;
+                    exporter.export_study("fig6", &soc_study(0, study::plans::nexus5)?)?;
                 }
                 "fig7" => {
-                    exporter.export_study("fig7", &study::plans::nexus6p(&cfg)?)?;
+                    exporter.export_study("fig7", &soc_study(2, study::plans::nexus6p)?)?;
                 }
                 "fig8" => {
-                    exporter.export_study("fig8", &study::plans::lg_g5(&cfg)?)?;
+                    exporter.export_study("fig8", &soc_study(3, study::plans::lg_g5)?)?;
                 }
                 "fig9" => {
-                    exporter.export_study("fig9", &study::plans::pixel(&cfg)?)?;
+                    exporter.export_study("fig9", &soc_study(4, study::plans::pixel)?)?;
                 }
                 _ => {}
             }
@@ -430,15 +451,15 @@ fn main() -> ExitCode {
                 "fig1" => pv_json::ToJson::to_json(&experiments::fig1::run(&cfg)?),
                 "fig2" => pv_json::ToJson::to_json(&experiments::fig2::run(&cfg)?),
                 "fig3" => pv_json::ToJson::to_json(&experiments::fig3::run(&cfg)?),
-                "fig4" | "fig5" => pv_json::ToJson::to_json(&experiments::fig45::run(&cfg)?),
-                "fig6" => pv_json::ToJson::to_json(&study::plans::nexus5(&cfg)?),
-                "fig7" => pv_json::ToJson::to_json(&study::plans::nexus6p(&cfg)?),
-                "fig8" => pv_json::ToJson::to_json(&study::plans::lg_g5(&cfg)?),
-                "fig9" => pv_json::ToJson::to_json(&study::plans::pixel(&cfg)?),
+                "fig4" | "fig5" => pv_json::ToJson::to_json(fig45()?),
+                "fig6" => pv_json::ToJson::to_json(&soc_study(0, study::plans::nexus5)?),
+                "fig7" => pv_json::ToJson::to_json(&soc_study(2, study::plans::nexus6p)?),
+                "fig8" => pv_json::ToJson::to_json(&soc_study(3, study::plans::lg_g5)?),
+                "fig9" => pv_json::ToJson::to_json(&soc_study(4, study::plans::pixel)?),
                 "fig10" => pv_json::ToJson::to_json(&experiments::fig10::run(&cfg)?),
-                "fig11" | "fig12" => pv_json::ToJson::to_json(&experiments::fig1112::run(&cfg)?),
-                "fig13" => pv_json::ToJson::to_json(&experiments::fig13::run(&cfg)?),
-                "table2" => pv_json::ToJson::to_json(&experiments::table2::run(&cfg)?),
+                "fig11" | "fig12" => pv_json::ToJson::to_json(fig1112()?),
+                "fig13" => pv_json::ToJson::to_json(&fig13()?),
+                "table2" => pv_json::ToJson::to_json(table2()?),
                 "rsd" => pv_json::ToJson::to_json(&experiments::rsd::run_with_faults(
                     &cfg,
                     fault_plan.as_ref(),
@@ -503,18 +524,12 @@ fn main() -> ExitCode {
                 println!("{}", f.render());
                 println!("paper: holds 26 ± 0.5 °C\n");
             }
-            "fig4" => {
-                let f = experiments::fig45::run(&cfg)?;
-                println!("{}", f.unconstrained.render());
-            }
-            "fig5" => {
-                let f = experiments::fig45::run(&cfg)?;
-                println!("{}", f.fixed.render());
-            }
-            "fig6" => print_study(study::plans::nexus5(&cfg)?, 14.0, 19.0)?,
-            "fig7" => print_study(study::plans::nexus6p(&cfg)?, 10.0, 12.0)?,
-            "fig8" => print_study(study::plans::lg_g5(&cfg)?, 4.0, 10.0)?,
-            "fig9" => print_study(study::plans::pixel(&cfg)?, 5.0, 9.0)?,
+            "fig4" => println!("{}", fig45()?.unconstrained.render()),
+            "fig5" => println!("{}", fig45()?.fixed.render()),
+            "fig6" => print_study(&soc_study(0, study::plans::nexus5)?, 14.0, 19.0)?,
+            "fig7" => print_study(&soc_study(2, study::plans::nexus6p)?, 10.0, 12.0)?,
+            "fig8" => print_study(&soc_study(3, study::plans::lg_g5)?, 4.0, 10.0)?,
+            "fig9" => print_study(&soc_study(4, study::plans::pixel)?, 5.0, 9.0)?,
             "fig10" => {
                 let f = experiments::fig10::run(&cfg)?;
                 println!("{}", f.render());
@@ -526,17 +541,15 @@ fn main() -> ExitCode {
                 );
             }
             "fig11" => {
-                let f = experiments::fig1112::run(&cfg)?;
-                println!("{}", f.pixel.render());
+                println!("{}", fig1112()?.pixel.render());
                 println!("paper: 7% perf gap matching the mean-frequency gap\n");
             }
             "fig12" => {
-                let f = experiments::fig1112::run(&cfg)?;
-                println!("{}", f.nexus5.render());
+                println!("{}", fig1112()?.nexus5.render());
                 println!("paper: 11% perf gap matching the mean-frequency gap\n");
             }
             "fig13" => {
-                let f = experiments::fig13::run(&cfg)?;
+                let f = fig13()?;
                 println!("{}", f.render());
                 println!(
                     "SD-805 dip (paper: present): {}; efficiency trend slope: {:+.3}/gen\n",
@@ -544,10 +557,7 @@ fn main() -> ExitCode {
                     f.trend()?.slope
                 );
             }
-            "table2" => {
-                let t2 = experiments::table2::run(&cfg)?;
-                println!("{}", t2.render());
-            }
+            "table2" => println!("{}", table2()?.render()),
             "rsd" => {
                 let r = experiments::rsd::run_with_faults(&cfg, fault_plan.as_ref())?;
                 println!("{}", r.render());
@@ -1282,8 +1292,20 @@ fn run_fsck(path: &str, repair: bool) -> ExitCode {
     }
 }
 
+/// Runs one per-SoC study by itself (one of the `study::plans` functions).
+type StudyRun = fn(&ExperimentConfig) -> Result<SocStudy, accubench::BenchError>;
+
+/// The value in `cell`, computed by `compute` on first use.
+fn cached<T, E>(cell: &OnceCell<T>, compute: impl FnOnce() -> Result<T, E>) -> Result<&T, E> {
+    if let Some(value) = cell.get() {
+        return Ok(value);
+    }
+    let value = compute()?;
+    Ok(cell.get_or_init(|| value))
+}
+
 fn print_study(
-    s: study::SocStudy,
+    s: &SocStudy,
     paper_perf: f64,
     paper_energy: f64,
 ) -> Result<(), accubench::BenchError> {

@@ -707,9 +707,9 @@ fn write_sweep<'a>(
 /// Populates `db` with one supervised session per device — the §VI
 /// crowdsourcing vision under real-world conditions, where some fraction
 /// of the fleet hits sensor dropouts, meter disconnects and scheduler
-/// glitches mid-measurement — fanned out across a work-stealing thread
-/// pool (`crate::executor`). This is the exact **reference oracle** behind
-/// `repro sweep --oracle`.
+/// glitches mid-measurement — fanned out across a thread pool that claims
+/// devices in index order (`crate::executor`). This is the exact
+/// **reference oracle** behind `repro sweep --oracle`.
 ///
 /// Each device runs a full session through the harness's retry/quarantine
 /// machinery. Sessions that finish with a non-[`Verdict::Invalid`] verdict
@@ -758,12 +758,12 @@ fn write_sweep<'a>(
 ///   [`JournaledSweep::storage_degraded`]; `abort` fails the sweep with
 ///   the underlying I/O error.
 ///
-/// Workers poll the [`CancelToken`] between devices: in-flight sessions
-/// finish, the writer commits the contiguous finished prefix (the open
-/// group included), results past the first gap are discarded, and the
-/// function returns with `complete = false` — a later resume recomputes
-/// them bit-identically. An abort-on-hole or a sink error commits the
-/// open group the same way before the error is returned.
+/// Workers poll the [`CancelToken`] before every claim: in-flight sessions
+/// finish, and because devices are claimed in index order the writer
+/// commits every device the run started (the open group included). The
+/// function returns with `complete = false`, and a later resume simulates
+/// only the devices that never ran. An abort-on-hole or a sink error
+/// commits the open group the same way before the error is returned.
 ///
 /// # Errors
 ///

@@ -1,4 +1,4 @@
-//! Work-stealing parallel executor for fleet sweeps.
+//! Index-order parallel executor for fleet sweeps.
 //!
 //! The paper's §VI crowdsourcing vision only pays off at fleet scale, and
 //! every device session is already an independent, deterministically seeded
@@ -8,11 +8,12 @@
 //! workspace builds offline) while keeping the *observable* result
 //! bit-identical to the serial loop:
 //!
-//! * **Work stealing.** Tasks start in a shared injector queue; each
-//!   worker drains batches of it into a private deque and, when both run
-//!   dry, steals the back half of a sibling's deque. Uneven per-device
-//!   costs (faulty devices retry and backoff, clean ones finish early)
-//!   therefore cannot idle a core while work remains.
+//! * **Index-order claims.** Workers claim tasks one at a time from a
+//!   single atomic next-index counter, so tasks start in index order and
+//!   the claimed indices always form a prefix `0..k`. Taking one task at
+//!   a time is dynamic scheduling: uneven per-device costs (faulty devices
+//!   retry and backoff, clean ones finish early) cannot idle a core while
+//!   work remains.
 //! * **Canonical-order merge.** Workers hand each completed result to the
 //!   caller's thread — the single writer — which buffers out-of-order
 //!   completions and invokes the sink strictly in task order 0, 1, 2, ….
@@ -21,15 +22,16 @@
 //!   exactly the serial schedule, regardless of thread count or OS
 //!   scheduling.
 //! * **Cooperative cancellation.** Workers poll the [`CancelToken`]
-//!   between tasks: once flipped, in-flight tasks finish, nothing new is
-//!   claimed, and the merge step flushes the contiguous finished prefix.
-//!   Results past the first unfinished index are discarded — they are
-//!   deterministic, so a resume recomputes them bit-identically.
+//!   before every claim: once flipped, in-flight tasks finish and nothing
+//!   new is claimed. Because the claimed indices form a prefix, the merge
+//!   step then sinks every task the run started — a cancelled sweep
+//!   journals every device it simulated, and a resume recomputes only the
+//!   devices that never ran.
 //!
-//! Determinism does **not** come from the pool (scheduling is arbitrary);
-//! it comes from tasks being pure functions of their index plus the
-//! ordered merge. The pool only decides *when* work happens, never *what*
-//! the sink observes. See DESIGN.md §10.
+//! Determinism does **not** come from the schedule (completion order is
+//! arbitrary); it comes from tasks being pure functions of their index
+//! plus the ordered merge. The workers only decide *when* work happens,
+//! never *what* the sink observes. See DESIGN.md §10.
 //!
 //! [`map_supervised`] layers **panic isolation** on top: every task runs
 //! under `catch_unwind`, a panic becomes a typed
@@ -44,7 +46,7 @@ use crate::journal::CancelToken;
 use std::any::Any;
 use std::backtrace::{Backtrace, BacktraceStatus};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex, MutexGuard, Once, PoisonError};
@@ -61,112 +63,20 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// What a worker's claim attempt produced.
-enum Claim<T> {
-    /// A task to run.
-    Task(T),
-    /// Nothing visible right now, but unclaimed tasks exist (e.g. mid
-    /// transfer between queues) — yield and retry.
-    Retry,
-    /// Every task has been claimed; the worker can exit.
-    Drained,
-}
-
-/// Shared injector queue plus per-worker deques of task indices, and the
-/// tasks' items, each taken by the worker that claims its index. The
-/// queues move only indices, so a large item (a whole device) is never
-/// copied from queue to queue.
-struct Pool<T> {
-    items: Mutex<Vec<Option<T>>>,
-    injector: Mutex<VecDeque<usize>>,
-    locals: Vec<Mutex<VecDeque<usize>>>,
-    /// Tasks not yet claimed for execution (they may sit in the injector,
-    /// a local deque, or be mid-transfer). Workers only exit on zero, so a
-    /// task can never be stranded in a deque nobody will revisit.
-    unclaimed: AtomicUsize,
-    /// How many tasks a worker moves from the injector per refill.
-    batch: usize,
-}
-
-impl<T> Pool<T> {
-    fn new(items: Vec<T>, threads: usize) -> Self {
-        let total = items.len();
-        Pool {
-            items: Mutex::new(items.into_iter().map(Some).collect()),
-            injector: Mutex::new((0..total).collect()),
-            locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            unclaimed: AtomicUsize::new(total),
-            batch: total.div_ceil(threads * 2).max(1),
-        }
-    }
-
-    /// Claims the next task for worker `who`: own deque first, then a
-    /// batch from the injector, then the back half of a sibling's deque.
-    /// At most one lock is held at a time, so claims cannot deadlock.
-    fn try_claim(&self, who: usize) -> Claim<usize> {
-        if let Some(task) = lock(&self.locals[who]).pop_front() {
-            self.unclaimed.fetch_sub(1, Ordering::SeqCst);
-            return Claim::Task(task);
-        }
-        let refill: VecDeque<usize> = {
-            let mut injector = lock(&self.injector);
-            let take = self.batch.min(injector.len());
-            injector.drain(..take).collect()
-        };
-        if let Some(task) = self.adopt(who, refill) {
-            return Claim::Task(task);
-        }
-        for victim in (0..self.locals.len()).filter(|&v| v != who) {
-            let stolen = {
-                let mut deque = lock(&self.locals[victim]);
-                // Leave the front half with its owner; take the rest.
-                let keep = deque.len().div_ceil(2);
-                deque.split_off(keep)
-            };
-            if let Some(task) = self.adopt(who, stolen) {
-                return Claim::Task(task);
-            }
-        }
-        if self.unclaimed.load(Ordering::SeqCst) == 0 {
-            Claim::Drained
-        } else {
-            Claim::Retry
-        }
-    }
-
-    /// Moves `tasks` into `who`'s deque and claims the first of them.
-    fn adopt(&self, who: usize, tasks: VecDeque<usize>) -> Option<usize> {
-        if tasks.is_empty() {
-            return None;
-        }
-        let mut local = lock(&self.locals[who]);
-        local.extend(tasks);
-        let task = local.pop_front();
-        if task.is_some() {
-            self.unclaimed.fetch_sub(1, Ordering::SeqCst);
-        }
-        task
-    }
-
-    /// Takes the item of a claimed task. Each index is claimed exactly
-    /// once, so the item is always still there.
-    fn take(&self, index: usize) -> Option<T> {
-        lock(&self.items).get_mut(index).and_then(Option::take)
-    }
-}
-
 /// Runs `worker` over every `(index, item)` across `threads` workers and
 /// feeds the results to `sink` **in strictly increasing index order** on
 /// the calling thread, buffering out-of-order completions. Returns how
-/// many items were sunk — the contiguous completed prefix.
+/// many items were sunk.
 ///
 /// * `threads` is clamped to `1..=items.len()`. With one thread everything
 ///   runs inline on the caller — that *is* the serial reference path, and
 ///   the parallel path is bit-identical to it whenever `worker` is a pure
 ///   function of `(index, item)`.
+/// * Workers claim indices in increasing order from one shared counter, so
+///   the claimed indices always form a prefix and no finished result is
+///   ever left behind a gap.
 /// * `cancel` is polled before every claim: a cancelled run finishes
-///   in-flight work, sinks the contiguous prefix, and returns short.
-///   Computed results beyond the first gap are discarded.
+///   in-flight work, sinks every task it started, and returns short.
 /// * A `sink` error aborts the run: workers stop claiming, and the error
 ///   is returned after in-flight tasks drain.
 pub fn map_ordered<T, R, E, W, S>(
@@ -199,32 +109,28 @@ where
         return Ok(done);
     }
 
-    let pool = Pool::new(items, threads);
+    // One lock over all items, not one per item: the in-place collect
+    // reuses the caller's allocation, so a fleet's devices exist once.
+    let items = Mutex::new(items.into_iter().map(Some).collect::<Vec<_>>());
+    let claimed = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
-            .map(|who| {
+            .map(|_| {
                 let tx = tx.clone();
-                let (pool, abort, worker) = (&pool, &abort, &worker);
-                scope.spawn(move || loop {
-                    if cancel.is_cancelled() || abort.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match pool.try_claim(who) {
-                        Claim::Task(index) => {
-                            let Some(item) = pool.take(index) else {
-                                continue;
-                            };
-                            // Send fails only when the writer already
-                            // returned (sink error); nothing left to do
-                            // either way.
-                            if tx.send((index, worker(index, item))).is_err() {
-                                break;
-                            }
+                let (items, claimed, abort, worker) = (&items, &claimed, &abort, &worker);
+                scope.spawn(move || {
+                    while !cancel.is_cancelled() && !abort.load(Ordering::SeqCst) {
+                        let index = claimed.fetch_add(1, Ordering::SeqCst);
+                        let Some(item) = lock(items).get_mut(index).and_then(Option::take) else {
+                            break;
+                        };
+                        // Send fails only when the writer already returned
+                        // (sink error); nothing left to do either way.
+                        if tx.send((index, worker(index, item))).is_err() {
+                            break;
                         }
-                        Claim::Retry => std::thread::yield_now(),
-                        Claim::Drained => break,
                     }
                 })
             })
@@ -482,8 +388,9 @@ mod tests {
 
     #[test]
     fn uneven_task_costs_do_not_perturb_sink_order() {
-        // Early tasks are slow, late ones fast: with stealing, late tasks
-        // finish first and must be buffered until the prefix lands.
+        // Early tasks are slow, late ones fast: the workers that claim the
+        // late tasks finish them first, so they must be buffered until
+        // the prefix lands.
         let mut seen = Vec::new();
         let done: Result<usize, ()> = map_ordered(
             (0..40u64).collect(),
@@ -546,6 +453,7 @@ mod tests {
     #[test]
     fn mid_run_cancellation_stops_short_and_keeps_order() {
         let cancel = CancelToken::new();
+        let ran = AtomicUsize::new(0);
         let mut seen = Vec::new();
         let done: Result<usize, ()> = map_ordered(
             (0..64u64).collect(),
@@ -553,6 +461,7 @@ mod tests {
             &cancel,
             |_, x| {
                 std::thread::sleep(Duration::from_millis(1));
+                ran.fetch_add(1, Ordering::SeqCst);
                 x
             },
             |i, _| {
@@ -567,6 +476,11 @@ mod tests {
         assert!(done >= 1, "the in-flight prefix still lands");
         assert!(done < 64, "cancellation stopped the run early");
         assert_eq!(seen, (0..done).collect::<Vec<_>>());
+        assert_eq!(
+            done,
+            ran.load(Ordering::SeqCst),
+            "every task the run started is sunk"
+        );
     }
 
     /// Renders a supervised run as comparable, deterministic strings

@@ -39,11 +39,11 @@ const POWER_TABLE_TEMP_QUANTUM: f64 = 0.1;
 /// key compare and a miss overwrites that slot. 512 slots hold the
 /// hundreds of temperature bins of a cold busy ramp; at 56 bytes a slot a
 /// two-cluster device carries 56 KiB, allocated only once its fast path is
-/// enabled and emptied in O(1) by an epoch bump on every
-/// [`Device::set_integrator`]. Counted on the benchmark workloads (seed 1),
-/// a lookup averages 0.24–0.91 key compares and a device evaluates the
-/// power model 204 (`durable`), 2257 (`crowd`) and 1511 (`census`) times
-/// (DESIGN.md §11).
+/// enabled and emptied in O(1) by an epoch bump whenever
+/// [`Device::set_integrator`] changes the scheme. Counted on the benchmark
+/// workloads (seed 1), a lookup averages 0.24–0.91 key compares and a
+/// device evaluates the power model 204 (`durable`), 2257 (`crowd`) and
+/// 1511 (`census`) times (DESIGN.md §11).
 const POWER_TABLE_SLOTS: usize = 512;
 
 /// What the CPU cores are asked to do this step.
@@ -400,16 +400,18 @@ impl Device {
     /// The power table (512 direct-mapped slots per cluster, 56 KiB on a
     /// two-cluster device) is allocated the first time the fast path is
     /// enabled, never by the constructors, so a device that never runs it
-    /// carries none. Every later call empties it by bumping its epoch, an
-    /// O(1) clear with no allocation, so alternating schemes cannot leak
-    /// stale entries and a call before each step forces a miss on every
-    /// step.
+    /// carries none. A later call that changes the scheme empties it by
+    /// bumping its epoch, an O(1) clear with no allocation; a re-pin to
+    /// the current scheme keeps it, since its values depend only on the
+    /// key, the die and the spec. Switching to Euler and back before a
+    /// step therefore forces a miss on that step.
     pub fn set_integrator(&mut self, integrator: Integrator) {
+        let changed = integrator != self.network.integrator();
         self.network.set_integrator(integrator);
         self.fast_path = integrator == Integrator::Exponential;
         if self.fast_path && self.power_table.slots.is_empty() {
             self.power_table.allocate(self.spec.soc.clusters.len());
-        } else {
+        } else if changed {
             self.power_table.clear();
         }
     }
@@ -1200,5 +1202,32 @@ mod tests {
         assert_eq!(table.epoch, 1);
         let fresh = (Volts(0.8), Watts(1.0));
         assert_eq!(table.get_or_insert_with(0, key, || fresh), fresh);
+    }
+
+    #[test]
+    fn same_scheme_repin_keeps_the_power_table() {
+        let mut d = n5(1);
+        d.set_integrator(Integrator::Exponential);
+        let key = PowerKey {
+            freq_bits: 1.0f64.to_bits(),
+            temp_bin: 300,
+            powered_bits: 4.0f64.to_bits(),
+            util_bits: 1.0f64.to_bits(),
+        };
+        let computed = (Volts(0.9), Watts(1.5));
+        d.power_table.get_or_insert_with(0, key, || computed);
+        d.set_integrator(Integrator::Exponential);
+        let kept = d
+            .power_table
+            .get_or_insert_with(0, key, || unreachable!("a re-pin kept the slot"));
+        assert_eq!(kept, computed);
+        d.set_integrator(Integrator::Euler);
+        d.set_integrator(Integrator::Exponential);
+        let fresh = (Volts(0.8), Watts(1.0));
+        assert_eq!(
+            d.power_table.get_or_insert_with(0, key, || fresh),
+            fresh,
+            "a scheme switch empties the table"
+        );
     }
 }

@@ -4,8 +4,8 @@
 //! temperature would produce.
 //!
 //! The trick: [`pv_soc::device::Device::set_integrator`] clears the table
-//! on every call. Stepping a twin device that re-selects the
-//! integrator before *every* step forces a miss (and therefore an
+//! whenever it changes the scheme. Stepping a twin device that switches
+//! to Euler and back before *every* step forces a miss (and therefore an
 //! exact recompute) at each step, while the device under test runs with
 //! a warm table. Identical telemetry across the whole trajectory proves
 //! hits and recomputes are interchangeable.
@@ -79,25 +79,32 @@ fn assert_reports_bit_identical(a: &StepReport, b: &StepReport, step: usize) {
     assert_eq!(a.throttled, b.throttled, "throttle diverged at step {step}");
 }
 
+/// Empties `device`'s power table: switching the scheme away and back
+/// clears it, while a re-pin to the current scheme would keep it.
+fn empty_table(device: &mut Device) {
+    device.set_integrator(Integrator::Euler);
+    device.set_integrator(Integrator::Exponential);
+}
+
 /// Steps `warm` and its forced-miss twin `cold` through `trajectory`,
-/// re-pinning `warm` before each step listed in `repins`, and asserts
-/// every pair of reports is bit-identical.
+/// emptying `warm`'s table before each step listed in `clears`, and
+/// asserts every pair of reports is bit-identical.
 fn assert_twins_agree(
     mut warm: Device,
     mut cold: Device,
     trajectory: &[(Seconds, CpuDemand, FrequencyMode)],
-    repins: &[usize],
+    clears: &[usize],
 ) {
     warm.set_integrator(Integrator::Exponential);
     let mut ra = StepReport::empty();
     let mut rb = StepReport::empty();
     for (step, &(dt, demand, mode)) in trajectory.iter().enumerate() {
-        if repins.contains(&step) {
-            warm.set_integrator(Integrator::Exponential);
+        if clears.contains(&step) {
+            empty_table(&mut warm);
         }
-        // Re-selecting the integrator clears the power table, so every one
-        // of `cold`'s steps recomputes from scratch.
-        cold.set_integrator(Integrator::Exponential);
+        // An emptied power table makes every one of `cold`'s steps
+        // recompute from scratch.
+        empty_table(&mut cold);
         warm.step_into(dt, demand, mode, &mut ra).unwrap();
         cold.step_into(dt, demand, mode, &mut rb).unwrap();
         assert_reports_bit_identical(&ra, &rb, step);
@@ -157,22 +164,22 @@ fn conflict_trajectory() -> Vec<(Seconds, CpuDemand, FrequencyMode)> {
         .collect()
 }
 
-/// More distinct keys between two re-pins than the table has slots, so
+/// More distinct keys between two clears than the table has slots, so
 /// keys overwrite each other's slots and are looked up again after
-/// eviction; a re-pin mid-run empties the table. The warm device must
-/// still agree bit for bit with its forced-miss twin.
+/// eviction; an integrator switch mid-run empties the table. The warm
+/// device must still agree bit for bit with its forced-miss twin.
 #[test]
 fn evicted_slots_stay_bit_identical_to_forced_recompute() {
-    const REPIN: usize = 2_000;
+    const CLEAR: usize = 2_000;
     let trajectory = conflict_trajectory();
 
     // Count the distinct performance-cluster keys (frequency, temperature
-    // bin, powered cores, utilisation) before the re-pin.
+    // bin, powered cores, utilisation) before the clear.
     let mut probe = catalog::pixel(0.3, "fast-path-conflicts").unwrap();
     probe.set_integrator(Integrator::Exponential);
     let mut report = StepReport::empty();
     let mut keys = std::collections::BTreeSet::new();
-    for &(dt, demand, mode) in &trajectory[..REPIN] {
+    for &(dt, demand, mode) in &trajectory[..CLEAR] {
         let bin = (probe.die_temp().value() / 0.1).round() as i64;
         probe.step_into(dt, demand, mode, &mut report).unwrap();
         keys.insert((
@@ -184,13 +191,13 @@ fn evicted_slots_stay_bit_identical_to_forced_recompute() {
     }
     assert!(
         keys.len() > TABLE_SLOTS,
-        "only {} distinct key(s) before the re-pin: nothing is evicted",
+        "only {} distinct key(s) before the clear: nothing is evicted",
         keys.len()
     );
 
     let warm = catalog::pixel(0.3, "fast-path-conflicts").unwrap();
     let cold = catalog::pixel(0.3, "fast-path-conflicts").unwrap();
-    assert_twins_agree(warm, cold, &trajectory, &[REPIN]);
+    assert_twins_agree(warm, cold, &trajectory, &[CLEAR]);
 }
 
 /// The power-table key's temperature bin must invalidate RBCPR trims as
