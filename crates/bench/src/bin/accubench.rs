@@ -1,42 +1,25 @@
 //! `accubench` — measure one simulated device, the way the paper's app did.
+//! The flags are listed by the usage text (`accubench --help`); this is
+//! what they mean.
 //!
-//! ```text
-//! accubench --device nexus5:2 [options]
+//! `--device` takes `nexus5:<bin 0-6>` or `nexus6|nexus6p|lgg5|pixel|
+//! pixel2:<grade>`. `--mode` is `unconstrained` (the default) or a pinned
+//! frequency in MHz. `--ambient` fixes the ambient temperature instead of
+//! running the THERMABOX, and `--scale` shrinks the warmup and workload.
+//! `--trace` writes the last iteration's full trace as CSV.
 //!
-//! options:
-//!   --device <model:selector>   nexus5:<bin 0-6> | nexus6|nexus6p|lgg5|pixel|pixel2:<grade>
-//!   --mode unconstrained|<MHz>  workload mode (default: unconstrained)
-//!   --iterations <n>            back-to-back iterations (default: 5)
-//!   --ambient <°C>              fixed ambient instead of the THERMABOX
-//!   --scale <f>                 shrink warmup/workload durations (default: 1.0)
-//!   --integrator <scheme>       euler|rk4|exponential thermal stepping
-//!                               (default: euler; exponential is the fast
-//!                               path, see DESIGN.md §11)
-//!   --trace <file.csv>          dump the last iteration's full trace as CSV
-//!   --faults <plan.toml>        arm a fault-injection plan: instrument
-//!                               kinds hit the session; storage-* kinds
-//!                               hit the --journal filesystem instead
-//!                               (their at/duration count storage
-//!                               operations, not seconds)
-//!   --json                      emit the session as JSON
-//!   --journal <file>            journal the run (self-checksummed, fsynced)
-//!   --resume                    replay the journaled result instead of
-//!                               re-measuring (re-measures only when no
-//!                               result was journaled); refuses a journal
-//!                               whose recorded configuration differs
-//!   --max-task-seconds <w>      arm a wall-clock watchdog: a session that
-//!                               runs longer than w seconds is stopped at
-//!                               the next cooperative checkpoint and
-//!                               reported as timed-out (DESIGN.md §12)
-//!   --on-failure <policy>       abort (default): a panicked/timed-out/
-//!                               failed session exits non-zero;
-//!                               quarantine: it is journaled with its
-//!                               typed status and the process exits 0 —
-//!                               the single-device analogue of a degraded
-//!                               fleet completing
-//! ```
+//! `--faults` arms a fault plan: instrument kinds hit the session, and
+//! `storage-*` kinds hit the `--journal` filesystem instead, where
+//! `at`/`duration` count storage operations. An accubench journal is a
+//! one-device sweep journal: `--resume` replays its journaled result
+//! instead of re-measuring, and refuses a journal written under other
+//! options. Every option is checked before the journal is opened.
 //!
-//! Examples:
+//! `--max-task-seconds` stops a session that runs longer at its next
+//! cooperative checkpoint, as timed-out (DESIGN.md §12). A panicked,
+//! timed-out or failed session exits non-zero under `--on-failure abort`
+//! (the default); under `quarantine` it is journaled with its typed status
+//! and the process exits 0.
 //!
 //! ```text
 //! accubench --device nexus5:0
@@ -46,152 +29,50 @@
 //! ```
 
 use accubench::executor;
+use accubench::experiments::ExperimentConfig;
 use accubench::harness::{Ambient, Harness};
 use accubench::journal::{
-    fnv64, journal_outcome, prepare_journal, AttemptFailure, Journal, JournalError,
-    JournaledOutcome, Record,
+    fnv64, journal_outcome, prepare_journal, AttemptFailure, JournalError, JournaledOutcome, Record,
 };
 use accubench::protocol::Protocol;
-use accubench::storage::{FaultyStorage, Storage};
-use accubench::supervise::{OnFailure, Watchdog};
+use accubench::session::Session;
+use accubench::supervise::{OnFailure, SupervisionPolicy, Watchdog};
+use pv_bench::cli::{open_journal, Flags, ACCUBENCH};
 use pv_faults::{FaultHandle, FaultPlan};
 use pv_soc::catalog;
 use pv_soc::faulty::FaultyDevice;
-use pv_units::{Celsius, MegaHertz, Seconds};
+use pv_thermal::network::Integrator;
+use pv_units::{Celsius, MegaHertz};
 use std::process::ExitCode;
-use std::sync::Arc;
 
 #[path = "../sigint.rs"]
 mod sigint;
 
-struct Options {
-    device: String,
-    mode: String,
-    iterations: usize,
-    ambient: Option<f64>,
-    scale: f64,
-    integrator: pv_thermal::network::Integrator,
-    trace: Option<String>,
-    faults: Option<String>,
-    json: bool,
-    journal: Option<String>,
-    resume: bool,
-    max_task_seconds: Option<f64>,
-    on_failure: OnFailure,
+/// Prints `reason` (when there is one) and the usage text, and fails.
+fn usage(reason: &str) -> ExitCode {
+    if !reason.is_empty() {
+        eprintln!("error: {reason}\n");
+    }
+    eprint!("{}", ACCUBENCH.usage());
+    ExitCode::FAILURE
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        device: String::new(),
-        mode: "unconstrained".to_owned(),
-        iterations: 5,
-        ambient: None,
-        scale: 1.0,
-        integrator: pv_thermal::network::Integrator::Euler,
-        trace: None,
-        faults: None,
-        json: false,
-        journal: None,
-        resume: false,
-        max_task_seconds: None,
-        // A lone session has no fleet to degrade into, so failures abort
-        // (non-zero exit) unless the caller opts into quarantine.
-        on_failure: OnFailure::Abort,
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (flags, positional) = match ACCUBENCH.parse(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => return usage(&e),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--device" => opts.device = value("--device")?,
-            "--mode" => opts.mode = value("--mode")?,
-            "--iterations" => {
-                opts.iterations = value("--iterations")?
-                    .parse()
-                    .map_err(|_| "--iterations must be a positive integer".to_owned())?
-            }
-            "--ambient" => {
-                opts.ambient = Some(
-                    value("--ambient")?
-                        .parse()
-                        .map_err(|_| "--ambient must be a temperature in °C".to_owned())?,
-                )
-            }
-            "--scale" => {
-                opts.scale = value("--scale")?
-                    .parse()
-                    .map_err(|_| "--scale must be a positive number".to_owned())?
-            }
-            "--integrator" => {
-                let name = value("--integrator")?;
-                opts.integrator = pv_thermal::network::Integrator::parse(&name)
-                    .ok_or_else(|| format!("--integrator: unknown scheme {name:?}"))?
-            }
-            "--trace" => opts.trace = Some(value("--trace")?),
-            "--faults" => opts.faults = Some(value("--faults")?),
-            "--json" => opts.json = true,
-            "--journal" => opts.journal = Some(value("--journal")?),
-            "--resume" => opts.resume = true,
-            "--max-task-seconds" => {
-                let w: f64 = value("--max-task-seconds")?
-                    .parse()
-                    .map_err(|_| "--max-task-seconds must be a positive number".to_owned())?;
-                if !(w > 0.0 && w.is_finite()) {
-                    return Err("--max-task-seconds must be a positive number".to_owned());
-                }
-                opts.max_task_seconds = Some(w)
-            }
-            "--on-failure" => {
-                let mode = value("--on-failure")?;
-                opts.on_failure = OnFailure::parse(&mode)
-                    .ok_or_else(|| format!("--on-failure: unknown policy {mode:?}"))?
-            }
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown option: {other}")),
-        }
+    if flags.switch("--help") || positional.contains(&"-h") {
+        return usage("");
     }
-    if opts.device.is_empty() {
-        return Err("--device is required".to_owned());
+    if let Err(e) = flags.check("accubench", &positional) {
+        return usage(&e);
     }
-    if opts.iterations == 0 {
-        return Err("--iterations must be at least 1".to_owned());
-    }
-    if !(opts.scale > 0.0 && opts.scale <= 1.0) {
-        return Err("--scale must be in (0, 1]".to_owned());
-    }
-    if opts.resume && opts.journal.is_none() {
-        return Err("--resume requires --journal <file>".to_owned());
-    }
-    Ok(opts)
-}
-
-/// Digest over everything that determines this run's simulated outcome:
-/// device, mode, iterations, ambient, scale, integrator, the fault plan
-/// *text* (so editing the plan file invalidates a stale journal), and the
-/// watchdog limit (a journal written under one deadline regime cannot be
-/// silently replayed under another). `v2` added the integrator; `v3` adds
-/// the supervision fields and the typed outcome status.
-fn run_digest(opts: &Options, fault_toml: &str) -> String {
-    let ambient = match opts.ambient {
-        Some(t) => format!("{:016x}", t.to_bits()),
-        None => "chamber".to_owned(),
-    };
-    let wall = match opts.max_task_seconds {
-        Some(w) => format!("{:016x}", w.to_bits()),
-        None => "none".to_owned(),
-    };
-    let s = format!(
-        "accubench-v3|device={}|mode={}|iters={}|ambient={ambient}|scale={:016x}|integrator={}|faults={:016x}|wall={wall}",
-        opts.device,
-        opts.mode,
-        opts.iterations,
-        opts.scale.to_bits(),
-        opts.integrator.as_str(),
-        fnv64(fault_toml.as_bytes()),
-    );
-    format!("{:016x}", fnv64(s.as_bytes()))
+    run(&flags).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
 }
 
 /// Exit code for a failed session under the selected escalation policy:
@@ -229,205 +110,157 @@ fn replay_outcome(journaled: &JournaledOutcome, on_failure: OnFailure) -> ExitCo
     ExitCode::SUCCESS
 }
 
-fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
+/// Checks every option and builds the session, then opens the journal
+/// (replaying a journaled result on `--resume`) and measures.
+fn run(flags: &Flags<'_>) -> Result<ExitCode, String> {
+    let descriptor = flags.value("--device").ok_or("--device is required")?;
+    let mode = flags.value("--mode").unwrap_or("unconstrained");
+    let protocol = flags
+        .get("--mode", "'unconstrained' or a frequency in MHz", |m| {
+            if m == "unconstrained" {
+                return Some(Protocol::unconstrained());
             }
-            eprintln!(
-                "usage: accubench --device <model:selector> [--mode unconstrained|<MHz>] \
-                 [--iterations N] [--ambient °C] [--scale F] \
-                 [--integrator euler|rk4|exponential] [--trace out.csv] \
-                 [--faults plan.toml] [--json] [--journal file] [--resume] \
-                 [--max-task-seconds W] [--on-failure abort|quarantine]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let device = match catalog::parse_device(&opts.device) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+            let mhz = m
+                .parse::<f64>()
+                .ok()
+                .filter(|f| *f > 0.0 && f.is_finite())?;
+            Some(Protocol::fixed_frequency(MegaHertz(mhz)))
+        })?
+        .unwrap_or_else(Protocol::unconstrained);
+    let iterations = flags.positive_integer("--iterations")?.unwrap_or(5);
+    let ambient_c = flags.get("--ambient", "a temperature above -273.15 °C", |t| {
+        t.parse::<f64>()
+            .ok()
+            .filter(|t| t.is_finite() && *t > -273.15)
+    })?;
+    let scale = flags
+        .get("--scale", "a number in (0, 1]", |s| {
+            s.parse::<f64>().ok().filter(|s| *s > 0.0 && *s <= 1.0)
+        })?
+        .unwrap_or(1.0);
+    let integrator = flags
+        .choice("--integrator", Integrator::parse)?
+        .unwrap_or(Integrator::Euler);
+    let trace = flags.value("--trace");
+    // A lone session has no fleet to degrade into, so failures abort
+    // (non-zero exit) unless the caller opts into quarantine.
+    let policy = flags.supervision(SupervisionPolicy {
+        on_failure: OnFailure::Abort,
+        ..SupervisionPolicy::default()
+    })?;
+    let resume = flags.switch("--resume");
+    let journal_path = flags.value("--journal");
+    if resume && journal_path.is_none() {
+        return Err("--resume requires --journal <file>".into());
+    }
+    let device = catalog::parse_device(descriptor).map_err(|e| e.to_string())?;
 
     // The device is always driven through the fault gate; without --faults
     // the gate is disarmed and behaves bit-identically to the bare device.
     // Storage kinds in the plan never fire on the session's simulated-time
     // clock — they are split out and armed on the journal's filesystem,
     // where `at`/`duration` count storage operations.
-    let mut fault_toml = String::new();
-    let mut storage_plan: Option<FaultPlan> = None;
-    let faults = match &opts.faults {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: could not read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match FaultPlan::from_toml_str(&text) {
-                Ok(plan) => {
-                    fault_toml = text;
-                    let (storage_events, instrument_events): (Vec<_>, Vec<_>) = plan
-                        .events
-                        .iter()
-                        .cloned()
-                        .partition(|e| e.kind.is_storage());
-                    eprintln!(
-                        "armed fault plan {path}: {} instrument event(s), {} storage event(s)",
-                        instrument_events.len(),
-                        storage_events.len(),
-                    );
-                    if !storage_events.is_empty() {
-                        storage_plan = Some(FaultPlan {
-                            seed: plan.seed,
-                            events: storage_events,
-                        });
-                    }
-                    FaultHandle::armed(FaultPlan {
-                        seed: plan.seed,
-                        events: instrument_events,
-                    })
-                }
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+    let (faults, storage_plan, fault_toml) = match flags.fault_plan("--faults")? {
+        Some((plan, text)) => {
+            let (storage_events, instrument_events): (Vec<_>, Vec<_>) =
+                plan.events.into_iter().partition(|e| e.kind.is_storage());
+            eprintln!(
+                "armed fault plan {}: {} instrument event(s), {} storage event(s)",
+                flags.value("--faults").unwrap_or_default(),
+                instrument_events.len(),
+                storage_events.len(),
+            );
+            let storage_plan = (!storage_events.is_empty()).then_some(FaultPlan {
+                seed: plan.seed,
+                events: storage_events,
+            });
+            let instruments = FaultHandle::armed(FaultPlan {
+                seed: plan.seed,
+                events: instrument_events,
+            });
+            (instruments, storage_plan, text)
         }
-        None => FaultHandle::disarmed(),
+        None => (FaultHandle::disarmed(), None, String::new()),
     };
 
-    // Journal handling: open (recovering any torn tail) and bind it to this
-    // run before anything runs. An accubench journal is a one-device sweep
-    // journal: a journaled outcome is replayed instead of re-measured.
-    let digest = run_digest(&opts, &fault_toml);
-    let storage = match &storage_plan {
-        Some(plan) => Storage::new(Arc::new(FaultyStorage::new(Storage::os(), plan))),
-        None => Storage::os(),
+    let mut protocol = ExperimentConfig {
+        scale,
+        iterations,
+        integrator,
+    }
+    .scaled(protocol);
+    if trace.is_some() {
+        protocol = protocol.with_trace();
+    }
+    let ambient = match ambient_c {
+        Some(t) => Ambient::Fixed(Celsius(t)),
+        None => Ambient::paper_chamber().map_err(|e| e.to_string())?,
     };
-    let mut journal = match &opts.journal {
-        Some(path) => match Journal::open_with(storage, path) {
-            Ok(j) => {
-                if j.dropped_bytes() > 0 {
-                    eprintln!(
-                        "journal {path}: dropped {} byte(s) of torn tail",
-                        j.dropped_bytes()
-                    );
-                }
-                Some(j)
-            }
-            Err(e) => {
-                eprintln!("--journal: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
+    let mut harness = Harness::new(protocol, ambient)
+        .map_err(|e| e.to_string())?
+        .with_faults(faults.clone());
+    if let Some(wall) = policy.max_wall_seconds {
+        harness = harness.with_watchdog(Watchdog::new().with_wall_limit(wall));
+    }
+
+    // Digest over everything that determines this run's simulated outcome,
+    // including the fault plan's *text* (editing the plan file invalidates
+    // a stale journal) and the watchdog limit (a journal written under one
+    // deadline regime cannot be replayed under another). `v2` added the
+    // integrator; `v3` the supervision fields and the typed outcome status.
+    let bits =
+        |v: Option<f64>, none: &str| v.map_or(none.to_owned(), |x| format!("{:016x}", x.to_bits()));
+    let config = format!(
+        "accubench-v3|device={descriptor}|mode={mode}|iters={iterations}|ambient={}|scale={:016x}|integrator={}|faults={:016x}|wall={}",
+        bits(ambient_c, "chamber"),
+        scale.to_bits(),
+        integrator.as_str(),
+        fnv64(fault_toml.as_bytes()),
+        bits(policy.max_wall_seconds, "none"),
+    );
+    let digest = format!("{:016x}", fnv64(config.as_bytes()));
+
+    // An accubench journal is a one-device sweep journal: a journaled
+    // outcome is replayed instead of re-measured.
+    let mut journal = journal_path
+        .map(|path| open_journal(path, storage_plan.as_ref(), resume))
+        .transpose()?;
     if let Some(j) = journal.as_mut() {
-        let replay = match prepare_journal(j, &opts.device, digest, 1) {
-            Ok(replay) => replay,
-            Err(JournalError::DigestMismatch { .. }) => {
-                eprintln!(
-                    "--journal: journal was written by a different configuration; \
-                     refusing to resume (re-run with matching options or a fresh path)"
-                );
-                return ExitCode::FAILURE;
-            }
-            Err(JournalError::MissingHeader) => {
-                eprintln!("--journal: journal does not start with a header");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("--journal: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if !j.recovered().is_empty() {
-            if !opts.resume {
-                eprintln!(
-                    "--journal: journal already holds {} record(s); \
-                     pass --resume to replay it or choose a fresh path",
-                    j.recovered().len()
-                );
-                return ExitCode::FAILURE;
-            }
-            if let Some(done) = replay.outcomes.get(&0) {
-                if !replay.sealed {
-                    if let Err(e) = j.append(&Record::Complete { devices: 1 }) {
-                        eprintln!("warning: journal append failed: {e}");
-                    }
+        let replay = prepare_journal(j, descriptor, digest, 1).map_err(|e| match e {
+            JournalError::DigestMismatch { .. } => "--journal: journal was written by a \
+                 different configuration; refusing to resume (re-run with matching options \
+                 or a fresh path)"
+                .to_owned(),
+            JournalError::MissingHeader => "--journal: journal does not start with a header".into(),
+            e => format!("--journal: {e}"),
+        })?;
+        if let Some(done) = replay.outcomes.get(&0) {
+            if !replay.sealed {
+                if let Err(e) = j.append(&Record::Complete { devices: 1 }) {
+                    eprintln!("warning: journal append failed: {e}");
                 }
-                return replay_outcome(done, opts.on_failure);
             }
+            return Ok(replay_outcome(done, policy.on_failure));
+        }
+        if !j.recovered().is_empty() {
             eprintln!("journal is incomplete; re-measuring");
         }
     }
     let device_label = device.label().to_owned();
     let mut device = FaultyDevice::new(device, faults.clone());
 
-    let mut protocol = if opts.mode == "unconstrained" {
-        Protocol::unconstrained()
-    } else {
-        match opts.mode.parse::<f64>() {
-            Ok(mhz) if mhz > 0.0 => Protocol::fixed_frequency(MegaHertz(mhz)),
-            _ => {
-                eprintln!("error: --mode must be 'unconstrained' or a frequency in MHz");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    protocol = protocol
-        .with_warmup(Seconds(protocol.warmup.value() * opts.scale))
-        .with_workload(Seconds(protocol.workload.value() * opts.scale))
-        .with_integrator(opts.integrator);
-    if opts.trace.is_some() {
-        protocol = protocol.with_trace();
-    }
-
-    let ambient = match opts.ambient {
-        Some(t) => Ambient::Fixed(Celsius(t)),
-        None => match Ambient::paper_chamber() {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-
-    let mut harness = match Harness::new(protocol, ambient) {
-        Ok(h) => h.with_faults(faults.clone()),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(wall) = opts.max_task_seconds {
-        harness = harness.with_watchdog(Watchdog::new().with_wall_limit(wall));
-    }
-
     // First Ctrl-C lets the session finish and journal; the second one
     // kills the process (recovery then drops any torn journal tail).
     let _cancel = sigint::install();
 
-    eprintln!(
-        "measuring {device}: {} iteration(s), mode {} ...",
-        opts.iterations, opts.mode
-    );
+    eprintln!("measuring {device}: {iterations} iteration(s), mode {mode} ...");
     // The session runs under panic isolation: a panic (injected or real)
     // is caught, summarized, journaled with its typed status, and turned
     // into an exit code by the escalation policy instead of unwinding
     // through main. A fatal session error is deterministic, so it
     // completes the journal too: --resume replays the failure instead of
     // re-running.
-    let caught = executor::run_caught(|| harness.run_session(&mut device, opts.iterations));
+    let caught = executor::run_caught(|| harness.run_session(&mut device, iterations));
     let (session, failures) = match caught {
         Ok(Ok(session)) => (Some(session), Vec::new()),
         Ok(Err(e)) => (None, vec![AttemptFailure::of_error(1, &e)]),
@@ -460,27 +293,28 @@ fn main() -> ExitCode {
                 eprintln!("{bt}");
             }
         }
-        return failure_exit(opts.on_failure);
+        return Ok(failure_exit(policy.on_failure));
     };
 
-    if let Some(path) = &opts.trace {
+    if let Some(path) = trace {
         let csv = session
             .iterations
             .last()
             .map(|it| it.full_trace.to_csv())
             .unwrap_or_default();
-        if let Err(e) = std::fs::write(path, csv) {
-            eprintln!("error: could not write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, csv).map_err(|e| format!("could not write {path}: {e}"))?;
         eprintln!("trace written to {path}");
     }
-
-    if opts.json {
+    if flags.switch("--json") {
         println!("{}", pv_json::ToJson::to_json(&session).to_string_pretty());
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
+    Ok(render(&session, &faults))
+}
 
+/// Prints the session, its verdict, quarantines and fault log, and its
+/// performance and energy summaries.
+fn render(session: &Session, faults: &FaultHandle) -> ExitCode {
     println!("{session}");
     println!("verdict: {}", session.verdict);
     for q in &session.quarantined {

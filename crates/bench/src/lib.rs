@@ -1,6 +1,8 @@
-//! Benchmark harness crate. See benches/ and src/bin/repro.rs.
+//! Benchmark harness crate: the `repro`, `accubench` and `benchdiff`
+//! binaries and what they share.
 //!
-//! The perf benches (`sweep`, `step`) summarise their samples with robust
+//! [`cli`] holds both CLIs' flag tables and the one parser they use. The
+//! perf benches (`sweep`, `step`) summarise their samples with robust
 //! p50/p90/MAD statistics and a `noisy` relative-spread guardrail
 //! ([`stats`]), write their results in the shared
 //! `pv-bench-report/v1` JSON schema ([`report`]), and the `benchdiff`
@@ -11,6 +13,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod diff;
 pub mod report;
 pub mod stats;

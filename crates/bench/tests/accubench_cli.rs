@@ -1,5 +1,6 @@
 //! The `accubench` binary's command line: removed options fail with the
-//! usage text, and a journaled run replays on `--resume`, refuses a
+//! usage text, bad values fail before a journal is written, and a
+//! journaled run replays on `--resume`, refuses a
 //! journal written under a different configuration, commits the end of
 //! its session at once, and heals a cut journal to the uninterrupted bytes.
 
@@ -40,10 +41,31 @@ fn removed_sweep_flags_are_unknown_options() {
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(1), "{flag}: {err}");
         let name = flag.split(' ').next().unwrap();
-        assert!(err.contains(&format!("unknown option: {name}")), "{err}");
+        assert!(err.contains(&format!("unknown flag {name}")), "{err}");
         assert!(err.contains("usage: accubench"), "{flag}: {err}");
         assert!(out.stdout.is_empty(), "{flag} measured anyway");
     }
+}
+
+#[test]
+fn bad_option_values_are_refused_before_the_journal_opens() {
+    let dir = accubench::storage::TempDir::new("accubench-bad-values");
+    let journal = dir.file("run.journal");
+    for (bad, reason) in [
+        ("--mode fast", "--mode must be"),
+        ("--ambient nan", "--ambient must be"),
+        ("--ambient inf", "--ambient must be"),
+        ("--ambient -300", "--ambient must be"),
+    ] {
+        let out = journaled(&journal, bad);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{bad}: {err}");
+        assert!(err.contains(reason), "{bad}: {err}");
+        assert!(out.stdout.is_empty(), "{bad} measured anyway");
+        assert!(!journal.exists(), "{bad} wrote a journal");
+    }
+    let corrected = journaled(&journal, "");
+    assert!(corrected.status.success(), "{}", stderr(&corrected));
 }
 
 #[test]
@@ -70,7 +92,7 @@ fn resume_refuses_a_journal_of_a_different_configuration() {
     let journal = dir.file("run.journal");
     assert!(journaled(&journal, "").status.success());
 
-    let out = journaled(&journal, "--iterations 3 --resume");
+    let out = journaled(&journal, "--ambient 30 --resume");
     let err = stderr(&out);
     assert_eq!(out.status.code(), Some(1), "{err}");
     assert!(err.contains("different configuration"), "{err}");

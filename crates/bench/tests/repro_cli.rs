@@ -1,6 +1,7 @@
 //! Flag parsing of the `repro` binary: every flag comes from one table,
 //! values never leak into positional targets, and a flag outside the
-//! table fails with the usage text instead of being silently ignored.
+//! table, or an unknown target, fails with the usage text instead of
+//! being silently ignored. `--export` writes what a target computed once.
 
 use std::process::{Command, Output};
 
@@ -93,4 +94,40 @@ fn flag_the_target_does_not_read_is_refused() {
 #[test]
 fn extra_targets_are_refused() {
     assert_refused("table1 fig3", "unexpected argument fig3");
+}
+
+#[test]
+fn unknown_target_is_refused_before_any_work() {
+    let dir = accubench::storage::TempDir::new("repro-unknown-target");
+    let export = dir.file("figs");
+    assert_refused(
+        &format!("nosuch --export {}", export.display()),
+        "unknown experiment",
+    );
+    assert!(!export.exists(), "nosuch created its export directory");
+}
+
+/// The `[step-stats]` line `repro --verbose` prints for `args`.
+fn step_stats(args: &[&str]) -> String {
+    let out = repro(&[args, &["--verbose"]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{args:?}: {stderr}");
+    let line = stderr.lines().find(|l| l.starts_with("[step-stats]"));
+    line.unwrap_or_else(|| panic!("{args:?}: {stderr}"))
+        .to_owned()
+}
+
+#[test]
+fn export_runs_each_experiment_once() {
+    // The thermal step counters exist only in debug builds.
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    let dir = accubench::storage::TempDir::new("repro-export-once");
+    let export = dir.path().to_str().unwrap();
+    for target in ["fig2", "fig6"] {
+        let plain = step_stats(&[target, "--quick"]);
+        let exported = step_stats(&[target, "--quick", "--export", export]);
+        assert_eq!(plain, exported, "{target}");
+    }
 }

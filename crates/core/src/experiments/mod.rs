@@ -59,6 +59,9 @@ pub mod skin;
 pub mod study;
 pub mod table1;
 pub mod table2;
+mod target;
+
+pub use target::{run, Target};
 
 use crate::executor;
 use crate::journal::CancelToken;
