@@ -50,6 +50,7 @@
 
 use accubench::harness::{Ambient, Harness};
 use accubench::protocol::Protocol;
+use pv_bench::cli::{switch, valued, Cli};
 use pv_bench::report::{BenchReport, Check, Metric};
 use pv_bench::stats::{robust, RobustStats, DEFAULT_NOISE_THRESHOLD};
 use pv_soc::catalog;
@@ -102,66 +103,49 @@ struct Options {
     smoke: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: cargo bench -p pv-bench --bench step -- \
-         [--steps N] [--samples N] [--sessions N] [--out PATH] [--test]"
-    );
+const STEP: &[&str] = &["step"];
+
+/// The bench's command line. `cargo bench -- --test` forwards libtest's
+/// `--test` to every bench binary: it shrinks the run to a sanity check.
+/// `--bench` is cargo's routine marker, not smoke mode.
+const CLI: Cli = Cli {
+    program: "cargo bench -p pv-bench --bench step",
+    commands: &[("step", "--", usize::MAX)],
+    flags: &[
+        valued("--steps", "N", STEP),
+        valued("--samples", "N", STEP),
+        valued("--sessions", "N", STEP),
+        valued("--out", "PATH", STEP),
+        switch("--test", STEP),
+        switch("--bench", STEP),
+        switch("--help", STEP),
+    ],
+};
+
+/// Prints `reason` (when there is one) and the usage text, and exits 2.
+fn usage(reason: &str) -> ! {
+    if !reason.is_empty() {
+        eprintln!("{reason}");
+    }
+    eprint!("{}", CLI.usage());
     std::process::exit(2);
 }
 
 fn parse_args() -> Options {
-    let mut opts = Options {
-        steps: 200_000,
-        samples: 10,
-        sessions: 60,
-        out: "BENCH_step.json".to_owned(),
-        smoke: false,
-    };
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--steps" => {
-                i += 1;
-                opts.steps = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--samples" => {
-                i += 1;
-                opts.samples = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--sessions" => {
-                i += 1;
-                opts.sessions = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--out" => {
-                i += 1;
-                opts.out = args.get(i).cloned().unwrap_or_else(|| usage());
-            }
-            // `cargo bench -- --test` forwards libtest smoke flags to
-            // every bench binary; shrink to a sanity-check run. (`--bench`
-            // itself is cargo's routine marker — not smoke mode.)
-            "--test" => opts.smoke = true,
-            "--bench" => {}
-            "--help" | "-h" => usage(),
-            other if other.starts_with("--") => usage(),
-            // Ignore bare libtest filter strings.
-            _ => {}
-        }
-        i += 1;
+    // Bare arguments are libtest filter strings, which this bench ignores.
+    let (flags, filters) = CLI.parse(&args).unwrap_or_else(|e| usage(&e));
+    if flags.switch("--help") || filters.contains(&"-h") {
+        usage("");
     }
+    let positive = |flag| flags.positive_integer(flag).unwrap_or_else(|e| usage(&e));
+    let mut opts = Options {
+        steps: positive("--steps").unwrap_or(200_000),
+        samples: positive("--samples").unwrap_or(10),
+        sessions: positive("--sessions").unwrap_or(60),
+        out: flags.value("--out").unwrap_or("BENCH_step.json").to_owned(),
+        smoke: flags.switch("--test"),
+    };
     if opts.smoke {
         opts.steps = opts.steps.min(2_000);
         opts.samples = opts.samples.min(3);

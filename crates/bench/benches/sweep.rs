@@ -49,6 +49,7 @@ use accubench::crowd::{populate_parallel, populate_streamed, CrowdDatabase, Swee
 use accubench::executor;
 use accubench::journal::CancelToken;
 use accubench::protocol::Protocol;
+use pv_bench::cli::{switch, valued, Cli};
 use pv_bench::report::{BenchReport, Check, Metric};
 use pv_bench::stats::{robust, DEFAULT_NOISE_THRESHOLD};
 use pv_faults::ALL_KINDS;
@@ -70,75 +71,62 @@ struct Options {
     sample_n: usize,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: cargo bench -p pv-bench --bench sweep -- \
-         [--devices N] [--threads-list a,b,c] [--samples N] [--out PATH] [--test]"
-    );
+const SWEEP: &[&str] = &["sweep"];
+
+/// The bench's command line. `cargo bench -- --test` forwards libtest's
+/// `--test` to every bench binary: it shrinks the run to a sanity check.
+/// `--bench` is cargo's routine marker, not smoke mode.
+const CLI: Cli = Cli {
+    program: "cargo bench -p pv-bench --bench sweep",
+    commands: &[("sweep", "--", usize::MAX)],
+    flags: &[
+        valued("--devices", "N", SWEEP),
+        valued("--threads-list", "a,b,c", SWEEP),
+        valued("--samples", "N", SWEEP),
+        valued("--out", "PATH", SWEEP),
+        switch("--test", SWEEP),
+        switch("--bench", SWEEP),
+        switch("--help", SWEEP),
+    ],
+};
+
+/// Prints `reason` (when there is one) and the usage text, and exits 2.
+fn usage(reason: &str) -> ! {
+    if !reason.is_empty() {
+        eprintln!("{reason}");
+    }
+    eprint!("{}", CLI.usage());
     std::process::exit(2);
 }
 
 fn parse_args() -> Options {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    // Bare arguments are libtest filter strings, which this bench ignores.
+    let (flags, filters) = CLI.parse(&args).unwrap_or_else(|e| usage(&e));
+    if flags.switch("--help") || filters.contains(&"-h") {
+        usage("");
+    }
+    let positive = |flag| flags.positive_integer(flag).unwrap_or_else(|e| usage(&e));
+    let threads_list = flags
+        .get("--threads-list", "positive integers a,b,c", |v| {
+            v.split(',')
+                .map(|t| t.trim().parse().ok().filter(|&t: &usize| t > 0))
+                .collect()
+        })
+        .unwrap_or_else(|e| usage(&e));
     let mut opts = Options {
-        devices: 768,
-        threads_list: Vec::new(),
-        samples: 5,
-        out: "BENCH_sweep.json".to_owned(),
+        devices: positive("--devices").unwrap_or(768),
+        threads_list: threads_list.unwrap_or_default(),
+        samples: positive("--samples").unwrap_or(5),
+        out: flags
+            .value("--out")
+            .unwrap_or("BENCH_sweep.json")
+            .to_owned(),
         iterations: 2,
         sample_pop: 100_000,
         sample_n: 2000,
     };
-    let mut smoke = false;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--devices" => {
-                i += 1;
-                opts.devices = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--threads-list" => {
-                i += 1;
-                opts.threads_list = args
-                    .get(i)
-                    .map(|v| {
-                        v.split(',')
-                            .map(|t| t.trim().parse::<usize>())
-                            .collect::<Result<Vec<_>, _>>()
-                            .unwrap_or_else(|_| usage())
-                    })
-                    .filter(|l| !l.is_empty() && l.iter().all(|&t| t > 0))
-                    .unwrap_or_else(|| usage());
-            }
-            "--samples" => {
-                i += 1;
-                opts.samples = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--out" => {
-                i += 1;
-                opts.out = args.get(i).cloned().unwrap_or_else(|| usage());
-            }
-            // `cargo bench -- --test` forwards libtest smoke flags to
-            // every bench binary; shrink to a sanity-check run. (`--bench`
-            // itself is cargo's routine marker — not smoke mode.)
-            "--test" => smoke = true,
-            "--bench" => {}
-            "--help" | "-h" => usage(),
-            other if other.starts_with("--") => usage(),
-            // Ignore bare libtest filter strings.
-            _ => {}
-        }
-        i += 1;
-    }
-    if smoke {
+    if flags.switch("--test") {
         opts.devices = opts.devices.min(16);
         opts.samples = opts.samples.min(2);
         opts.sample_pop = 2048;

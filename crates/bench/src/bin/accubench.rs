@@ -37,12 +37,13 @@ use accubench::journal::{
 use accubench::protocol::Protocol;
 use accubench::session::Session;
 use accubench::supervise::{OnFailure, SupervisionPolicy, Watchdog};
-use pv_bench::cli::{open_journal, Flags, ACCUBENCH};
+use pv_bench::cli::{open_journal, write_failed, Flags, ACCUBENCH};
 use pv_faults::{FaultHandle, FaultPlan};
 use pv_soc::catalog;
 use pv_soc::faulty::FaultyDevice;
 use pv_thermal::network::Integrator;
 use pv_units::{Celsius, MegaHertz};
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 #[path = "../sigint.rs"]
@@ -87,27 +88,31 @@ fn failure_exit(on_failure: OnFailure) -> ExitCode {
 
 /// Prints a journaled outcome (the `--resume` replay path) and converts
 /// it to an exit code.
-fn replay_outcome(journaled: &JournaledOutcome, on_failure: OnFailure) -> ExitCode {
+fn replay_outcome(
+    out: &mut dyn Write,
+    journaled: &JournaledOutcome,
+    on_failure: OnFailure,
+) -> io::Result<ExitCode> {
     let outcome = &journaled.outcome;
-    println!("journaled result for {}:", outcome.device);
+    writeln!(out, "journaled result for {}:", outcome.device)?;
     match outcome.verdict {
-        Some(v) => println!("verdict: {v}"),
-        None => println!("verdict: {}", outcome.status),
+        Some(v) => writeln!(out, "verdict: {v}")?,
+        None => writeln!(out, "verdict: {}", outcome.status)?,
     }
     if let (Some(score), Some(rsd)) = (journaled.score, journaled.rsd) {
-        println!("performance: {score:.1} iterations (RSD {rsd:.2}%)");
+        writeln!(out, "performance: {score:.1} iterations (RSD {rsd:.2}%)")?;
     }
     if outcome.quarantined > 0 {
-        println!("quarantined: {} slot(s)", outcome.quarantined);
+        writeln!(out, "quarantined: {} slot(s)", outcome.quarantined)?;
     }
     if outcome.fault_reports > 0 {
-        println!("fault log: {} occurrence(s)", outcome.fault_reports);
+        writeln!(out, "fault log: {} occurrence(s)", outcome.fault_reports)?;
     }
     if let Some(e) = &outcome.error {
         eprintln!("error (journaled): {e}");
-        return failure_exit(on_failure);
+        return Ok(failure_exit(on_failure));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Checks every option and builds the session, then opens the journal
@@ -240,7 +245,8 @@ fn run(flags: &Flags<'_>) -> Result<ExitCode, String> {
                     eprintln!("warning: journal append failed: {e}");
                 }
             }
-            return Ok(replay_outcome(done, policy.on_failure));
+            return replay_outcome(&mut io::stdout().lock(), done, policy.on_failure)
+                .map_err(write_failed);
         }
         if !j.recovered().is_empty() {
             eprintln!("journal is incomplete; re-measuring");
@@ -305,50 +311,53 @@ fn run(flags: &Flags<'_>) -> Result<ExitCode, String> {
         std::fs::write(path, csv).map_err(|e| format!("could not write {path}: {e}"))?;
         eprintln!("trace written to {path}");
     }
+    let out = &mut io::stdout().lock();
     if flags.switch("--json") {
-        println!("{}", pv_json::ToJson::to_json(&session).to_string_pretty());
+        let json = pv_json::ToJson::to_json(&session).to_string_pretty();
+        writeln!(out, "{json}").map_err(write_failed)?;
         return Ok(ExitCode::SUCCESS);
     }
-    Ok(render(&session, &faults))
+    render(out, &session, &faults).map_err(write_failed)
 }
 
 /// Prints the session, its verdict, quarantines and fault log, and its
 /// performance and energy summaries.
-fn render(session: &Session, faults: &FaultHandle) -> ExitCode {
-    println!("{session}");
-    println!("verdict: {}", session.verdict);
+fn render(out: &mut dyn Write, session: &Session, faults: &FaultHandle) -> io::Result<ExitCode> {
+    writeln!(out, "{session}")?;
+    writeln!(out, "verdict: {}", session.verdict)?;
     for q in &session.quarantined {
-        println!("quarantined: {q}");
+        writeln!(out, "quarantined: {q}")?;
     }
     if faults.report_count() > 0 {
-        println!("fault log ({} occurrence(s)):", faults.report_count());
+        writeln!(out, "fault log ({} occurrence(s)):", faults.report_count())?;
         for r in faults.reports() {
-            println!("  t={:.1}s {}: {}", r.at, r.kind, r.detail);
+            writeln!(out, "  t={:.1}s {}: {}", r.at, r.kind, r.detail)?;
         }
     }
-    match (session.performance_summary(), session.energy_summary()) {
-        (Ok(perf), Ok(energy)) => {
-            println!(
-                "performance: {:.1} iterations (RSD {:.2}%)",
-                perf.mean(),
-                perf.rsd_percent()
-            );
-            println!(
-                "energy:      {:.1} J (RSD {:.2}%)",
-                energy.mean(),
-                energy.rsd_percent()
-            );
-            if session.any_cooldown_timed_out() {
-                println!("warning: at least one cooldown timed out (workload started warm)");
-            }
-            ExitCode::SUCCESS
-        }
-        _ => {
-            eprintln!(
-                "error: no iterations survived (verdict {})",
-                session.verdict
-            );
-            ExitCode::FAILURE
-        }
+    let (Ok(perf), Ok(energy)) = (session.performance_summary(), session.energy_summary()) else {
+        eprintln!(
+            "error: no iterations survived (verdict {})",
+            session.verdict
+        );
+        return Ok(ExitCode::FAILURE);
+    };
+    writeln!(
+        out,
+        "performance: {:.1} iterations (RSD {:.2}%)",
+        perf.mean(),
+        perf.rsd_percent()
+    )?;
+    writeln!(
+        out,
+        "energy:      {:.1} J (RSD {:.2}%)",
+        energy.mean(),
+        energy.rsd_percent()
+    )?;
+    if session.any_cooldown_timed_out() {
+        writeln!(
+            out,
+            "warning: at least one cooldown timed out (workload started warm)"
+        )?;
     }
+    Ok(ExitCode::SUCCESS)
 }

@@ -21,88 +21,70 @@
 //! Exit codes: 0 = pass, 1 = regression/floor/check failure,
 //! 2 = usage, unreadable file, or schema violation.
 
+use pv_bench::cli::{switch, valued, Cli, Flags};
 use pv_bench::diff::{diff, DiffConfig};
 use pv_bench::report::BenchReport;
 
-struct Options {
-    baseline: Option<String>,
-    current: Option<String>,
-    check_schema: Vec<String>,
-    cfg: DiffConfig,
-}
+const DIFF: &[&str] = &["diff"];
+const BOTH: &[&str] = &["diff", "check"];
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  benchdiff --baseline PATH --current PATH \
-         [--tolerance F] [--noise-factor F] [--noisy-band F]\n  \
-         benchdiff --check-schema FILE [FILE...]"
-    );
+/// `benchdiff`'s command line: a comparison, or, with `--check-schema`,
+/// a schema lint of every file given.
+const BENCHDIFF: Cli = Cli {
+    program: "benchdiff",
+    commands: &[
+        ("diff", "--baseline PATH --current PATH", 0),
+        ("check", "--check-schema FILE [FILE...]", usize::MAX),
+    ],
+    flags: &[
+        valued("--baseline", "PATH", DIFF),
+        valued("--current", "PATH", DIFF),
+        valued("--tolerance", "F", DIFF),
+        valued("--noise-factor", "F", DIFF),
+        valued("--noisy-band", "F", DIFF),
+        switch("--check-schema", &["check"]),
+        switch("--help", BOTH),
+    ],
+};
+
+/// Prints `reason` (when there is one) and the usage text, and exits 2.
+fn usage(reason: &str) -> ! {
+    if !reason.is_empty() {
+        eprintln!("{reason}");
+    }
+    eprint!("{}", BENCHDIFF.usage());
     std::process::exit(2);
 }
 
-fn parse_f64(args: &[String], i: usize) -> f64 {
-    args.get(i)
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|f| f.is_finite() && *f >= 0.0)
-        .unwrap_or_else(|| usage())
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        baseline: None,
-        current: None,
-        check_schema: Vec::new(),
-        cfg: DiffConfig::default(),
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--baseline" => {
-                i += 1;
-                opts.baseline = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--current" => {
-                i += 1;
-                opts.current = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--tolerance" => {
-                i += 1;
-                opts.cfg.tolerance = parse_f64(&args, i);
-            }
-            "--noise-factor" => {
-                i += 1;
-                opts.cfg.noise_factor = parse_f64(&args, i);
-            }
-            "--noisy-band" => {
-                i += 1;
-                opts.cfg.noisy_band = parse_f64(&args, i);
-            }
-            "--check-schema" => {
-                // Every remaining argument is a file to lint.
-                opts.check_schema.extend(args[i + 1..].iter().cloned());
-                if opts.check_schema.is_empty() {
-                    usage();
-                }
-                i = args.len();
-            }
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    opts
+/// `flag`'s value as a finite number ≥ 0, when given.
+fn non_negative(flags: &Flags<'_>, flag: &str) -> Option<f64> {
+    flags
+        .get(flag, "a non-negative number", |v| {
+            v.parse().ok().filter(|f: &f64| f.is_finite() && *f >= 0.0)
+        })
+        .unwrap_or_else(|e| usage(&e))
 }
 
 fn main() {
-    let opts = parse_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (flags, positional) = BENCHDIFF.parse(&args).unwrap_or_else(|e| usage(&e));
+    if flags.switch("--help") || positional.contains(&"-h") {
+        usage("");
+    }
+    let command = if flags.switch("--check-schema") {
+        "check"
+    } else {
+        "diff"
+    };
+    let (files, stray) = BENCHDIFF.operands(command, &positional);
+    flags.check(command, stray).unwrap_or_else(|e| usage(&e));
 
-    if !opts.check_schema.is_empty() {
-        if opts.baseline.is_some() || opts.current.is_some() {
-            usage();
+    if command == "check" {
+        if files.is_empty() {
+            usage("--check-schema needs at least one file");
         }
         let mut bad = 0;
-        for path in &opts.check_schema {
+        for path in files {
             match BenchReport::load(path) {
                 Ok(report) => println!(
                     "ok: {path} ({} metrics, {} checks, bench `{}`)",
@@ -119,8 +101,16 @@ fn main() {
         std::process::exit(if bad == 0 { 0 } else { 2 });
     }
 
-    let (Some(baseline_path), Some(current_path)) = (&opts.baseline, &opts.current) else {
-        usage();
+    let defaults = DiffConfig::default();
+    let cfg = DiffConfig {
+        tolerance: non_negative(&flags, "--tolerance").unwrap_or(defaults.tolerance),
+        noise_factor: non_negative(&flags, "--noise-factor").unwrap_or(defaults.noise_factor),
+        noisy_band: non_negative(&flags, "--noisy-band").unwrap_or(defaults.noisy_band),
+    };
+    let (Some(baseline_path), Some(current_path)) =
+        (flags.value("--baseline"), flags.value("--current"))
+    else {
+        usage("--baseline and --current are both required");
     };
 
     let baseline = match BenchReport::load(baseline_path) {
@@ -142,7 +132,7 @@ fn main() {
         }
     };
 
-    let result = diff(&baseline, &current, &opts.cfg);
+    let result = diff(&baseline, &current, &cfg);
     print!("{}", result.render_table());
     println!();
     println!("{}", result.trend_line());

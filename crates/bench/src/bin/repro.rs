@@ -38,7 +38,8 @@
 
 use accubench::aggregate::ScoreAggregate;
 use accubench::crowd::{
-    populate_parallel, populate_streamed, CrowdDatabase, FleetVerdict, SamplePlan, SweepConfig,
+    populate_parallel, populate_streamed, CrowdDatabase, FleetVerdict, SamplePlan, StreamedSweep,
+    SweepConfig, SweepReport,
 };
 use accubench::executor;
 use accubench::experiments::{self, ExperimentConfig, Target};
@@ -47,13 +48,14 @@ use accubench::journal::{CancelToken, Journal};
 use accubench::protocol::Protocol;
 use accubench::storage::StorageEscalation;
 use accubench::supervise::{SessionChaos, SupervisionPolicy};
-use pv_bench::cli::{open_journal, Flags, REPRO};
+use pv_bench::cli::{open_journal, write_failed, Flags, REPRO};
 use pv_soc::catalog;
 use pv_soc::device::Device;
-use pv_stats::sampling::{self, Strategy, StratumSample};
+use pv_stats::sampling::{self, Estimates, Strategy, StratumSample};
 use pv_thermal::network::Integrator;
 use pv_units::Seconds;
 use std::collections::HashMap;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 #[path = "../sigint.rs"]
@@ -80,16 +82,13 @@ fn main() -> ExitCode {
         return usage("");
     };
     if name == "list" {
-        for target in Target::ALL {
-            println!("{target}");
-        }
-        return ExitCode::SUCCESS;
+        return finish(run_list());
     }
     let (command, operands, stray) = REPRO.command(&positional);
     if let Err(e) = flags.check(command, stray) {
         return usage(&format!("{name}: {e}"));
     }
-    let result = match (command, operands.first()) {
+    finish(match (command, operands.first()) {
         ("fsck", Some(path)) => run_fsck(path, flags.switch("--repair")),
         ("fsck", None) => return usage("fsck: missing journal path"),
         ("verify", Some(dir)) => run_verify(dir),
@@ -99,11 +98,24 @@ fn main() -> ExitCode {
             Some(targets) => run_experiments(targets, &flags),
             None => return usage(&format!("unknown experiment: {name}")),
         },
-    };
+    })
+}
+
+/// The exit code of a target's `result`, printing its error if it failed.
+fn finish(result: Result<ExitCode, String>) -> ExitCode {
     result.unwrap_or_else(|e| {
         eprintln!("{e}");
         ExitCode::FAILURE
     })
+}
+
+/// The `list` target: every experiment's name, one a line.
+fn run_list() -> Result<ExitCode, String> {
+    let mut out = io::stdout().lock();
+    for target in Target::ALL {
+        writeln!(out, "{target}").map_err(write_failed)?;
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The protocol scale and integrator `--quick` and `--integrator` select.
@@ -130,7 +142,7 @@ fn run_experiments(targets: &[Target], flags: &Flags<'_>) -> Result<ExitCode, St
         .transpose()
         .map_err(|e| format!("--export: {e}"))?;
     let (faults, json) = (fault_plan.as_ref(), flags.switch("--json"));
-    let mut stdout = std::io::stdout().lock();
+    let mut stdout = io::stdout().lock();
     let files = experiments::run(targets, &cfg, faults, exporter.as_ref(), json, &mut stdout)
         .map_err(|(target, e)| format!("{target} failed: {e}"))?;
     if let Some(dir) = export_dir {
@@ -155,7 +167,7 @@ fn run_experiments(targets: &[Target], flags: &Flags<'_>) -> Result<ExitCode, St
 /// manifest.
 fn run_verify(dir: &str) -> Result<ExitCode, String> {
     let n = FigureExporter::verify(dir).map_err(|e| format!("verify: {e}"))?;
-    println!("verified {n} file(s) in {dir}");
+    writeln!(io::stdout(), "verified {n} file(s) in {dir}").map_err(write_failed)?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -377,30 +389,8 @@ fn run_sweep_oracle(
         &mut db, "Pixel", devices, sweep_cfg, journal, cancel, threads,
     )
     .map_err(|e| format!("sweep failed: {e}"))?;
-    if json {
-        println!(
-            "{}",
-            pv_json::ToJson::to_json(&sweep.report).to_string_pretty()
-        );
-    } else {
-        println!("{}", sweep.report);
-        if let Some(spread) = db.model_spread_percent("Pixel") {
-            println!("model spread: {spread:.1}%");
-        }
-        if sweep.report.fleet_verdict() == FleetVerdict::Degraded {
-            // Holes bias a plain mean, so a degraded fleet reports a
-            // bootstrap interval computed over the survivors only.
-            if let Ok(ci) = sweep.report.survivor_ci(&db, "Pixel") {
-                println!(
-                    "survivor score: {:.1} (95% bootstrap CI {:.1}..{:.1} over {} device(s))",
-                    ci.point,
-                    ci.lo,
-                    ci.hi,
-                    sweep.report.outcomes.len() - sweep.report.quarantined_devices(),
-                );
-            }
-        }
-    }
+    let out = &mut io::stdout().lock();
+    render_oracle(out, &sweep.report, &db, json).map_err(write_failed)?;
     Ok(SweepEnd {
         resumed: sweep.resumed,
         verdict: sweep.fleet_verdict(),
@@ -408,6 +398,41 @@ fn run_sweep_oracle(
         complete: sweep.complete,
         processed: sweep.report.outcomes.len(),
     })
+}
+
+/// Prints the oracle engine's sweep report.
+fn render_oracle(
+    out: &mut dyn Write,
+    report: &SweepReport,
+    db: &CrowdDatabase,
+    json: bool,
+) -> io::Result<()> {
+    if json {
+        return writeln!(
+            out,
+            "{}",
+            pv_json::ToJson::to_json(report).to_string_pretty()
+        );
+    }
+    writeln!(out, "{report}")?;
+    if let Some(spread) = db.model_spread_percent("Pixel") {
+        writeln!(out, "model spread: {spread:.1}%")?;
+    }
+    if report.fleet_verdict() == FleetVerdict::Degraded {
+        // Holes bias a plain mean, so a degraded fleet reports a
+        // bootstrap interval computed over the survivors only.
+        if let Ok(ci) = report.survivor_ci(db, "Pixel") {
+            writeln!(
+                out,
+                "survivor score: {:.1} (95% bootstrap CI {:.1}..{:.1} over {} device(s))",
+                ci.point,
+                ci.lo,
+                ci.hi,
+                report.outcomes.len() - report.quarantined_devices(),
+            )?;
+        }
+    }
+    Ok(())
 }
 
 /// The default streaming engine: constant-memory mergeable aggregates,
@@ -466,6 +491,34 @@ fn run_sweep_streamed(
         }
     });
 
+    render_streamed(
+        &mut io::stdout().lock(),
+        &sweep,
+        &agg,
+        selection.as_ref(),
+        estimates.as_ref(),
+        json,
+    )
+    .map_err(write_failed)?;
+    Ok(SweepEnd {
+        resumed: sweep.resumed,
+        verdict: sweep.fleet_verdict(),
+        storage_degraded: sweep.storage_degraded,
+        complete: sweep.complete,
+        processed: sweep.processed,
+    })
+}
+
+/// Prints the streaming engine's sweep, and the sampled estimates when a
+/// `--sample` selection rode along.
+fn render_streamed(
+    out: &mut dyn Write,
+    sweep: &StreamedSweep,
+    agg: &ScoreAggregate,
+    selection: Option<&(SamplePlan, sampling::Selection)>,
+    estimates: Option<&Estimates>,
+    json: bool,
+) -> io::Result<()> {
     if json {
         let mut obj = pv_json::Json::object();
         obj.insert("model", pv_json::ToJson::to_json(&sweep.model));
@@ -478,8 +531,8 @@ fn run_sweep_streamed(
             "verdict",
             pv_json::Json::String(sweep.fleet_verdict().to_string()),
         );
-        obj.insert("aggregate", pv_json::ToJson::to_json(&agg));
-        if let Some((plan, _)) = &selection {
+        obj.insert("aggregate", pv_json::ToJson::to_json(agg));
+        if let Some((plan, _)) = selection {
             let mut p = pv_json::Json::object();
             p.insert("population", pv_json::ToJson::to_json(&plan.population));
             p.insert("n", pv_json::ToJson::to_json(&plan.n));
@@ -490,73 +543,73 @@ fn run_sweep_streamed(
             p.insert("seed", pv_json::ToJson::to_json(&plan.seed));
             obj.insert("sampling", p);
         }
-        if let Some(est) = &estimates {
+        if let Some(est) = estimates {
             obj.insert("estimates", pv_json::ToJson::to_json(est));
         }
-        println!("{}", obj.to_string_pretty());
-    } else {
-        print!("{sweep}");
-        render_streamed_stats(&agg);
-        if sweep.fleet_verdict() == FleetVerdict::Degraded {
-            // Holes bias a plain mean; quote the survivors-only
-            // interval (normal approximation — the streaming path
-            // holds no raw scores to bootstrap).
-            if let Ok(ci) = sweep.survivor_ci() {
-                println!(
-                    "survivor score: {:.1} (95% CI {:.1}..{:.1} over {} device(s))",
-                    ci.point,
-                    ci.lo,
-                    ci.hi,
-                    agg.accepted(),
-                );
-            }
-        }
-        if let (Some((plan, _)), Some(est)) = (&selection, &estimates) {
-            println!(
-                "sampled estimates ({} n={} of {}; 95% bootstrap CI):",
-                plan.strategy.as_str(),
-                est.n,
-                plan.population
-            );
-            println!(
-                "  mean score: {:.1}  [{:.1}, {:.1}]",
-                est.mean.point, est.mean.lo, est.mean.hi
-            );
-            println!(
-                "  RSD:        {:.2}% [{:.2}%, {:.2}%]",
-                est.rsd_percent.point, est.rsd_percent.lo, est.rsd_percent.hi
-            );
-            println!(
-                "  p50:        {:.1}  [{:.1}, {:.1}]",
-                est.p50.point, est.p50.lo, est.p50.hi
-            );
-            println!(
-                "  p90:        {:.1}  [{:.1}, {:.1}]",
-                est.p90.point, est.p90.lo, est.p90.hi
-            );
+        return writeln!(out, "{}", obj.to_string_pretty());
+    }
+    write!(out, "{sweep}")?;
+    render_streamed_stats(out, agg)?;
+    if sweep.fleet_verdict() == FleetVerdict::Degraded {
+        // Holes bias a plain mean; quote the survivors-only interval
+        // (normal approximation — the streaming path holds no raw scores
+        // to bootstrap).
+        if let Ok(ci) = sweep.survivor_ci() {
+            writeln!(
+                out,
+                "survivor score: {:.1} (95% CI {:.1}..{:.1} over {} device(s))",
+                ci.point,
+                ci.lo,
+                ci.hi,
+                agg.accepted(),
+            )?;
         }
     }
-    Ok(SweepEnd {
-        resumed: sweep.resumed,
-        verdict: sweep.fleet_verdict(),
-        storage_degraded: sweep.storage_degraded,
-        complete: sweep.complete,
-        processed: sweep.processed,
-    })
+    if let (Some((plan, _)), Some(est)) = (selection, estimates) {
+        writeln!(
+            out,
+            "sampled estimates ({} n={} of {}; 95% bootstrap CI):",
+            plan.strategy.as_str(),
+            est.n,
+            plan.population
+        )?;
+        writeln!(
+            out,
+            "  mean score: {:.1}  [{:.1}, {:.1}]",
+            est.mean.point, est.mean.lo, est.mean.hi
+        )?;
+        writeln!(
+            out,
+            "  RSD:        {:.2}% [{:.2}%, {:.2}%]",
+            est.rsd_percent.point, est.rsd_percent.lo, est.rsd_percent.hi
+        )?;
+        writeln!(
+            out,
+            "  p50:        {:.1}  [{:.1}, {:.1}]",
+            est.p50.point, est.p50.lo, est.p50.hi
+        )?;
+        writeln!(
+            out,
+            "  p90:        {:.1}  [{:.1}, {:.1}]",
+            est.p90.point, est.p90.lo, est.p90.hi
+        )?;
+    }
+    Ok(())
 }
 
 /// Prints the streaming aggregate's fleet statistics.
-fn render_streamed_stats(agg: &ScoreAggregate) {
+fn render_streamed_stats(out: &mut dyn Write, agg: &ScoreAggregate) -> io::Result<()> {
     if let (Ok(mean), Ok(rsd)) = (agg.mean(), agg.rsd_percent()) {
-        println!("fleet mean score: {mean:.1} (RSD {rsd:.2}%)");
+        writeln!(out, "fleet mean score: {mean:.1} (RSD {rsd:.2}%)")?;
     }
     let hist = agg.histogram();
     let (lo, hi) = (hist.bin_edge(0), hist.bin_edge(hist.bins()));
     if let (Some(p50), Some(p90)) = (agg.approx_quantile(0.50), agg.approx_quantile(0.90)) {
-        println!(
+        writeln!(
+            out,
             "approx p50 {p50:.0}, p90 {p90:.0} (histogram resolution {:.0})",
             (hi - lo) / hist.bins() as f64
-        );
+        )?;
     }
     let oor = agg.out_of_range_fraction();
     if oor > 0.01 {
@@ -566,6 +619,7 @@ fn render_streamed_stats(agg: &ScoreAggregate) {
             oor * 100.0
         );
     }
+    Ok(())
 }
 
 /// The `fsck` target: verify a run journal across all its segments, and
@@ -574,9 +628,10 @@ fn render_streamed_stats(agg: &ScoreAggregate) {
 fn run_fsck(path: &str, repair: bool) -> Result<ExitCode, String> {
     let check = || -> Result<bool, String> {
         let report = accubench::journal::fsck(path).map_err(|e| format!("fsck: {path}: {e}"))?;
-        println!("{report}");
+        let mut out = io::stdout().lock();
+        writeln!(out, "{report}").map_err(write_failed)?;
         if report.is_clean() {
-            println!("{path}: clean");
+            writeln!(out, "{path}: clean").map_err(write_failed)?;
         }
         Ok(report.is_clean())
     };

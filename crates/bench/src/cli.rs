@@ -1,5 +1,7 @@
 //! The command lines of `repro` and `accubench`: one flag table per
-//! binary ([`REPRO`], [`ACCUBENCH`]) and one parser over both.
+//! binary ([`REPRO`], [`ACCUBENCH`]) and one parser over both. `benchdiff`
+//! and the `sweep`/`step` benches build their tables from the same
+//! [`switch`] and [`valued`] flags.
 //!
 //! A table names every flag, whether it takes a value, and the commands
 //! that read it; the usage text is generated from it. [`Cli::parse`]
@@ -39,7 +41,8 @@ pub struct Cli {
     pub flags: &'static [Flag],
 }
 
-const fn switch(name: &'static str, read_by: &'static [&'static str]) -> Flag {
+/// A flag that takes no value, read by the commands `read_by`.
+pub const fn switch(name: &'static str, read_by: &'static [&'static str]) -> Flag {
     Flag {
         name,
         value: None,
@@ -47,7 +50,13 @@ const fn switch(name: &'static str, read_by: &'static [&'static str]) -> Flag {
     }
 }
 
-const fn valued(name: &'static str, value: &'static str, read_by: &'static [&'static str]) -> Flag {
+/// A flag whose value the usage text shows as `value`, read by the
+/// commands `read_by`.
+pub const fn valued(
+    name: &'static str,
+    value: &'static str,
+    read_by: &'static [&'static str],
+) -> Flag {
     Flag {
         name,
         value: Some(value),
@@ -182,12 +191,27 @@ impl Cli {
         let named = self.commands[1..]
             .iter()
             .find(|c| positional.first() == Some(&c.0));
-        let ((name, _, takes), args) = match named {
-            Some(command) => (command, &positional[1..]),
-            None => (&self.commands[0], positional),
+        let (name, args) = match named {
+            Some(command) => (command.0, &positional[1..]),
+            None => (self.commands[0].0, positional),
         };
-        let (operands, stray) = args.split_at((*takes).min(args.len()));
+        let (operands, stray) = self.operands(name, args);
         (name, operands, stray)
+    }
+
+    /// The operands `command` takes from the front of `args`, and the
+    /// arguments left over.
+    pub fn operands<'p, 'a>(
+        &self,
+        command: &str,
+        args: &'p [&'a str],
+    ) -> (&'p [&'a str], &'p [&'a str]) {
+        let takes = self
+            .commands
+            .iter()
+            .find(|c| c.0 == command)
+            .map_or(0, |c| c.2);
+        args.split_at(takes.min(args.len()))
     }
 }
 
@@ -299,6 +323,12 @@ impl<'a> Flags<'a> {
         }
         Ok(policy)
     }
+}
+
+/// The error for a write to stdout that failed, as when the reader of a
+/// pipe has gone.
+pub fn write_failed(e: std::io::Error) -> String {
+    format!("could not write to stdout: {e}")
 }
 
 /// Opens the run journal at `path`, on a filesystem that `faults` (the

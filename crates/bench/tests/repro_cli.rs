@@ -36,6 +36,22 @@ fn flag_values_are_not_targets() {
 }
 
 #[test]
+fn list_into_a_closed_pipe_fails_without_a_panic() {
+    // `repro list | head -0`: the reader is gone before the first write.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("list")
+        .stdout(writer)
+        .output()
+        .expect("repro binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("could not write to stdout"), "{stderr}");
+}
+
+#[test]
 fn journaled_sweep_reports_its_commits_on_stderr_only() {
     let dir = accubench::storage::TempDir::new("repro-commits");
     let journal = dir.file("sweep.journal");
