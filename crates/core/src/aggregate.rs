@@ -8,8 +8,9 @@
 //! bounded top-K leaderboard. The sweep's single-writer merge step folds
 //! each device into the partial of its fixed-size device group and merges
 //! the group partials in canonical (ascending device index) order, holding
-//! one open partial at a time, so sweep memory is O(bins + K) however large
-//! the fleet grows.
+//! one open partial at a time, so the aggregate's memory is O(bins + K)
+//! however large the fleet grows. The fleet of devices a sweep is handed
+//! is still built in full by its caller (DESIGN.md §16).
 //!
 //! ## Aggregation algebra
 //!

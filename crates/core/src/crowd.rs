@@ -63,7 +63,7 @@ pub struct CrowdScore {
 /// This is the exact, full-fleet **reference oracle**: it retains every
 /// accepted submission, so memory grows O(devices). Large sweeps use the
 /// streaming [`crate::aggregate::ScoreAggregate`] path instead (same
-/// admission rule, O(bins + K) memory) and keep this path behind
+/// admission rule, O(bins + K) aggregate memory) and keep this path behind
 /// `repro sweep --oracle` for cross-checking.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrowdDatabase {
@@ -1427,8 +1427,8 @@ impl fmt::Display for StreamedSweep {
 /// instead of funneling every score through a [`CrowdDatabase`], the
 /// single-writer merge step folds each device into its group's partial
 /// [`crate::aggregate::ScoreAggregate`] and merges the partials in
-/// ascending group order. Memory is O(bins + K + holes (+ retained
-/// sample)), independent of fleet size.
+/// ascending group order. Beyond the fleet it is handed, its memory is
+/// O(bins + K + holes (+ retained sample)), independent of fleet size.
 ///
 /// Groups lie on the absolute [`STREAM_GROUP`] grid, so the aggregate's
 /// fold/merge order — and hence its bits — depends only on the grid.

@@ -111,15 +111,16 @@ pub fn run(
     k: usize,
     seed: u64,
 ) -> Result<ClusterStudy, BenchError> {
-    let spec = catalog::nexus5_spec()?;
+    let model = catalog::nexus5_model()?;
+    let spec = model.spec();
     let population = Population::sample(spec.soc.node, n, seed);
 
     let dies = population.dies().to_vec();
     let measured = par_map(dies, |i, die| -> Result<_, BenchError> {
         let supply =
             Box::new(Monsoon::new(spec.nominal_battery_voltage).map_err(pv_soc::SocError::from)?);
-        let mut device = Device::new(
-            catalog::nexus5_spec()?,
+        let mut device = Device::from_model(
+            model.clone(),
             die,
             supply,
             format!("crowd-{i}"),

@@ -90,11 +90,11 @@ fn energy_of(
     idx: usize,
     cfg: &ExperimentConfig,
 ) -> Result<f64, BenchError> {
-    let spec = catalog::pixel_spec()?;
-    let supply =
-        Box::new(Monsoon::new(spec.nominal_battery_voltage).map_err(pv_soc::SocError::from)?);
-    let mut device = Device::new(
-        catalog::pixel_spec()?,
+    let model = catalog::pixel_model()?;
+    let voltage = model.spec().nominal_battery_voltage;
+    let supply = Box::new(Monsoon::new(voltage).map_err(pv_soc::SocError::from)?);
+    let mut device = Device::from_model(
+        model,
         die,
         supply,
         format!("mc-{idx}"),

@@ -62,12 +62,11 @@ impl Unit {
     fn measure(self, cfg: &ExperimentConfig, seed: u64) -> Result<CrowdScore, BenchError> {
         let (device, (score, rsd)) = match self {
             Unit::Crowd(i, die) => {
-                let spec = catalog::nexus5_spec()?;
-                let supply = Box::new(
-                    Monsoon::new(spec.nominal_battery_voltage).map_err(pv_soc::SocError::from)?,
-                );
-                let mut device = Device::new(
-                    spec,
+                let model = catalog::nexus5_model()?;
+                let voltage = model.spec().nominal_battery_voltage;
+                let supply = Box::new(Monsoon::new(voltage).map_err(pv_soc::SocError::from)?);
+                let mut device = Device::from_model(
+                    model,
                     die,
                     supply,
                     format!("crowd-{i}"),

@@ -18,8 +18,13 @@
 //! omitted), three Nexus 6 units, three Nexus 6P units including the named
 //! device-363/device-793, five LG G5 units, and three Pixels including
 //! device-488/device-653.
+//!
+//! Each model's [`DeviceModel`] is built once per process, on first use,
+//! and shared by every unit the constructors below build: a unit owns only
+//! its die, label, binned tables and running state. The `*_spec` functions
+//! still return a fresh, owned [`DeviceSpec`] for callers that modify one.
 
-use crate::device::Device;
+use crate::device::{Device, DeviceModel};
 use crate::rbcpr::RbcprSpec;
 use crate::spec::{ClusterSpec, DeviceSpec, SocSpec, ThermalSpec, VoltageScheme};
 use crate::throttle::{CriticalRule, HotplugRule, InputVoltageRule, ThrottlePolicy, ThrottleStep};
@@ -32,6 +37,7 @@ use pv_units::{
     Celsius, MegaHertz, MilliVolts, Seconds, TempDelta, ThermalCapacitance, ThermalResistance,
     Volts, Watts,
 };
+use std::sync::{Arc, OnceLock};
 
 fn table(points: &[(f64, u32)]) -> Result<VfTable, SocError> {
     let pts = points
@@ -42,6 +48,34 @@ fn table(points: &[(f64, u32)]) -> Result<VfTable, SocError> {
         })
         .collect();
     VfTable::new(pts).map_err(SocError::from)
+}
+
+/// The model in `cell`, built from `spec()` on first use. Two threads that
+/// race the first use may both build one; the first stored wins, and every
+/// caller gets that one.
+fn shared_model(
+    cell: &'static OnceLock<Arc<DeviceModel>>,
+    spec: fn() -> Result<DeviceSpec, SocError>,
+) -> Result<Arc<DeviceModel>, SocError> {
+    if let Some(model) = cell.get() {
+        return Ok(Arc::clone(model));
+    }
+    let model = DeviceModel::new(spec()?)?;
+    Ok(Arc::clone(cell.get_or_init(|| model)))
+}
+
+/// One unit of `model` with a die at `grade`, powered by a Monsoon at
+/// `supply_voltage`, its sensor noise seeded from its label.
+fn unit(
+    model: Arc<DeviceModel>,
+    grade: f64,
+    label: String,
+    supply_voltage: Volts,
+) -> Result<Device, SocError> {
+    let die = DieSample::from_grade(model.spec().soc.node, grade)?;
+    let supply = Box::new(Monsoon::new(supply_voltage)?);
+    let seed = seed_from_label(&label);
+    Device::from_model(model, die, supply, label, seed)
 }
 
 /// Deterministic seed derived from a device label, so two devices with
@@ -139,6 +173,17 @@ pub fn nexus5_spec() -> Result<DeviceSpec, SocError> {
     })
 }
 
+/// The Nexus 5 model, built from [`nexus5_spec`] once per process and shared
+/// by every unit of it.
+///
+/// # Errors
+///
+/// Never fails in practice (fallible table construction).
+pub fn nexus5_model() -> Result<Arc<DeviceModel>, SocError> {
+    static MODEL: OnceLock<Arc<DeviceModel>> = OnceLock::new();
+    shared_model(&MODEL, nexus5_spec)
+}
+
 fn nexus_era_thermals() -> ThermalSpec {
     ThermalSpec {
         die_capacitance: ThermalCapacitance(2.5),
@@ -161,13 +206,10 @@ fn nexus_era_thermals() -> ThermalSpec {
 ///
 /// Returns [`SocError`] for bins outside 0..=6.
 pub fn nexus5(bin: BinId) -> Result<Device, SocError> {
-    let spec = nexus5_spec()?;
+    let model = nexus5_model()?;
     let grade = binning::nexus5::bin_center_grade(bin)?;
-    let die = DieSample::from_grade(spec.soc.node, grade)?;
-    let label = format!("bin-{}", bin.index());
-    let supply = Box::new(Monsoon::new(spec.nominal_battery_voltage)?);
-    let seed = seed_from_label(&label);
-    Device::new(spec, die, supply, label, seed)
+    let voltage = model.spec().nominal_battery_voltage;
+    unit(model, grade, format!("bin-{}", bin.index()), voltage)
 }
 
 // ---------------------------------------------------------------------------
@@ -273,18 +315,26 @@ pub fn nexus6_spec() -> Result<DeviceSpec, SocError> {
     })
 }
 
+/// The Nexus 6 model, built from [`nexus6_spec`] once per process and shared
+/// by every unit of it.
+///
+/// # Errors
+///
+/// Never fails in practice (fallible table construction).
+pub fn nexus6_model() -> Result<Arc<DeviceModel>, SocError> {
+    static MODEL: OnceLock<Arc<DeviceModel>> = OnceLock::new();
+    shared_model(&MODEL, nexus6_spec)
+}
+
 /// A Nexus 6 unit with a die at `grade`, Monsoon-powered.
 ///
 /// # Errors
 ///
 /// Returns [`SocError`] for a grade outside (0, 1).
 pub fn nexus6(grade: f64, label: impl Into<String>) -> Result<Device, SocError> {
-    let spec = nexus6_spec()?;
-    let die = DieSample::from_grade(spec.soc.node, grade)?;
-    let label = label.into();
-    let supply = Box::new(Monsoon::new(spec.nominal_battery_voltage)?);
-    let seed = seed_from_label(&label);
-    Device::new(spec, die, supply, label, seed)
+    let model = nexus6_model()?;
+    let voltage = model.spec().nominal_battery_voltage;
+    unit(model, grade, label.into(), voltage)
 }
 
 // ---------------------------------------------------------------------------
@@ -404,18 +454,26 @@ pub fn nexus6p_spec() -> Result<DeviceSpec, SocError> {
     })
 }
 
+/// The Nexus 6P model, built from [`nexus6p_spec`] once per process and shared
+/// by every unit of it.
+///
+/// # Errors
+///
+/// Never fails in practice (fallible table construction).
+pub fn nexus6p_model() -> Result<Arc<DeviceModel>, SocError> {
+    static MODEL: OnceLock<Arc<DeviceModel>> = OnceLock::new();
+    shared_model(&MODEL, nexus6p_spec)
+}
+
 /// A Nexus 6P unit with a die at `grade`, Monsoon-powered.
 ///
 /// # Errors
 ///
 /// Returns [`SocError`] for a grade outside (0, 1).
 pub fn nexus6p(grade: f64, label: impl Into<String>) -> Result<Device, SocError> {
-    let spec = nexus6p_spec()?;
-    let die = DieSample::from_grade(spec.soc.node, grade)?;
-    let label = label.into();
-    let supply = Box::new(Monsoon::new(spec.nominal_battery_voltage)?);
-    let seed = seed_from_label(&label);
-    Device::new(spec, die, supply, label, seed)
+    let model = nexus6p_model()?;
+    let voltage = model.spec().nominal_battery_voltage;
+    unit(model, grade, label.into(), voltage)
 }
 
 // ---------------------------------------------------------------------------
@@ -505,6 +563,17 @@ pub fn lg_g5_spec() -> Result<DeviceSpec, SocError> {
     })
 }
 
+/// The LG G5 model, built from [`lg_g5_spec`] once per process and shared
+/// by every unit of it.
+///
+/// # Errors
+///
+/// Never fails in practice (fallible table construction).
+pub fn lg_g5_model() -> Result<Arc<DeviceModel>, SocError> {
+    static MODEL: OnceLock<Arc<DeviceModel>> = OnceLock::new();
+    shared_model(&MODEL, lg_g5_spec)
+}
+
 /// An LG G5 unit with a die at `grade`.
 ///
 /// The Monsoon is programmed to the battery's **maximum** 4.4 V — the
@@ -515,8 +584,9 @@ pub fn lg_g5_spec() -> Result<DeviceSpec, SocError> {
 ///
 /// Returns [`SocError`] for a grade outside (0, 1).
 pub fn lg_g5(grade: f64, label: impl Into<String>) -> Result<Device, SocError> {
-    let spec = lg_g5_spec()?;
-    lg_g5_at_voltage(grade, label, spec.max_battery_voltage)
+    let model = lg_g5_model()?;
+    let voltage = model.spec().max_battery_voltage;
+    unit(model, grade, label.into(), voltage)
 }
 
 /// An LG G5 unit powered by a Monsoon programmed to `supply_voltage` —
@@ -531,12 +601,7 @@ pub fn lg_g5_at_voltage(
     label: impl Into<String>,
     supply_voltage: Volts,
 ) -> Result<Device, SocError> {
-    let spec = lg_g5_spec()?;
-    let die = DieSample::from_grade(spec.soc.node, grade)?;
-    let label = label.into();
-    let supply = Box::new(Monsoon::new(supply_voltage)?);
-    let seed = seed_from_label(&label);
-    Device::new(spec, die, supply, label, seed)
+    unit(lg_g5_model()?, grade, label.into(), supply_voltage)
 }
 
 // ---------------------------------------------------------------------------
@@ -636,18 +701,26 @@ pub fn pixel_spec() -> Result<DeviceSpec, SocError> {
     })
 }
 
+/// The Google Pixel model, built from [`pixel_spec`] once per process and shared
+/// by every unit of it.
+///
+/// # Errors
+///
+/// Never fails in practice (fallible table construction).
+pub fn pixel_model() -> Result<Arc<DeviceModel>, SocError> {
+    static MODEL: OnceLock<Arc<DeviceModel>> = OnceLock::new();
+    shared_model(&MODEL, pixel_spec)
+}
+
 /// A Google Pixel unit with a die at `grade`, Monsoon-powered.
 ///
 /// # Errors
 ///
 /// Returns [`SocError`] for a grade outside (0, 1).
 pub fn pixel(grade: f64, label: impl Into<String>) -> Result<Device, SocError> {
-    let spec = pixel_spec()?;
-    let die = DieSample::from_grade(spec.soc.node, grade)?;
-    let label = label.into();
-    let supply = Box::new(Monsoon::new(spec.nominal_battery_voltage)?);
-    let seed = seed_from_label(&label);
-    Device::new(spec, die, supply, label, seed)
+    let model = pixel_model()?;
+    let voltage = model.spec().nominal_battery_voltage;
+    unit(model, grade, label.into(), voltage)
 }
 
 // ---------------------------------------------------------------------------
@@ -862,18 +935,26 @@ pub fn pixel2_spec() -> Result<DeviceSpec, SocError> {
     })
 }
 
+/// The Google Pixel 2 model, built from [`pixel2_spec`] once per process and shared
+/// by every unit of it.
+///
+/// # Errors
+///
+/// Never fails in practice (fallible table construction).
+pub fn pixel2_model() -> Result<Arc<DeviceModel>, SocError> {
+    static MODEL: OnceLock<Arc<DeviceModel>> = OnceLock::new();
+    shared_model(&MODEL, pixel2_spec)
+}
+
 /// A Google Pixel 2 unit with a die at `grade`, Monsoon-powered.
 ///
 /// # Errors
 ///
 /// Returns [`SocError`] for a grade outside (0, 1).
 pub fn pixel2(grade: f64, label: impl Into<String>) -> Result<Device, SocError> {
-    let spec = pixel2_spec()?;
-    let die = DieSample::from_grade(spec.soc.node, grade)?;
-    let label = label.into();
-    let supply = Box::new(Monsoon::new(spec.nominal_battery_voltage)?);
-    let seed = seed_from_label(&label);
-    Device::new(spec, die, supply, label, seed)
+    let model = pixel2_model()?;
+    let voltage = model.spec().nominal_battery_voltage;
+    unit(model, grade, label.into(), voltage)
 }
 
 /// Parses a device descriptor of the form `model:selector` into a ready

@@ -1,9 +1,9 @@
 //! The time-stepped device simulator.
 //!
-//! A [`Device`] is one physical unit: a [`DeviceSpec`] (shared across the
-//! model line) plus one [`DieSample`] (this unit's silicon) plus a power
-//! supply. Each [`Device::step`] advances the closed loop the paper
-//! describes:
+//! A [`Device`] is one physical unit: a [`DeviceModel`] (everything its
+//! model line shares, built once and held by `Arc`) plus one [`DieSample`]
+//! (this unit's silicon) plus a power supply and the unit's running state.
+//! Each [`Device::step`] advances the closed loop the paper describes:
 //!
 //! 1. the kernel reads the (lagged, quantised) thermal sensor;
 //! 2. the throttle policy picks frequency caps / core counts;
@@ -25,6 +25,7 @@ use pv_silicon::DieSample;
 use pv_thermal::network::{Integrator, NodeId, ThermalNetwork, ThermalNetworkBuilder};
 use pv_thermal::probe::Probe;
 use pv_units::{Celsius, MegaHertz, Seconds, TempDelta, Volts, Watts};
+use std::sync::Arc;
 
 /// Fast-path power-table temperature resolution in kelvin. Die temperature
 /// is snapped to this grid before the voltage trim and power model run, so
@@ -152,6 +153,90 @@ impl StepReport {
     }
 }
 
+/// The immutable half of a phone model, shared by every unit of it: the
+/// validated [`DeviceSpec`], the nominal voltage ladders an RBCPR part
+/// runs, and the chassis thermal network (topology and node names) at the
+/// model's initial ambient.
+///
+/// A model is built once and held by `Arc`; each [`Device`] built from it
+/// owns only its per-unit state. The [`catalog`](crate::catalog) builds
+/// each of its models once per process, so a fleet of `n` catalog units
+/// holds one spec, not `n`. [`Device::new`] builds a fresh model from its
+/// spec, so a unit of a modified spec shares nothing with the catalog's.
+#[derive(Debug)]
+pub struct DeviceModel {
+    spec: DeviceSpec,
+    /// The per-cluster ladders every unit of an RBCPR part runs (its trim
+    /// is applied at runtime); empty for a statically binned part, whose
+    /// units each bin their own from the die.
+    ladders: Vec<VfTable>,
+    /// The chassis network at the spec's initial ambient; a unit clones it,
+    /// sharing its topology and copying only its temperatures.
+    network: ThermalNetwork,
+    die_node: NodeId,
+    package_node: NodeId,
+    case_node: NodeId,
+    ambient_node: NodeId,
+}
+
+impl DeviceModel {
+    /// Validates `spec` and builds what its units share.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SocError::InvalidSpec`] if the spec fails validation, or a
+    /// wrapped substrate error from network construction.
+    pub fn new(spec: DeviceSpec) -> Result<Arc<Self>, SocError> {
+        spec.validate()?;
+        let ladders = match spec.voltage_scheme {
+            VoltageScheme::StaticTable => Vec::new(),
+            VoltageScheme::Rbcpr(_) => spec
+                .soc
+                .clusters
+                .iter()
+                .map(|c| c.vf_slow.clone())
+                .collect(),
+        };
+
+        let ambient = spec.initial_ambient;
+        let mut builder = ThermalNetworkBuilder::new();
+        let die_node = builder.add_node("die", spec.thermal.die_capacitance, ambient)?;
+        let package_node =
+            builder.add_node("package", spec.thermal.package_capacitance, ambient)?;
+        let case_node = builder.add_node("case", spec.thermal.case_capacitance, ambient)?;
+        let ambient_node = builder.add_boundary("ambient", ambient)?;
+        builder.connect(die_node, package_node, spec.thermal.die_to_package)?;
+        builder.connect(package_node, case_node, spec.thermal.package_to_case)?;
+        builder.connect(case_node, ambient_node, spec.thermal.case_to_ambient)?;
+        let network = builder.build()?;
+
+        Ok(Arc::new(Self {
+            spec,
+            ladders,
+            network,
+            die_node,
+            package_node,
+            case_node,
+            ambient_node,
+        }))
+    }
+
+    /// The model's specification.
+    pub fn spec(&self) -> &DeviceSpec {
+        &self.spec
+    }
+
+    /// The voltage tables a unit with tables `binned` runs: its own on a
+    /// statically binned part, the model's ladders on an RBCPR part.
+    fn tables<'a>(&'a self, binned: &'a [VfTable]) -> &'a [VfTable] {
+        if binned.is_empty() {
+            &self.ladders
+        } else {
+            binned
+        }
+    }
+}
+
 /// One simulated handset.
 ///
 /// # Examples
@@ -174,16 +259,16 @@ pub struct Device {
     // stay Send. The assertion below turns a regression into a compile
     // error at the definition site instead of deep inside the executor.
     // Clone (via PowerSupply::clone_box for the boxed supply) is what lets
-    // supervised sweeps retry a failed session on a pristine device copy.
-    spec: DeviceSpec,
+    // supervised sweeps retry a failed session on a pristine device copy;
+    // a clone shares the model and copies only the unit's state.
+    model: Arc<DeviceModel>,
     die: DieSample,
     label: String,
-    tables: Vec<VfTable>,
+    /// The unit's own voltage tables, binned from its die: one per cluster
+    /// on a statically binned part, empty on an RBCPR part (whose units run
+    /// the model's ladders).
+    binned: Vec<VfTable>,
     network: ThermalNetwork,
-    die_node: NodeId,
-    package_node: NodeId,
-    case_node: NodeId,
-    ambient_node: NodeId,
     probe: Probe,
     throttle: ThrottleState,
     supply: Box<dyn PowerSupply>,
@@ -317,11 +402,8 @@ const _: () = {
 };
 
 impl Device {
-    /// Builds a device from a spec, a die, and a power supply.
-    ///
-    /// For statically binned parts the per-cluster voltage tables are
-    /// generated here by [`voltage_bin_table`] from the die's grade; RBCPR
-    /// parts keep the nominal ladder and trim at runtime.
+    /// Builds a device from a spec, a die, and a power supply, on a model
+    /// of its own: [`DeviceModel::new`] then [`Device::from_model`].
     ///
     /// # Errors
     ///
@@ -334,49 +416,49 @@ impl Device {
         label: impl Into<String>,
         seed: u64,
     ) -> Result<Self, SocError> {
-        spec.validate()?;
-        let mut tables = Vec::with_capacity(spec.soc.clusters.len());
-        for cluster in &spec.soc.clusters {
-            let table = match spec.voltage_scheme {
-                VoltageScheme::StaticTable => {
-                    voltage_bin_table(&cluster.vf_slow, &cluster.vf_fast, &die)?
-                }
-                VoltageScheme::Rbcpr(_) => cluster.vf_slow.clone(),
-            };
-            tables.push(table);
+        Self::from_model(DeviceModel::new(spec)?, die, supply, label, seed)
+    }
+
+    /// Builds one unit of `model` from a die and a power supply.
+    ///
+    /// For statically binned parts the per-cluster voltage tables are
+    /// generated here by [`voltage_bin_table`] from the die's grade; RBCPR
+    /// parts run the model's nominal ladders and trim at runtime.
+    ///
+    /// # Errors
+    ///
+    /// Returns a wrapped substrate error from table generation or from the
+    /// spec's sensor parameters.
+    pub fn from_model(
+        model: Arc<DeviceModel>,
+        die: DieSample,
+        supply: Box<dyn PowerSupply>,
+        label: impl Into<String>,
+        seed: u64,
+    ) -> Result<Self, SocError> {
+        let spec = &model.spec;
+        let mut binned = Vec::new();
+        if spec.voltage_scheme == VoltageScheme::StaticTable {
+            binned.reserve_exact(spec.soc.clusters.len());
+            for cluster in &spec.soc.clusters {
+                binned.push(voltage_bin_table(&cluster.vf_slow, &cluster.vf_fast, &die)?);
+            }
         }
-
-        let ambient = spec.initial_ambient;
-        let mut builder = ThermalNetworkBuilder::new();
-        let die_node = builder.add_node("die", spec.thermal.die_capacitance, ambient)?;
-        let package_node =
-            builder.add_node("package", spec.thermal.package_capacitance, ambient)?;
-        let case_node = builder.add_node("case", spec.thermal.case_capacitance, ambient)?;
-        let ambient_node = builder.add_boundary("ambient", ambient)?;
-        builder.connect(die_node, package_node, spec.thermal.die_to_package)?;
-        builder.connect(package_node, case_node, spec.thermal.package_to_case)?;
-        builder.connect(case_node, ambient_node, spec.thermal.case_to_ambient)?;
-        let network = builder.build()?;
-
         let mut probe = Probe::new(
             spec.thermal.sensor_tau,
             spec.thermal.sensor_noise,
             spec.thermal.sensor_quantum,
             seed,
         )?;
-        probe.reset(ambient);
+        probe.reset(spec.initial_ambient);
         let last_supply_voltage = supply.terminal_voltage(spec.idle_power);
 
         Ok(Self {
-            spec,
+            network: model.network.clone(),
+            model,
             die,
             label: label.into(),
-            tables,
-            network,
-            die_node,
-            package_node,
-            case_node,
-            ambient_node,
+            binned,
             probe,
             throttle: ThrottleState::new(),
             supply,
@@ -410,15 +492,17 @@ impl Device {
         self.network.set_integrator(integrator);
         self.fast_path = integrator == Integrator::Exponential;
         if self.fast_path && self.power_table.slots.is_empty() {
-            self.power_table.allocate(self.spec.soc.clusters.len());
+            self.power_table
+                .allocate(self.model.spec.soc.clusters.len());
         } else if changed {
             self.power_table.clear();
         }
     }
 
-    /// The device's model specification.
+    /// The device's model specification, shared by every unit of its
+    /// model.
     pub fn spec(&self) -> &DeviceSpec {
-        &self.spec
+        &self.model.spec
     }
 
     /// This unit's silicon.
@@ -428,7 +512,7 @@ impl Device {
 
     /// The per-cluster voltage tables in effect.
     pub fn tables(&self) -> &[VfTable] {
-        &self.tables
+        self.model.tables(&self.binned)
     }
 
     /// Experiment label (e.g. `"bin-0"` or `"device-363"`).
@@ -443,7 +527,7 @@ impl Device {
 
     /// Current true die temperature.
     pub fn die_temp(&self) -> Celsius {
-        self.network.temperature(self.die_node)
+        self.network.temperature(self.model.die_node)
     }
 
     /// Reads the thermal sensor the way the benchmark app's cooldown loop
@@ -464,7 +548,7 @@ impl Device {
 
     /// Swaps the power supply (the Fig 10 battery-vs-Monsoon comparison).
     pub fn set_supply(&mut self, supply: Box<dyn PowerSupply>) {
-        self.last_supply_voltage = supply.terminal_voltage(self.spec.idle_power);
+        self.last_supply_voltage = supply.terminal_voltage(self.model.spec.idle_power);
         self.supply = supply;
     }
 
@@ -476,7 +560,8 @@ impl Device {
     ///
     /// Returns a wrapped [`pv_thermal::ThermalError`] for non-finite input.
     pub fn set_ambient(&mut self, ambient: Celsius) -> Result<(), SocError> {
-        self.network.set_boundary_temp(self.ambient_node, ambient)?;
+        self.network
+            .set_boundary_temp(self.model.ambient_node, ambient)?;
         Ok(())
     }
 
@@ -487,10 +572,12 @@ impl Device {
     ///
     /// Returns a wrapped [`pv_thermal::ThermalError`] for non-finite input.
     pub fn reset_thermal(&mut self, ambient: Celsius) -> Result<(), SocError> {
-        self.network.set_temperature(self.die_node, ambient)?;
-        self.network.set_temperature(self.package_node, ambient)?;
-        self.network.set_temperature(self.case_node, ambient)?;
-        self.network.set_boundary_temp(self.ambient_node, ambient)?;
+        let model = &self.model;
+        self.network.set_temperature(model.die_node, ambient)?;
+        self.network.set_temperature(model.package_node, ambient)?;
+        self.network.set_temperature(model.case_node, ambient)?;
+        self.network
+            .set_boundary_temp(model.ambient_node, ambient)?;
         self.probe.reset(ambient);
         self.throttle.reset();
         Ok(())
@@ -542,13 +629,15 @@ impl Device {
             }
         }
 
-        let die_temp = self.network.temperature(self.die_node);
+        let spec = &self.model.spec;
+        let tables = self.model.tables(&self.binned);
+        let die_temp = self.network.temperature(self.model.die_node);
         let sensor_temp = self.probe.read();
-        let decision =
-            self.throttle
-                .update(&self.spec.throttle, sensor_temp, self.last_supply_voltage);
+        let decision = self
+            .throttle
+            .update(&spec.throttle, sensor_temp, self.last_supply_voltage);
 
-        let n_clusters = self.spec.soc.clusters.len();
+        let n_clusters = spec.soc.clusters.len();
         out.cluster_freqs.clear();
         out.cluster_voltages.clear();
         out.active_cores.clear();
@@ -568,9 +657,7 @@ impl Device {
             die_temp
         };
 
-        for ci in 0..n_clusters {
-            let cluster = &self.spec.soc.clusters[ci];
-            let table = &self.tables[ci];
+        for (ci, (cluster, table)) in spec.soc.clusters.iter().zip(tables).enumerate() {
             let max_f = table.max_freq();
 
             // Governor target.
@@ -621,7 +708,7 @@ impl Device {
                 };
                 self.power_table.get_or_insert_with(ci, key, || {
                     let nominal_v = table.voltage_at(freq);
-                    let v = match &self.spec.voltage_scheme {
+                    let v = match &spec.voltage_scheme {
                         VoltageScheme::StaticTable => nominal_v,
                         VoltageScheme::Rbcpr(rb) => rb.trim(nominal_v, &self.die, power_temp),
                     };
@@ -637,7 +724,7 @@ impl Device {
                 })
             } else {
                 let nominal_v = table.voltage_at(freq);
-                let v = match &self.spec.voltage_scheme {
+                let v = match &spec.voltage_scheme {
                     VoltageScheme::StaticTable => nominal_v,
                     VoltageScheme::Rbcpr(rb) => rb.trim(nominal_v, &self.die, die_temp),
                 };
@@ -664,12 +751,12 @@ impl Device {
         }
 
         let uncore = if idle {
-            self.spec.soc.uncore_power * 0.2
+            spec.soc.uncore_power * 0.2
         } else {
-            self.spec.soc.uncore_power
+            spec.soc.uncore_power
         };
-        let soc_power = core_power + uncore + self.spec.idle_power;
-        let supply_power = soc_power / self.spec.regulator_efficiency;
+        let soc_power = core_power + uncore + spec.idle_power;
+        let supply_power = soc_power / spec.regulator_efficiency;
         let regulator_loss = supply_power - soc_power;
 
         let supply_voltage = self.supply.terminal_voltage(supply_power);
@@ -677,21 +764,22 @@ impl Device {
         self.supply.draw(supply_power, dt)?;
 
         // SoC power heats the die; regulator loss heats the board.
+        let model = &self.model;
         self.network.step(
             dt,
             &[
-                (self.die_node, soc_power),
-                (self.package_node, regulator_loss),
+                (model.die_node, soc_power),
+                (model.package_node, regulator_loss),
             ],
         )?;
-        let new_die_temp = self.network.temperature(self.die_node);
+        let new_die_temp = self.network.temperature(model.die_node);
         self.probe.observe(new_die_temp, dt)?;
         self.time += dt;
 
         out.dt = dt;
         out.die_temp = new_die_temp;
         out.sensor_temp = sensor_temp;
-        out.case_temp = self.network.temperature(self.case_node);
+        out.case_temp = self.network.temperature(model.case_node);
         out.soc_power = soc_power;
         out.supply_power = supply_power;
         out.supply_voltage = supply_voltage;
@@ -765,7 +853,7 @@ impl fmt::Display for Device {
         write!(
             f,
             "{} [{}] on {} ({})",
-            self.spec.model, self.label, self.spec.soc.name, self.die
+            self.model.spec.model, self.label, self.model.spec.soc.name, self.die
         )
     }
 }
@@ -885,23 +973,22 @@ impl Dut for Device {
     }
 }
 
-// The case node handle: stored via a small extension because construction
-// happens inside `new`. Kept as a private field accessor pattern.
 impl Device {
     /// Current case (skin) temperature — what the user's hand feels.
     pub fn case_temp(&self) -> Celsius {
-        self.network.temperature(self.case_node)
+        self.network.temperature(self.model.case_node)
     }
 
     /// Current package/board temperature.
     pub fn package_temp(&self) -> Celsius {
-        self.network.temperature(self.package_node)
+        self.network.temperature(self.model.package_node)
     }
 
     /// Temperature headroom before the first thermal trip, based on the
     /// current *die* temperature (negative once past the trip).
     pub fn headroom(&self) -> Option<TempDelta> {
-        self.spec
+        self.model
+            .spec
             .throttle
             .steps
             .first()

@@ -51,11 +51,12 @@ enum NodeKind {
     Boundary,
 }
 
+/// A node's fixed description; its temperature lives in the network's
+/// state, not here.
 #[derive(Debug, Clone, PartialEq)]
 struct Node {
     name: String,
     kind: NodeKind,
-    temp: Celsius,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,6 +123,7 @@ impl fmt::Display for Integrator {
 #[derive(Debug, Default)]
 pub struct ThermalNetworkBuilder {
     nodes: Vec<Node>,
+    temps: Vec<f64>,
     edges: Vec<Edge>,
     integrator: Integrator,
 }
@@ -160,8 +162,8 @@ impl ThermalNetworkBuilder {
         self.nodes.push(Node {
             name: name.to_owned(),
             kind: NodeKind::Capacitive(capacitance),
-            temp: initial_temp,
         });
+        self.temps.push(initial_temp.value());
         Ok(NodeId(self.nodes.len() - 1))
     }
 
@@ -179,8 +181,8 @@ impl ThermalNetworkBuilder {
         self.nodes.push(Node {
             name: name.to_owned(),
             kind: NodeKind::Boundary,
-            temp,
         });
+        self.temps.push(temp.value());
         Ok(NodeId(self.nodes.len() - 1))
     }
 
@@ -249,13 +251,16 @@ impl ThermalNetworkBuilder {
         }
         let n = self.nodes.len();
         Ok(ThermalNetwork {
-            nodes: self.nodes,
-            edges: self.edges,
-            max_substep: if tau_min.is_finite() {
-                0.2 * tau_min
-            } else {
-                f64::INFINITY
-            },
+            topology: Arc::new(Topology {
+                nodes: self.nodes,
+                edges: self.edges,
+                max_substep: if tau_min.is_finite() {
+                    0.2 * tau_min
+                } else {
+                    f64::INFINITY
+                },
+            }),
+            temps: self.temps,
             integrator: self.integrator,
             heat_scratch: vec![0.0; n],
             scratch: StepScratch::sized(n),
@@ -265,37 +270,30 @@ impl ThermalNetworkBuilder {
 }
 
 /// Struct-owned per-step work buffers, so the step loop never touches the
-/// heap after its first step. `y` holds the state snapshot, `stage` the
-/// RK4 trial states, and `k1..k4` the derivative evaluations (Euler uses
-/// only `y`/`k1`; Exponential uses `y`/`k1` as mat-vec input/output).
-/// `y`/`k1` are sized at build; the RK4-only buffers on the first RK4
-/// step, so building a network costs two scratch allocations, not six.
+/// heap after its first step. `k1` holds the derivative evaluation (Euler)
+/// or the mat-vec output (Exponential); `rk4` holds RK4's trial state and
+/// its three further derivative evaluations, `n` values each. `k1` is
+/// sized at build, `rk4` on the first RK4 step. The state itself is the
+/// network's temperature vector, which every scheme reads in place.
 #[derive(Debug, Clone, Default)]
 struct StepScratch {
-    y: Vec<f64>,
-    stage: Vec<f64>,
     k1: Vec<f64>,
-    k2: Vec<f64>,
-    k3: Vec<f64>,
-    k4: Vec<f64>,
+    rk4: Vec<f64>,
 }
 
 impl StepScratch {
-    /// Sizes the buffers every integrator uses; the RK4-only stages stay
-    /// empty until [`StepScratch::size_rk4`].
+    /// Sizes the buffer every integrator uses; the RK4 stages stay empty
+    /// until [`StepScratch::size_rk4`].
     fn sized(n: usize) -> Self {
         Self {
-            y: vec![0.0; n],
             k1: vec![0.0; n],
-            ..Self::default()
+            rk4: Vec::new(),
         }
     }
 
     /// Sizes the RK4 stage buffers on first use.
     fn size_rk4(&mut self, n: usize) {
-        for buf in [&mut self.stage, &mut self.k2, &mut self.k3, &mut self.k4] {
-            buf.resize(n, 0.0);
-        }
+        self.rk4.resize(4 * n, 0.0);
     }
 }
 
@@ -312,6 +310,17 @@ struct Propagator {
     b: Vec<f64>,
 }
 
+/// The sealed structure of a network: its nodes, edges and the stability
+/// bound on Euler/RK4 substeps. Built once by
+/// [`ThermalNetworkBuilder::build`] and shared, read-only, by every clone
+/// of the network, so a fleet of devices of one model holds one copy.
+#[derive(Debug, PartialEq)]
+struct Topology {
+    nodes: Vec<Node>,
+    edges: Vec<Edge>,
+    max_substep: f64,
+}
+
 /// A built thermal network. Step it with [`ThermalNetwork::step`], read
 /// temperatures with [`ThermalNetwork::temperature`].
 ///
@@ -319,11 +328,16 @@ struct Propagator {
 /// [`ThermalNetworkBuilder::build`]; only temperatures and the integrator
 /// choice mutate afterwards. The propagator cache relies on this: entries
 /// are keyed on step size alone and never need structural invalidation.
+///
+/// Cloning a network shares its topology behind an `Arc` and copies only
+/// its state: the temperatures, the work buffers and the handles of its
+/// cached propagators, so a network cloned per unit of a device model
+/// costs a few `n`-element vectors.
 #[derive(Debug, Clone)]
 pub struct ThermalNetwork {
-    nodes: Vec<Node>,
-    edges: Vec<Edge>,
-    max_substep: f64,
+    topology: Arc<Topology>,
+    /// Node temperatures in °C, indexed like the topology's nodes.
+    temps: Vec<f64>,
     integrator: Integrator,
     heat_scratch: Vec<f64>,
     scratch: StepScratch,
@@ -335,9 +349,8 @@ pub struct ThermalNetwork {
 /// buffers and the propagator cache are excluded (they are derived data).
 impl PartialEq for ThermalNetwork {
     fn eq(&self, other: &Self) -> bool {
-        self.nodes == other.nodes
-            && self.edges == other.edges
-            && self.max_substep == other.max_substep
+        (Arc::ptr_eq(&self.topology, &other.topology) || self.topology == other.topology)
+            && self.temps == other.temps
             && self.integrator == other.integrator
     }
 }
@@ -351,7 +364,7 @@ impl ThermalNetwork {
     /// be obtained from the builder, so this indicates builder/network
     /// mix-up).
     pub fn temperature(&self, node: NodeId) -> Celsius {
-        self.nodes[node.0].temp
+        Celsius(self.temps[node.0])
     }
 
     /// Name given to `node` at construction.
@@ -360,12 +373,12 @@ impl ThermalNetwork {
     ///
     /// Panics on a foreign `NodeId`, as [`ThermalNetwork::temperature`].
     pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.0].name
+        &self.topology.nodes[node.0].name
     }
 
     /// Number of nodes (capacitive + boundary).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.temps.len()
     }
 
     /// Overrides a capacitive node's temperature (e.g. to reset state
@@ -376,13 +389,13 @@ impl ThermalNetwork {
     /// Returns [`ThermalError::UnknownNode`] for stale ids and
     /// [`ThermalError::InvalidParameter`] for non-finite temperatures.
     pub fn set_temperature(&mut self, node: NodeId, temp: Celsius) -> Result<(), ThermalError> {
-        if node.0 >= self.nodes.len() {
+        if node.0 >= self.temps.len() {
             return Err(ThermalError::UnknownNode(node.0));
         }
         if !temp.is_finite() {
             return Err(ThermalError::InvalidParameter("temp non-finite"));
         }
-        self.nodes[node.0].temp = temp;
+        self.temps[node.0] = temp.value();
         Ok(())
     }
 
@@ -394,16 +407,16 @@ impl ThermalNetwork {
     /// [`ThermalError::InvalidParameter`] if the node is not a boundary or
     /// the temperature is non-finite.
     pub fn set_boundary_temp(&mut self, node: NodeId, temp: Celsius) -> Result<(), ThermalError> {
-        if node.0 >= self.nodes.len() {
+        if node.0 >= self.temps.len() {
             return Err(ThermalError::UnknownNode(node.0));
         }
-        if !matches!(self.nodes[node.0].kind, NodeKind::Boundary) {
+        if !matches!(self.topology.nodes[node.0].kind, NodeKind::Boundary) {
             return Err(ThermalError::InvalidParameter("node is not a boundary"));
         }
         if !temp.is_finite() {
             return Err(ThermalError::InvalidParameter("temp non-finite"));
         }
-        self.nodes[node.0].temp = temp;
+        self.temps[node.0] = temp.value();
         Ok(())
     }
 
@@ -438,16 +451,16 @@ impl ThermalNetwork {
         // Build the dense heat vector, validating targets. The buffer is
         // sized at build time; `fill` keeps the capacity without the
         // clear()+resize() round-trip of earlier revisions.
-        debug_assert_eq!(self.heat_scratch.len(), self.nodes.len());
+        debug_assert_eq!(self.heat_scratch.len(), self.temps.len());
         self.heat_scratch.fill(0.0);
         for &(node, power) in heat {
-            if node.0 >= self.nodes.len() {
+            if node.0 >= self.temps.len() {
                 return Err(ThermalError::UnknownNode(node.0));
             }
             if !power.is_finite() {
                 return Err(ThermalError::InvalidParameter("power non-finite"));
             }
-            if matches!(self.nodes[node.0].kind, NodeKind::Boundary) {
+            if matches!(self.topology.nodes[node.0].kind, NodeKind::Boundary) {
                 return Err(ThermalError::HeatIntoBoundary(node.0));
             }
             self.heat_scratch[node.0] += power.value();
@@ -460,8 +473,9 @@ impl ThermalNetwork {
             return Ok(());
         }
 
-        let substeps = if self.max_substep.is_finite() {
-            (dt.value() / self.max_substep).ceil().max(1.0) as usize
+        let max_substep = self.topology.max_substep;
+        let substeps = if max_substep.is_finite() {
+            (dt.value() / max_substep).ceil().max(1.0) as usize
         } else {
             1
         };
@@ -477,73 +491,59 @@ impl ThermalNetwork {
         Ok(())
     }
 
-    /// Derivative of every node temperature at state `temps` (°C), writing
-    /// into `out` (°C/s). Boundary nodes have zero derivative.
-    fn derivatives(&self, temps: &[f64], out: &mut [f64]) {
-        out.fill(0.0);
-        for e in &self.edges {
-            let flow = (temps[e.b] - temps[e.a]) * e.conductance;
-            out[e.a] += flow;
-            out[e.b] -= flow;
-        }
-        for (i, node) in self.nodes.iter().enumerate() {
-            match node.kind {
-                NodeKind::Capacitive(c) => {
-                    out[i] = (out[i] + self.heat_scratch[i]) / c.value();
-                }
-                NodeKind::Boundary => out[i] = 0.0,
-            }
-        }
-    }
-
     fn substep_euler(&mut self, substeps: usize, h: f64) {
-        // The scratch is detached while borrowed so `derivatives` can take
-        // `&self`; putting it back preserves the buffers (no allocation).
-        let mut s = std::mem::take(&mut self.scratch);
+        let Self {
+            topology,
+            temps,
+            heat_scratch,
+            scratch,
+            ..
+        } = self;
         for _ in 0..substeps {
-            for (t, node) in s.y.iter_mut().zip(&self.nodes) {
-                *t = node.temp.value();
-            }
-            self.derivatives(&s.y, &mut s.k1);
-            for (i, node) in self.nodes.iter_mut().enumerate() {
+            topology.derivatives(temps, heat_scratch, &mut scratch.k1);
+            for ((t, node), k) in temps.iter_mut().zip(&topology.nodes).zip(&scratch.k1) {
                 if matches!(node.kind, NodeKind::Capacitive(_)) {
-                    node.temp = Celsius(s.y[i] + s.k1[i] * h);
+                    *t += k * h;
                 }
             }
         }
-        self.scratch = s;
     }
 
     fn substep_rk4(&mut self, substeps: usize, h: f64) {
-        let n = self.nodes.len();
-        let mut s = std::mem::take(&mut self.scratch);
-        s.size_rk4(n);
+        let n = self.temps.len();
+        self.scratch.size_rk4(n);
+        let Self {
+            topology,
+            temps,
+            heat_scratch: heat,
+            scratch,
+            ..
+        } = self;
+        let k1 = &mut scratch.k1;
+        let (stage, rest) = scratch.rk4.split_at_mut(n);
+        let (k2, rest) = rest.split_at_mut(n);
+        let (k3, k4) = rest.split_at_mut(n);
         for _ in 0..substeps {
-            for (t, node) in s.y.iter_mut().zip(&self.nodes) {
-                *t = node.temp.value();
-            }
-            self.derivatives(&s.y, &mut s.k1);
+            let y = &*temps;
+            topology.derivatives(y, heat, k1);
             for i in 0..n {
-                s.stage[i] = s.y[i] + 0.5 * h * s.k1[i];
+                stage[i] = y[i] + 0.5 * h * k1[i];
             }
-            self.derivatives(&s.stage, &mut s.k2);
+            topology.derivatives(stage, heat, k2);
             for i in 0..n {
-                s.stage[i] = s.y[i] + 0.5 * h * s.k2[i];
+                stage[i] = y[i] + 0.5 * h * k2[i];
             }
-            self.derivatives(&s.stage, &mut s.k3);
+            topology.derivatives(stage, heat, k3);
             for i in 0..n {
-                s.stage[i] = s.y[i] + h * s.k3[i];
+                stage[i] = y[i] + h * k3[i];
             }
-            self.derivatives(&s.stage, &mut s.k4);
-            for (i, node) in self.nodes.iter_mut().enumerate() {
+            topology.derivatives(stage, heat, k4);
+            for (i, node) in topology.nodes.iter().enumerate() {
                 if matches!(node.kind, NodeKind::Capacitive(_)) {
-                    node.temp = Celsius(
-                        s.y[i] + h / 6.0 * (s.k1[i] + 2.0 * s.k2[i] + 2.0 * s.k3[i] + s.k4[i]),
-                    );
+                    temps[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
                 }
             }
         }
-        self.scratch = s;
     }
 
     /// Applies the cached exact propagator: `T' = Φ·T + B·q` over the full
@@ -552,23 +552,19 @@ impl ThermalNetwork {
     /// step size (sessions reuse two sizes, so this amortises to zero).
     fn step_exponential(&mut self, dt: f64) {
         let idx = self.propagator_index(dt);
-        // Disjoint field borrows: the propagator is read while node temps
-        // and scratch are written, with no buffer swaps in the hot path.
+        // Disjoint field borrows: the propagator is read while the
+        // temperatures and scratch are written.
         let Self {
-            nodes,
+            temps,
             propagators,
             scratch,
             heat_scratch,
             ..
         } = self;
         let p = &propagators[idx];
-        let n = nodes.len();
-        let y = &mut scratch.y;
+        let n = temps.len();
         let out = &mut scratch.k1;
-        for (t, node) in y.iter_mut().zip(nodes.iter()) {
-            *t = node.temp.value();
-        }
-        // out = Φ·y + B·q, fused row by row. `chunks_exact` + `zip` keep
+        // out = Φ·T + B·q, fused row by row. `chunks_exact` + `zip` keep
         // the inner loop free of bounds checks.
         for ((o, phi_row), b_row) in out
             .iter_mut()
@@ -579,18 +575,16 @@ impl ThermalNetwork {
             for ((&ph, &bb), (&yy, &qq)) in phi_row
                 .iter()
                 .zip(b_row.iter())
-                .zip(y.iter().zip(heat_scratch.iter()))
+                .zip(temps.iter().zip(heat_scratch.iter()))
             {
                 acc += ph * yy + bb * qq;
             }
             *o = acc;
         }
         // Boundary rows of Φ are identity (and of B zero), so boundary
-        // temperatures pass through bit-exactly and the write-back needs
-        // no per-node kind check.
-        for (node, &t) in nodes.iter_mut().zip(out.iter()) {
-            node.temp = Celsius(t);
-        }
+        // temperatures pass through bit-exactly and the new state is the
+        // whole output: swapping the buffers is the write-back.
+        std::mem::swap(temps, out);
     }
 
     /// Index of the propagator for `dt` in the network's cache, building it
@@ -608,7 +602,7 @@ impl ThermalNetwork {
             }
             return 0;
         }
-        let p = Arc::new(self.build_propagator(dt));
+        let p = Arc::new(self.topology.build_propagator(dt));
         self.propagators.truncate(PROPAGATOR_CACHE_CAP - 1);
         self.propagators.insert(0, p);
         0
@@ -624,6 +618,52 @@ impl ThermalNetwork {
         }
         let idx = self.propagator_index(dt.value());
         Ok(self.propagators[idx].clone())
+    }
+
+    /// Runs [`step`](Self::step) repeatedly until `total` time has elapsed,
+    /// using steps of at most `dt`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates errors from [`step`](Self::step).
+    pub fn run(
+        &mut self,
+        total: Seconds,
+        dt: Seconds,
+        heat: &[(NodeId, Watts)],
+    ) -> Result<(), ThermalError> {
+        if !(total.value() >= 0.0 && total.is_finite()) {
+            return Err(ThermalError::InvalidParameter("total must be >= 0"));
+        }
+        let mut remaining = total.value();
+        while remaining > 0.0 {
+            let step = remaining.min(dt.value());
+            self.step(Seconds(step), heat)?;
+            remaining -= step;
+        }
+        Ok(())
+    }
+}
+
+impl Topology {
+    /// Derivative of every node temperature at state `temps` (°C) under
+    /// the dense `heat` vector (W), writing into `out` (°C/s). Boundary
+    /// nodes have zero derivative.
+    fn derivatives(&self, temps: &[f64], heat: &[f64], out: &mut [f64]) {
+        out.fill(0.0);
+        for e in &self.edges {
+            let flow = (temps[e.b] - temps[e.a]) * e.conductance;
+            out[e.a] += flow;
+            out[e.b] -= flow;
+        }
+        for (i, node) in self.nodes.iter().enumerate() {
+            match node.kind {
+                NodeKind::Capacitive(c) => {
+                    out[i] = (out[i] + heat[i]) / c.value();
+                }
+                NodeKind::Boundary => out[i] = 0.0,
+            }
+        }
     }
 
     /// Computes `Φ = exp(M·dt)` and `B = S·diag(1/Cᵢ)` with
@@ -722,30 +762,6 @@ impl ThermalNetwork {
             b,
         }
     }
-
-    /// Runs [`step`](Self::step) repeatedly until `total` time has elapsed,
-    /// using steps of at most `dt`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`step`](Self::step).
-    pub fn run(
-        &mut self,
-        total: Seconds,
-        dt: Seconds,
-        heat: &[(NodeId, Watts)],
-    ) -> Result<(), ThermalError> {
-        if !(total.value() >= 0.0 && total.is_finite()) {
-            return Err(ThermalError::InvalidParameter("total must be >= 0"));
-        }
-        let mut remaining = total.value();
-        while remaining > 0.0 {
-            let step = remaining.min(dt.value());
-            self.step(Seconds(step), heat)?;
-            remaining -= step;
-        }
-        Ok(())
-    }
 }
 
 /// `n×n` identity, row-major.
@@ -807,12 +823,12 @@ pub mod step_stats {
 impl fmt::Display for ThermalNetwork {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "thermal network:")?;
-        for n in &self.nodes {
+        for (n, &temp) in self.topology.nodes.iter().zip(&self.temps) {
             let tag = match n.kind {
                 NodeKind::Capacitive(c) => format!("C={:.2} J/K", c.value()),
                 NodeKind::Boundary => "boundary".to_owned(),
             };
-            write!(f, " [{} {} {:.2}]", n.name, tag, n.temp)?;
+            write!(f, " [{} {} {:.2}]", n.name, tag, Celsius(temp))?;
         }
         Ok(())
     }
@@ -978,6 +994,17 @@ mod tests {
         assert_eq!(net.node_count(), 2);
         let s = format!("{net}");
         assert!(s.contains("die") && s.contains("boundary"));
+    }
+
+    #[test]
+    fn clones_share_topology_and_own_their_state() {
+        let (mut a, die, _) = simple_pair();
+        let b = a.clone();
+        assert!(Arc::ptr_eq(&a.topology, &b.topology));
+        a.step(Seconds(1.0), &[(die, Watts(5.0))]).unwrap();
+        assert_eq!(b.temperature(die), Celsius(50.0), "the clone moved");
+        assert_ne!(a.temperature(die), b.temperature(die));
+        assert_eq!(b.node_name(die), "die");
     }
 
     #[test]
