@@ -245,6 +245,16 @@ struct SweepEnd {
 /// crowd-population sweep — streaming by default, exact with `--oracle`,
 /// subsampled with `--sample`.
 fn run_sweep(flags: &Flags<'_>) -> Result<ExitCode, String> {
+    let journal_path = flags.value("--journal");
+    let resume = flags.switch("--resume");
+    if journal_path.is_none() {
+        // Each of these acts only on the journal: without one it would be
+        // silently ignored.
+        let journal_only = ["--resume", "--storage-faults", "--storage-escalation"];
+        if let Some(flag) = journal_only.iter().find(|flag| flags.switch(flag)) {
+            return Err(format!("{flag} requires --journal <path>"));
+        }
+    }
     let cfg = experiment_config(flags)?;
     let supervision = flags.supervision(SupervisionPolicy::default())?;
     let chaos = chaos(flags)?;
@@ -259,11 +269,6 @@ fn run_sweep(flags: &Flags<'_>) -> Result<ExitCode, String> {
         .positive_integer("--threads")?
         .unwrap_or_else(executor::default_threads);
     let oracle = flags.switch("--oracle");
-    let journal_path = flags.value("--journal");
-    let resume = flags.switch("--resume");
-    if resume && journal_path.is_none() {
-        return Err("--resume requires --journal <path>".into());
-    }
 
     // `scaled` also pins the configured integrator, which the journal's
     // config digest covers: a journal written with one scheme cannot be

@@ -239,7 +239,7 @@ impl<'a> Flags<'a> {
         }
     }
 
-    /// Whether the switch `flag` was given.
+    /// Whether `flag` was given: a switch, or a flag with its value.
     pub fn switch(&self, flag: &str) -> bool {
         self.given.iter().any(|(f, _)| f.name == flag)
     }

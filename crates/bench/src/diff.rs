@@ -120,15 +120,6 @@ pub struct MetricDiff {
     pub status: Status,
 }
 
-/// Absolute floor on a current-run metric.
-#[derive(Debug, Clone, Copy)]
-pub enum Floor {
-    /// Value must be at least this.
-    AtLeast(f64),
-    /// Value must be at most this.
-    AtMost(f64),
-}
-
 /// Built-in floors: the pre-benchdiff one-shot CI gates, kept as
 /// backstops so a corrupted baseline can never wave a real collapse
 /// through. `min_host_parallelism` skips the floor on starved hosts
@@ -138,8 +129,8 @@ pub struct FloorRule {
     pub bench: &'static str,
     /// Metric name within that bench.
     pub metric: &'static str,
-    /// The bound.
-    pub floor: Floor,
+    /// The current run's value must be at least this.
+    pub min: f64,
     /// Skip unless the *current* host has at least this many CPUs.
     pub min_host_parallelism: usize,
 }
@@ -149,13 +140,13 @@ pub const FLOORS: &[FloorRule] = &[
     FloorRule {
         bench: "sweep",
         metric: "speedup/t4",
-        floor: Floor::AtLeast(2.0),
+        min: 2.0,
         min_host_parallelism: 4,
     },
     FloorRule {
         bench: "step",
         metric: "thermal_speedup_exp_vs_rk4",
-        floor: Floor::AtLeast(5.0),
+        min: 5.0,
         min_host_parallelism: 0,
     },
     // Stratified subsampling (DESIGN.md §16) exists to make million-device
@@ -167,7 +158,7 @@ pub const FLOORS: &[FloorRule] = &[
     FloorRule {
         bench: "sweep",
         metric: "sample_speedup/n2000",
-        floor: Floor::AtLeast(10.0),
+        min: 10.0,
         min_host_parallelism: 0,
     },
 ];
@@ -437,21 +428,13 @@ pub fn diff(baseline: &BenchReport, current: &BenchReport, cfg: &DiffConfig) -> 
             mark_floor(&mut rows, rule.metric, Status::FloorSkipped);
             continue;
         }
-        let violated = match rule.floor {
-            Floor::AtLeast(min) => metric.value < min,
-            Floor::AtMost(max) => metric.value > max,
-        };
-        if violated {
-            let bound = match rule.floor {
-                Floor::AtLeast(min) => format!("≥ {min}"),
-                Floor::AtMost(max) => format!("≤ {max}"),
-            };
+        if metric.value < rule.min {
             failures.push(format!(
-                "absolute floor violated: `{}` is {} {}, must be {}",
+                "absolute floor violated: `{}` is {} {}, must be ≥ {}",
                 rule.metric,
                 fmt_value(metric.value),
                 metric.unit,
-                bound,
+                rule.min,
             ));
             mark_floor(&mut rows, rule.metric, Status::FloorViolation);
         }

@@ -108,6 +108,37 @@ fn flag_the_target_does_not_read_is_refused() {
 }
 
 #[test]
+fn journal_only_flags_without_a_journal_are_refused() {
+    // Each flag acts only on the journal; without one it would be ignored.
+    let plan = "[[event]]\nkind = \"storage-eio-persistent\"\nat = 5.0\nduration = 1.0\n";
+    let dir = accubench::storage::TempDir::new("repro-journal-only");
+    let plan_path = dir.file("plan.toml");
+    std::fs::write(&plan_path, plan).unwrap();
+    let plan_path = plan_path.to_str().unwrap();
+    // The first flag of each line is the one refused.
+    for extra in [
+        vec!["--resume"],
+        vec!["--storage-faults", plan_path],
+        vec!["--storage-escalation", "abort"],
+        vec![
+            "--storage-faults",
+            plan_path,
+            "--storage-escalation",
+            "abort",
+        ],
+    ] {
+        let mut args = vec!["sweep", "--quick", "--devices", "2"];
+        args.extend(&extra);
+        let out = repro(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let reason = format!("{} requires --journal <path>", extra[0]);
+        assert!(stderr.contains(&reason), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
+#[test]
 fn extra_targets_are_refused() {
     assert_refused("table1 fig3", "unexpected argument fig3");
 }

@@ -249,11 +249,6 @@ impl ScoreAggregate {
         self.rejected
     }
 
-    /// The RSD admission filter.
-    pub fn max_rsd(&self) -> f64 {
-        self.max_rsd
-    }
-
     /// Streaming moments over the accepted scores.
     pub fn moments(&self) -> &Moments {
         &self.moments

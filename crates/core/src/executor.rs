@@ -79,6 +79,8 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 ///   in-flight work, sinks every task it started, and returns short.
 /// * A `sink` error aborts the run: workers stop claiming, and the error
 ///   is returned after in-flight tasks drain.
+/// * A worker thread the OS refuses to start is not an error: the run
+///   goes on with the workers that did start, or inline when none did.
 pub fn map_ordered<T, R, E, W, S>(
     items: Vec<T>,
     threads: usize,
@@ -98,15 +100,7 @@ where
     }
     let threads = threads.clamp(1, total);
     if threads == 1 {
-        let mut done = 0usize;
-        for (index, item) in items.into_iter().enumerate() {
-            if cancel.is_cancelled() {
-                break;
-            }
-            sink(index, worker(index, item))?;
-            done += 1;
-        }
-        return Ok(done);
+        return run_inline(items, cancel, &worker, &mut sink);
     }
 
     // One lock over all items, not one per item: the in-place collect
@@ -115,27 +109,33 @@ where
     let claimed = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                let tx = tx.clone();
-                let (items, claimed, abort, worker) = (&items, &claimed, &abort, &worker);
-                scope.spawn(move || {
-                    while !cancel.is_cancelled() && !abort.load(Ordering::SeqCst) {
-                        let index = claimed.fetch_add(1, Ordering::SeqCst);
-                        let Some(item) = lock(items).get_mut(index).and_then(Option::take) else {
-                            break;
-                        };
-                        // Send fails only when the writer already returned
-                        // (sink error); nothing left to do either way.
-                        if tx.send((index, worker(index, item))).is_err() {
-                            break;
-                        }
+    let merged = std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(threads);
+        for _ in 0..threads {
+            let tx = tx.clone();
+            let (items, claimed, abort, worker) = (&items, &claimed, &abort, &worker);
+            let spawned = std::thread::Builder::new().spawn_scoped(scope, move || {
+                while !cancel.is_cancelled() && !abort.load(Ordering::SeqCst) {
+                    let index = claimed.fetch_add(1, Ordering::SeqCst);
+                    let Some(item) = lock(items).get_mut(index).and_then(Option::take) else {
+                        break;
+                    };
+                    // Send fails only when the writer already returned
+                    // (sink error); nothing left to do either way.
+                    if tx.send((index, worker(index, item))).is_err() {
+                        break;
                     }
-                })
-            })
-            .collect();
+                }
+            });
+            // The OS refused a thread (a process thread limit): the
+            // workers that did start claim every task.
+            let Ok(handle) = spawned else { break };
+            workers.push(handle);
+        }
         drop(tx);
+        if workers.is_empty() {
+            return None;
+        }
 
         // Single-writer merge: buffer out-of-order completions, sink the
         // canonical prefix as it becomes contiguous.
@@ -165,8 +165,32 @@ where
                 std::panic::resume_unwind(payload);
             }
         }
-        merged
+        Some(merged)
+    });
+    // No worker thread started, so no task was claimed: run them all inline.
+    merged.unwrap_or_else(|| {
+        let items = items.into_inner().unwrap_or_else(PoisonError::into_inner);
+        run_inline(items.into_iter().flatten(), cancel, &worker, &mut sink)
     })
+}
+
+/// The serial path of [`map_ordered`]: every task on the calling thread,
+/// in index order, until `cancel` flips or `sink` fails.
+fn run_inline<T, R, E>(
+    items: impl IntoIterator<Item = T>,
+    cancel: &CancelToken,
+    worker: &impl Fn(usize, T) -> R,
+    sink: &mut impl FnMut(usize, R) -> Result<(), E>,
+) -> Result<usize, E> {
+    let mut done = 0usize;
+    for (index, item) in items.into_iter().enumerate() {
+        if cancel.is_cancelled() {
+            break;
+        }
+        sink(index, worker(index, item))?;
+        done += 1;
+    }
+    Ok(done)
 }
 
 /// Prefix that marks a panic as *deliberately injected* (a

@@ -41,16 +41,6 @@ pub struct AgingStudy {
 }
 
 impl AgingStudy {
-    /// Worn-battery performance relative to the fresh battery.
-    pub fn worn_vs_fresh(&self) -> f64 {
-        match (self.points.first(), self.points.last()) {
-            (Some(fresh), Some(worn)) if fresh.performance > 0.0 => {
-                worn.performance / fresh.performance
-            }
-            _ => 1.0,
-        }
-    }
-
     /// Renders the life story.
     pub fn render(&self) -> String {
         let base = self.points.first().map_or(1.0, |p| p.performance);
@@ -144,7 +134,8 @@ mod tests {
         }
         // The worn cell sags under load past the 3.9 V threshold and loses
         // a visible chunk of performance — iPhone-gate in miniature.
-        let ratio = study.worn_vs_fresh();
+        let (fresh, worn) = (&study.points[0], &study.points[3]);
+        let ratio = worn.performance / fresh.performance;
         assert!(
             ratio < 0.92,
             "worn battery should cost real performance: {ratio:.3}"

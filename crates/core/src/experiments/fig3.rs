@@ -29,12 +29,6 @@ pub struct Fig3 {
 }
 
 impl Fig3 {
-    /// Whether the chamber held the paper's ±0.5 °C specification (with a
-    /// small allowance for probe-lag overshoot).
-    pub fn within_half_degree(&self) -> bool {
-        self.worst_excursion <= 0.8
-    }
-
     /// Renders the regulation summary.
     pub fn render(&self) -> String {
         let mut t = TextTable::new(vec!["metric", "value"]);
@@ -112,8 +106,10 @@ mod tests {
     #[test]
     fn chamber_holds_the_band_under_load() {
         let fig = run(&ExperimentConfig::quick()).unwrap();
+        // The paper's ±0.5 °C band, with a small allowance for probe-lag
+        // overshoot.
         assert!(
-            fig.within_half_degree(),
+            fig.worst_excursion <= 0.8,
             "excursion {}",
             fig.worst_excursion
         );

@@ -100,15 +100,6 @@ impl SocStudy {
         Ok(s.spread_percent_of_min())
     }
 
-    /// Worst fixed-frequency performance RSD across devices — the paper's
-    /// repeatability bound for this SoC.
-    pub fn worst_fixed_perf_rsd(&self) -> f64 {
-        self.rows
-            .iter()
-            .map(|r| r.fixed_perf_rsd)
-            .fold(0.0, f64::max)
-    }
-
     /// Mean efficiency (iterations per joule) across the fleet during the
     /// UNCONSTRAINED workload — the Fig 13 metric (work delivered per joule
     /// under each SoC's own governor, as the paper measured it).
@@ -410,15 +401,6 @@ pub mod plans {
         SD_800.run(cfg)
     }
 
-    /// The SD-805 / Nexus 6 study (Table II and Fig 13 only).
-    ///
-    /// # Errors
-    ///
-    /// Propagates harness errors.
-    pub fn nexus6(cfg: &ExperimentConfig) -> Result<SocStudy, BenchError> {
-        SD_805.run(cfg)
-    }
-
     /// Fig 7: the SD-810 / Nexus 6P study.
     ///
     /// # Errors
@@ -507,11 +489,12 @@ mod tests {
         assert!(es > 5.0, "energy spread {es}%");
 
         // Repeatability: fixed-frequency perf barely varies.
-        assert!(
-            study.worst_fixed_perf_rsd() < 3.0,
-            "fixed-perf RSD {}",
-            study.worst_fixed_perf_rsd()
-        );
+        let worst = study
+            .rows
+            .iter()
+            .map(|r| r.fixed_perf_rsd)
+            .fold(0.0, f64::max);
+        assert!(worst < 3.0, "fixed-perf RSD {worst}");
 
         let rendered = study.render().unwrap();
         assert!(rendered.contains("bin-0"));

@@ -103,11 +103,6 @@ impl FigureExporter {
         })
     }
 
-    /// The output directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Verifies every file listed in `dir`'s manifest against its recorded
     /// checksum, returning how many files were checked.
     ///

@@ -81,24 +81,6 @@ impl Ambient {
         ))))
     }
 
-    /// A chamber regulated to an arbitrary target (the Fig 2 ambient sweep).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BenchError::Thermal`] for invalid chamber parameters.
-    pub fn chamber_at(target: Celsius) -> Result<Self, BenchError> {
-        let cfg = ThermaBoxConfig {
-            target,
-            // Keep the room colder/hotter than any swept target reachable.
-            outside_temp: Celsius(target.value().min(22.0)),
-            ..ThermaBoxConfig::default()
-        };
-        Ok(Ambient::Chamber(Box::new(FaultyThermaBox::new(
-            ThermaBox::new(cfg)?,
-            FaultHandle::disarmed(),
-        ))))
-    }
-
     /// Current air temperature around the device.
     pub fn current(&self) -> Celsius {
         match self {
@@ -284,27 +266,6 @@ impl Harness {
     pub fn with_watchdog(mut self, watchdog: Watchdog) -> Self {
         self.watchdog = Some(watchdog);
         self
-    }
-
-    /// The protocol in use.
-    pub fn protocol(&self) -> &Protocol {
-        &self.protocol
-    }
-
-    /// The shared fault handle (disarmed unless [`Self::with_faults`] armed
-    /// one).
-    pub fn faults(&self) -> &FaultHandle {
-        &self.faults
-    }
-
-    /// The retry policy in force.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
-    /// The quality gates in force.
-    pub fn quality_gates(&self) -> &QualityGates {
-        &self.gates
     }
 
     /// Current ambient temperature around the device.
@@ -849,8 +810,6 @@ mod tests {
         assert!(Ambient::Fixed(Celsius(30.0)).in_band());
         let chamber = Ambient::paper_chamber().unwrap();
         assert!(matches!(chamber, Ambient::Chamber(_)));
-        let hot = Ambient::chamber_at(Celsius(38.0)).unwrap();
-        assert!(matches!(hot, Ambient::Chamber(_)));
     }
 
     #[test]

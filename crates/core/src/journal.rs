@@ -523,12 +523,6 @@ impl Journal {
         })
     }
 
-    /// Replaces the self-healing budget (retries, backoff, rotation cap).
-    pub fn with_policy(mut self, policy: StoragePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// What this handle has committed, and what the self-healing
     /// machinery has done on it, so far.
     pub fn health(&self) -> &StorageHealth {
@@ -591,11 +585,6 @@ impl Journal {
         self.recovered.truncate(keep);
         self.record_locs.truncate(keep);
         Ok(())
-    }
-
-    /// The journal's (base) path.
-    pub fn path(&self) -> &Path {
-        &self.base
     }
 
     /// Appends one record and syncs it to disk before returning — after
@@ -1459,12 +1448,11 @@ mod tests {
         let storage = Storage::new(std::sync::Arc::new(FaultyStorage::new(inner, &plan)));
         let path = std::path::Path::new("run.journal");
         let records = sample_records();
-        let mut j = Journal::open_with(storage.clone(), path)
-            .unwrap()
-            .with_policy(StoragePolicy {
-                max_retries: 2,
-                ..StoragePolicy::default()
-            });
+        let mut j = Journal::open_with(storage.clone(), path).unwrap();
+        j.policy = StoragePolicy {
+            max_retries: 2,
+            ..StoragePolicy::default()
+        };
         j.append(&records[0]).unwrap();
         j.append_all(&records[1..]).unwrap();
         assert_eq!(j.health().rotations, 1, "{:?}", j.health());
@@ -1500,12 +1488,11 @@ mod tests {
         let path = std::path::Path::new("run.journal");
         let records = sample_records();
         {
-            let mut j = Journal::open_with(storage.clone(), path)
-                .unwrap()
-                .with_policy(StoragePolicy {
-                    max_retries: 2,
-                    ..StoragePolicy::default()
-                });
+            let mut j = Journal::open_with(storage.clone(), path).unwrap();
+            j.policy = StoragePolicy {
+                max_retries: 2,
+                ..StoragePolicy::default()
+            };
             j.append(&records[0]).unwrap();
             j.append_all(&records[1..]).unwrap();
             assert_eq!(j.segments().len(), 2);

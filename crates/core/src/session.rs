@@ -92,17 +92,6 @@ pub struct Iteration {
     pub events: Vec<(Seconds, Event)>,
 }
 
-impl Iteration {
-    /// Iterations per joule — the efficiency metric of Fig 13.
-    pub fn efficiency(&self) -> f64 {
-        if self.energy.value() > 0.0 {
-            self.iterations_completed / self.energy.value()
-        } else {
-            0.0
-        }
-    }
-}
-
 impl fmt::Display for Iteration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -244,17 +233,6 @@ impl Session {
         )?)
     }
 
-    /// Mean efficiency (iterations per joule) across iterations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BenchError::Stats`] for an empty session.
-    pub fn efficiency_summary(&self) -> Result<Summary, BenchError> {
-        Ok(Summary::from_iter(
-            self.iterations.iter().map(Iteration::efficiency),
-        )?)
-    }
-
     /// Whether any iteration started its workload warm.
     pub fn any_cooldown_timed_out(&self) -> bool {
         self.iterations.iter().any(|i| i.cooldown_timed_out)
@@ -333,14 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn efficiency_is_iters_per_joule() {
-        let it = iteration(1200.0, 600.0);
-        assert!((it.efficiency() - 2.0).abs() < 1e-12);
-        let broken = iteration(1200.0, 0.0);
-        assert_eq!(broken.efficiency(), 0.0);
-    }
-
-    #[test]
     fn session_summaries() {
         let s = Session {
             device_label: "bin-0".into(),
@@ -357,8 +327,6 @@ mod tests {
         assert!(perf.rsd_percent() < 2.0);
         let energy = s.energy_summary().unwrap();
         assert!((energy.mean() - 500.0).abs() < 1e-9);
-        let eff = s.efficiency_summary().unwrap();
-        assert!((eff.mean() - 2.0).abs() < 1e-9);
         assert!(!s.any_cooldown_timed_out());
     }
 
@@ -372,7 +340,6 @@ mod tests {
         };
         assert!(s.performance_summary().is_err());
         assert!(s.energy_summary().is_err());
-        assert!(s.efficiency_summary().is_err());
     }
 
     #[test]

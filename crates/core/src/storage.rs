@@ -99,11 +99,6 @@ impl Storage {
         Storage(backend)
     }
 
-    /// The backend, for wrappers that need to delegate.
-    pub fn backend(&self) -> &dyn StorageBackend {
-        self.0.as_ref()
-    }
-
     /// See [`StorageBackend::open`].
     ///
     /// # Errors
@@ -407,12 +402,6 @@ impl MemStorage {
     pub fn file_bytes(&self, path: &Path) -> Option<Vec<u8>> {
         self.lock().files.get(path).map(|f| f.cache.clone())
     }
-
-    /// Durable contents of `path` — what a power loss right now would
-    /// leave (under [`CrashVariant::Clean`]).
-    pub fn durable_bytes(&self, path: &Path) -> Option<Vec<u8>> {
-        self.lock().files.get(path).map(|f| f.durable.clone())
-    }
 }
 
 impl MemState {
@@ -674,7 +663,6 @@ struct FaultClock {
     /// operation ordinal and [`FaultEvent::duration`] as an operation
     /// count.
     ops: u64,
-    injected: u64,
 }
 
 impl FaultClock {
@@ -684,8 +672,7 @@ impl FaultClock {
     fn tick(&mut self) -> Option<FaultKind> {
         let t = self.ops as f64;
         self.ops += 1;
-        let hit = self
-            .events
+        self.events
             .iter()
             .find(|e| {
                 if e.kind == FaultKind::StorageEioPersistent {
@@ -694,11 +681,7 @@ impl FaultClock {
                     e.active_at(t)
                 }
             })
-            .map(|e| e.kind);
-        if hit.is_some() {
-            self.injected += 1;
-        }
-        hit
+            .map(|e| e.kind)
     }
 }
 
@@ -734,11 +717,7 @@ impl FaultyStorage {
             .collect();
         Self {
             inner,
-            clock: Arc::new(Mutex::new(FaultClock {
-                events,
-                ops: 0,
-                injected: 0,
-            })),
+            clock: Arc::new(Mutex::new(FaultClock { events, ops: 0 })),
         }
     }
 
@@ -749,11 +728,6 @@ impl FaultyStorage {
     /// Fault-relevant operations observed so far.
     pub fn ops(&self) -> u64 {
         self.lock().ops
-    }
-
-    /// How many operations had a fault injected.
-    pub fn injected(&self) -> u64 {
-        self.lock().injected
     }
 
     /// Ticks the shared clock for one operation named `op`, returning the
@@ -1138,7 +1112,6 @@ mod tests {
         // Shrinking truncates pass even while the disk is full (op 3).
         f.set_len(2).unwrap();
         f.write_all(b"again").unwrap(); // op 4: window closed
-        assert_eq!(faulty.injected(), 2);
     }
 
     #[test]
@@ -1172,7 +1145,7 @@ mod tests {
         let mut f = storage.open(&p("j")).unwrap(); // op 0
         f.write_all(b"data").unwrap(); // op 1
         f.sync_data().unwrap(); // op 2: the lie
-        assert_eq!(mem.durable_bytes(&p("j")).unwrap(), b"");
+        assert_eq!(mem.lock().files[&p("j")].durable, b"");
         mem.power_cycle(CrashVariant::Clean);
         assert_eq!(mem.file_bytes(&p("j")).unwrap(), b"");
     }

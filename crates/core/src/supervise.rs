@@ -5,9 +5,8 @@
 //! device, even when individual sessions panic or wedge. This module holds
 //! the pieces the sweep supervisor in [`crate::crowd`] is built from:
 //!
-//! - [`Watchdog`] — per-session budgets (simulated time, wall clock, and an
-//!   external kill switch) charged at cooperative checkpoints in the
-//!   harness step loop;
+//! - [`Watchdog`] — per-session budgets (simulated time and wall clock)
+//!   charged at cooperative checkpoints in the harness step loop;
 //! - [`SupervisionPolicy`] / [`OnFailure`] — how many attempts a device
 //!   gets and what a final failure does to the fleet;
 //! - [`DeviceStatus`] — the per-device outcome taxonomy that the journal
@@ -33,7 +32,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::time::Instant;
 
-use crate::journal::CancelToken;
 use crate::BenchError;
 use pv_faults::{FaultEvent, FaultKind};
 use pv_json::{FromJson, Json, ToJson};
@@ -72,7 +70,8 @@ pub enum SupervisionError {
         /// The deadline that was exceeded, in real seconds.
         limit_s: f64,
     },
-    /// The watchdog's kill switch was flipped from outside the session.
+    /// The session was killed from outside. No watchdog raises it; it
+    /// classifies as [`DeviceStatus::TimedOut`] for callers that do.
     Killed,
     /// The sweep's escalation policy is [`OnFailure::Abort`] and a device
     /// exhausted its attempts, so the whole fleet run stopped.
@@ -122,7 +121,6 @@ pub struct Watchdog {
     sim_elapsed: f64,
     max_wall: Option<f64>,
     started: Instant,
-    kill: Option<CancelToken>,
     checks_until_wall: u32,
 }
 
@@ -140,7 +138,6 @@ impl Watchdog {
             sim_elapsed: 0.0,
             max_wall: None,
             started: Instant::now(),
-            kill: None,
             checks_until_wall: WALL_CHECK_INTERVAL,
         }
     }
@@ -161,34 +158,17 @@ impl Watchdog {
         self
     }
 
-    /// Attaches a kill switch: once `token` is cancelled, the next charge
-    /// fails with [`SupervisionError::Killed`].
-    pub fn with_kill_switch(mut self, token: CancelToken) -> Self {
-        self.kill = Some(token);
-        self
-    }
-
-    /// Simulated seconds consumed so far.
-    pub fn sim_elapsed(&self) -> f64 {
-        self.sim_elapsed
-    }
-
     /// Charges `dt` simulated seconds against the budgets.
     ///
     /// # Errors
     ///
     /// Returns the matching [`SupervisionError`] when a budget is
-    /// exhausted or the kill switch has been flipped.
+    /// exhausted.
     pub fn charge(&mut self, dt: f64) -> Result<(), SupervisionError> {
         self.sim_elapsed += dt;
         if let Some(limit) = self.max_sim {
             if self.sim_elapsed > limit {
                 return Err(SupervisionError::SimBudget { limit_s: limit });
-            }
-        }
-        if let Some(kill) = &self.kill {
-            if kill.is_cancelled() {
-                return Err(SupervisionError::Killed);
             }
         }
         if let Some(limit) = self.max_wall {
@@ -319,7 +299,7 @@ impl DeviceStatus {
     }
 
     /// Final status of a session that ended in `error`: a tripped watchdog
-    /// budget or kill switch is [`DeviceStatus::TimedOut`], anything else
+    /// budget or a kill is [`DeviceStatus::TimedOut`], anything else
     /// [`DeviceStatus::Failed`].
     pub fn of_error(error: &BenchError) -> Self {
         match error {
@@ -510,7 +490,7 @@ mod tests {
             w.charge(0.5),
             Err(SupervisionError::SimBudget { limit_s: 10.0 })
         );
-        assert!(w.sim_elapsed() > 10.0);
+        assert!(w.sim_elapsed > 10.0);
     }
 
     #[test]
@@ -525,15 +505,6 @@ mod tests {
             }
         }
         assert_eq!(tripped, 1);
-    }
-
-    #[test]
-    fn kill_switch_stops_the_next_charge() {
-        let token = CancelToken::new();
-        let mut w = Watchdog::new().with_kill_switch(token.clone());
-        w.charge(1.0).unwrap();
-        token.cancel();
-        assert_eq!(w.charge(1.0), Err(SupervisionError::Killed));
     }
 
     #[test]

@@ -284,7 +284,7 @@ impl FaultPlan {
         Self { seed, events }
     }
 
-    /// Parses the small TOML subset written by [`FaultPlan::to_toml_string`]:
+    /// Parses a small TOML subset:
     ///
     /// ```toml
     /// seed = 42
@@ -392,22 +392,6 @@ impl FaultPlan {
         plan.events
             .sort_by(|a, b| a.at.partial_cmp(&b.at).unwrap_or(std::cmp::Ordering::Equal));
         Ok(plan)
-    }
-
-    /// Serialises the plan in the format accepted by
-    /// [`FaultPlan::from_toml_str`].
-    pub fn to_toml_string(&self) -> String {
-        let mut out = format!("seed = {}\n", self.seed);
-        for e in &self.events {
-            out.push_str(&format!(
-                "\n[[event]]\nat = {}\nduration = {}\nkind = \"{}\"\nmagnitude = {}\n",
-                e.at,
-                e.duration,
-                e.kind.as_str(),
-                e.magnitude
-            ));
-        }
-        out
     }
 }
 
@@ -689,7 +673,17 @@ mod tests {
     #[test]
     fn toml_round_trip() {
         let plan = FaultPlan::generate(17, 900.0, 90.0, &ALL_KINDS);
-        let parsed = FaultPlan::from_toml_str(&plan.to_toml_string()).unwrap();
+        let mut toml = format!("seed = {}\n", plan.seed);
+        for e in &plan.events {
+            toml.push_str(&format!(
+                "\n[[event]]\nat = {}\nduration = {}\nkind = \"{}\"\nmagnitude = {}\n",
+                e.at,
+                e.duration,
+                e.kind.as_str(),
+                e.magnitude
+            ));
+        }
+        let parsed = FaultPlan::from_toml_str(&toml).unwrap();
         assert_eq!(plan.seed, parsed.seed);
         assert_eq!(plan.events.len(), parsed.events.len());
         for (a, b) in plan.events.iter().zip(&parsed.events) {

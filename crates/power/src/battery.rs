@@ -133,11 +133,6 @@ impl Battery {
         knots[knots.len() - 1].1
     }
 
-    /// Current state of charge in `[0, 1]`.
-    pub fn soc(&self) -> f64 {
-        self.soc
-    }
-
     /// Remaining energy.
     pub fn remaining(&self) -> Joules {
         self.capacity * self.soc
@@ -272,12 +267,12 @@ mod tests {
     #[test]
     fn drawing_discharges() {
         let mut b = full_cell();
-        let before = b.soc();
+        let before = b.soc;
         b.draw(Watts(4.0), Seconds(600.0)).unwrap();
-        assert!(b.soc() < before);
+        assert!(b.soc < before);
         assert!((b.energy_delivered().value() - 2400.0).abs() < 1e-9);
         // Cell drains slightly more than delivered energy (I²R loss).
-        let drained = (before - b.soc()) * 38_800.0;
+        let drained = (before - b.soc) * 38_800.0;
         assert!(drained > 2400.0, "drained {drained}");
         assert!(drained < 2600.0, "implausible loss {drained}");
     }
@@ -286,7 +281,7 @@ mod tests {
     fn empty_battery_refuses() {
         let mut b = Battery::new(Joules(100.0), 0.05, 0.001).unwrap();
         // Drain it dry.
-        while b.soc() > 0.0 {
+        while b.soc > 0.0 {
             if b.draw(Watts(1.0), Seconds(1.0)).is_err() {
                 break;
             }

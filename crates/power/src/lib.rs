@@ -40,7 +40,7 @@ pub use battery::Battery;
 pub use meter::{EnergyMeter, FaultyMeter};
 
 use core::fmt;
-use pv_units::{Amperes, Joules, Seconds, Volts, Watts};
+use pv_units::{Joules, Seconds, Volts, Watts};
 
 /// Error type for power-delivery models.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,8 +120,8 @@ impl Clone for Box<dyn PowerSupply> {
     }
 }
 
-/// The Monsoon Power Monitor: an ideal programmable bench supply with
-/// current measurement.
+/// The Monsoon Power Monitor: an ideal programmable bench supply that
+/// meters the energy it delivers.
 ///
 /// The real instrument samples current at 5 kHz; this model integrates
 /// exactly, which is the limit of infinitely fast sampling.
@@ -129,7 +129,6 @@ impl Clone for Box<dyn PowerSupply> {
 pub struct Monsoon {
     voltage: Volts,
     energy: Joules,
-    peak_current: Amperes,
     samples: u64,
 }
 
@@ -147,47 +146,13 @@ impl Monsoon {
         Ok(Self {
             voltage,
             energy: Joules::ZERO,
-            peak_current: Amperes::ZERO,
             samples: 0,
         })
-    }
-
-    /// Reprograms the output voltage (the Fig 10 experiment raises the LG G5
-    /// supply from 3.85 V to 4.4 V).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerError::InvalidParameter`] for a non-positive or
-    /// non-finite voltage.
-    pub fn set_voltage(&mut self, voltage: Volts) -> Result<(), PowerError> {
-        if !(voltage.value() > 0.0 && voltage.is_finite()) {
-            return Err(PowerError::InvalidParameter("voltage must be > 0"));
-        }
-        self.voltage = voltage;
-        Ok(())
-    }
-
-    /// The programmed output voltage.
-    pub fn voltage(&self) -> Volts {
-        self.voltage
-    }
-
-    /// Highest instantaneous current observed.
-    pub fn peak_current(&self) -> Amperes {
-        self.peak_current
     }
 
     /// Number of draw samples recorded.
     pub fn samples(&self) -> u64 {
         self.samples
-    }
-
-    /// Clears the energy counter and sample statistics (between experiment
-    /// iterations).
-    pub fn reset_counters(&mut self) {
-        self.energy = Joules::ZERO;
-        self.peak_current = Amperes::ZERO;
-        self.samples = 0;
     }
 }
 
@@ -208,8 +173,6 @@ impl PowerSupply for Monsoon {
             return Err(PowerError::InvalidParameter("dt must be > 0"));
         }
         self.energy += power * dt;
-        let current = power / self.voltage;
-        self.peak_current = self.peak_current.max(current);
         self.samples += 1;
         Ok(())
     }
@@ -237,27 +200,6 @@ mod tests {
         m.draw(Watts(4.0), Seconds(15.0)).unwrap();
         assert!((m.energy_delivered().value() - 120.0).abs() < 1e-12);
         assert_eq!(m.samples(), 2);
-        // Peak current = 4 W / 4 V = 1 A.
-        assert!((m.peak_current().value() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn monsoon_reset_counters() {
-        let mut m = Monsoon::new(Volts(4.0)).unwrap();
-        m.draw(Watts(2.0), Seconds(1.0)).unwrap();
-        m.reset_counters();
-        assert_eq!(m.energy_delivered(), Joules::ZERO);
-        assert_eq!(m.samples(), 0);
-        assert_eq!(m.peak_current(), Amperes::ZERO);
-    }
-
-    #[test]
-    fn monsoon_reprogramming() {
-        let mut m = Monsoon::new(Volts(3.85)).unwrap();
-        m.set_voltage(Volts(4.4)).unwrap();
-        assert_eq!(m.voltage(), Volts(4.4));
-        assert!(m.set_voltage(Volts(0.0)).is_err());
-        assert!(m.set_voltage(Volts(f64::NAN)).is_err());
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub struct EnergyMeter {
     energy: Joules,
     elapsed: Seconds,
     peak: Watts,
-    samples: u64,
 }
 
 impl EnergyMeter {
@@ -55,7 +54,6 @@ impl EnergyMeter {
         self.energy += power * dt;
         self.elapsed += dt;
         self.peak = self.peak.max(power);
-        self.samples += 1;
         Ok(())
     }
 
@@ -81,11 +79,6 @@ impl EnergyMeter {
     /// Highest instantaneous power recorded.
     pub fn peak_power(&self) -> Watts {
         self.peak
-    }
-
-    /// Number of samples recorded.
-    pub fn samples(&self) -> u64 {
-        self.samples
     }
 
     /// Zeroes the meter for the next measurement window.
@@ -155,42 +148,6 @@ impl FaultyMeter {
     pub fn energy(&self) -> Joules {
         self.inner.energy()
     }
-
-    /// Total time accumulated.
-    pub fn elapsed(&self) -> Seconds {
-        self.inner.elapsed()
-    }
-
-    /// Mean power over the window; `None` before any sample.
-    pub fn average_power(&self) -> Option<Watts> {
-        self.inner.average_power()
-    }
-
-    /// Highest instantaneous power recorded.
-    pub fn peak_power(&self) -> Watts {
-        self.inner.peak_power()
-    }
-
-    /// Number of samples recorded.
-    pub fn samples(&self) -> u64 {
-        self.inner.samples()
-    }
-
-    /// Zeroes the meter for the next measurement window. The fault handle
-    /// (and its clock) is untouched.
-    pub fn reset(&mut self) {
-        self.inner.reset();
-    }
-
-    /// Shared view of the meter's fault handle.
-    pub fn faults(&self) -> &FaultHandle {
-        &self.faults
-    }
-
-    /// The wrapped meter's aggregate state.
-    pub fn inner(&self) -> &EnergyMeter {
-        &self.inner
-    }
 }
 
 impl fmt::Display for EnergyMeter {
@@ -219,7 +176,6 @@ mod tests {
         assert_eq!(m.elapsed(), Seconds(10.0));
         assert_eq!(m.average_power(), Some(Watts(2.0)));
         assert_eq!(m.peak_power(), Watts(3.0));
-        assert_eq!(m.samples(), 2);
     }
 
     #[test]
@@ -228,7 +184,6 @@ mod tests {
         assert_eq!(m.energy(), Joules::ZERO);
         assert_eq!(m.average_power(), None);
         assert_eq!(m.peak_power(), Watts::ZERO);
-        assert_eq!(m.samples(), 0);
     }
 
     #[test]
@@ -268,7 +223,7 @@ mod tests {
             plain.record(p, Seconds(0.1)).unwrap();
             gated.record(p, Seconds(0.1)).unwrap();
         }
-        assert_eq!(*gated.inner(), plain);
+        assert_eq!(gated.inner, plain);
     }
 
     #[test]
@@ -300,7 +255,7 @@ mod tests {
         // t = 1: missed sample — accepted but not accumulated.
         handle.advance(1.0);
         m.record(Watts(2.0), Seconds(1.0)).unwrap();
-        assert_eq!(m.samples(), 1);
+        assert_eq!(m.inner.elapsed(), Seconds(1.0));
         assert_eq!(m.energy(), Joules(2.0));
         // t = 3: gain drift scales recorded power by 1.5.
         handle.advance(2.0);

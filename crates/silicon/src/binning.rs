@@ -245,29 +245,6 @@ pub fn voltage_bin_table(
     VfTable::new(points)
 }
 
-/// Speed binning: the highest ladder frequency this die passes timing at.
-///
-/// A die's maximum stable frequency is `nominal_fmax × speed_factor`; the
-/// chip is labelled with the highest ladder step at or below it. Dies too
-/// slow for even the lowest step are rejected (scrapped).
-///
-/// # Errors
-///
-/// Returns [`SiliconError::InvalidParameter`] if the die cannot reach the
-/// lowest ladder frequency.
-pub fn speed_bin(
-    ladder: &VfTable,
-    nominal_fmax: MegaHertz,
-    die: &DieSample,
-) -> Result<MegaHertz, SiliconError> {
-    let capability = MegaHertz(nominal_fmax.value() * die.speed_factor());
-    ladder
-        .highest_freq_at_or_below(capability)
-        .ok_or(SiliconError::InvalidParameter(
-            "die below minimum ladder frequency",
-        ))
-}
-
 /// The Nexus 5 (Snapdragon 800) reference data from the paper's Table I.
 pub mod nexus5 {
     use super::*;
@@ -319,45 +296,6 @@ pub mod nexus5 {
         (0..N_BINS)
             .map(|b| reference_table(BinId(b)).expect("embedded table is valid"))
             .collect()
-    }
-
-    /// Identifies which reference bin an observed voltage/frequency table
-    /// belongs to — what Nexus 5 enthusiasts did by reading the kernel's
-    /// tables at runtime (§II). Returns the bin whose ladder is closest in
-    /// total absolute millivolts, or `None` if the table's frequency list
-    /// does not match the SD-800 ladder.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pv_silicon::binning::{nexus5, BinId};
-    /// let observed = nexus5::reference_table(BinId(4))?;
-    /// assert_eq!(nexus5::identify_bin(&observed), Some(BinId(4)));
-    /// # Ok::<(), pv_silicon::SiliconError>(())
-    /// ```
-    pub fn identify_bin(observed: &VfTable) -> Option<BinId> {
-        if observed.len() != FREQS_MHZ.len() {
-            return None;
-        }
-        for (p, &f) in observed.points().iter().zip(FREQS_MHZ.iter()) {
-            if (p.freq.value() - f).abs() > 1e-9 {
-                return None;
-            }
-        }
-        let mut best: Option<(u64, u8)> = None;
-        for b in 0..N_BINS {
-            let reference = reference_table(BinId(b)).expect("embedded table is valid");
-            let distance: u64 = observed
-                .points()
-                .iter()
-                .zip(reference.points())
-                .map(|(o, r)| u64::from(o.voltage.value().abs_diff(r.voltage.value())))
-                .sum();
-            if best.is_none_or(|(d, _)| distance < d) {
-                best = Some((distance, b));
-            }
-        }
-        best.map(|(_, b)| BinId(b))
     }
 
     /// Representative die grade for the centre of a Nexus 5 bin.
@@ -543,6 +481,23 @@ mod tests {
             }
             prev = Some(t);
         }
+        // A table generated at a bin-centre grade lies closest, in total
+        // millivolts, to that bin's Table I row.
+        let distance = |a: &VfTable, b: &VfTable| -> u32 {
+            a.points()
+                .iter()
+                .zip(b.points())
+                .map(|(x, y)| x.voltage.value().abs_diff(y.voltage.value()))
+                .sum()
+        };
+        for b in [0u8, 3, 6] {
+            let grade = nexus5::bin_center_grade(BinId(b)).unwrap();
+            let die = DieSample::from_grade(node, grade).unwrap();
+            let t = voltage_bin_table(&slow, &fast, &die).unwrap();
+            let nearest = (0..nexus5::N_BINS)
+                .min_by_key(|&r| distance(&t, &nexus5::reference_table(BinId(r)).unwrap()));
+            assert_eq!(nearest, Some(b), "bin-{b}");
+        }
     }
 
     #[test]
@@ -565,45 +520,6 @@ mod tests {
         // Fast above slow is nonsense.
         let fast = nexus5::reference_table(BinId(6)).unwrap();
         assert!(voltage_bin_table(&fast, &slow, &die).is_err());
-    }
-
-    #[test]
-    fn speed_binning_labels_by_capability() {
-        let ladder = nexus5::reference_table(BinId(0)).unwrap();
-        let node = ProcessNode::PLANAR_28NM;
-        // A nominal die reaches the top step.
-        let nominal = DieSample::from_grade(node, 0.5).unwrap();
-        assert_eq!(
-            speed_bin(&ladder, MegaHertz(2265.0), &nominal).unwrap(),
-            MegaHertz(2265.0)
-        );
-        // A very slow die drops a step.
-        let slow = DieSample::from_grade(node, 0.000_1).unwrap();
-        let binned = speed_bin(&ladder, MegaHertz(2265.0), &slow).unwrap();
-        assert!(binned.value() < 2265.0);
-        // A hopeless die (nominal fmax below the ladder) is scrapped.
-        assert!(speed_bin(&ladder, MegaHertz(200.0), &slow).is_err());
-    }
-
-    #[test]
-    fn identify_bin_recovers_references_and_generated_tables() {
-        // Every reference table identifies as itself.
-        for b in 0..nexus5::N_BINS {
-            let t = nexus5::reference_table(BinId(b)).unwrap();
-            assert_eq!(nexus5::identify_bin(&t), Some(BinId(b)));
-        }
-        // A generated table at a bin-centre grade identifies as that bin.
-        let slow = nexus5::reference_table(BinId(0)).unwrap();
-        let fast = nexus5::reference_table(BinId(6)).unwrap();
-        for b in [0u8, 3, 6] {
-            let grade = nexus5::bin_center_grade(BinId(b)).unwrap();
-            let die = DieSample::from_grade(ProcessNode::PLANAR_28NM, grade).unwrap();
-            let t = voltage_bin_table(&slow, &fast, &die).unwrap();
-            assert_eq!(nexus5::identify_bin(&t), Some(BinId(b)), "bin-{b}");
-        }
-        // A foreign ladder is rejected.
-        let foreign = mk_table(&[(100.0, 800), (200.0, 850)]).unwrap();
-        assert_eq!(nexus5::identify_bin(&foreign), None);
     }
 
     #[test]

@@ -158,19 +158,9 @@ impl ProcessNode {
         })
     }
 
-    /// Human-readable process name (e.g. `"28nm planar"`).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Feature size in nanometres.
     pub fn feature_nm(&self) -> f64 {
         self.feature_nm
-    }
-
-    /// Die-to-die speed variability (1σ, fractional).
-    pub fn sigma_speed(&self) -> f64 {
-        self.sigma_speed
     }
 
     /// Log-normal coupling between speed and leakage.
@@ -270,11 +260,6 @@ impl DieSample {
         };
         Self::from_grade_with_residual(node, grade, residual)
             .expect("grade sampled strictly inside (0,1)")
-    }
-
-    /// The process this die was manufactured on.
-    pub fn node(&self) -> ProcessNode {
-        self.node
     }
 
     /// Population speed quantile in (0, 1); higher is faster silicon.

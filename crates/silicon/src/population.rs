@@ -3,10 +3,9 @@
 //! The paper studied 3–5 retail devices per SoC; its future work (§VI)
 //! envisions crowdsourced populations of thousands. [`Population`] supports
 //! both scales: draw `n` dies from a [`ProcessNode`] deterministically from
-//! a seed, inspect the bin distribution, and pick representative dies.
+//! a seed.
 
-use crate::binning::{assign_bin, BinId};
-use crate::{DieSample, ProcessNode, SiliconError};
+use crate::{DieSample, ProcessNode};
 use pv_rng::rngs::StdRng;
 use pv_rng::SeedableRng;
 
@@ -19,13 +18,10 @@ use pv_rng::SeedableRng;
 /// use pv_silicon::ProcessNode;
 ///
 /// let pop = Population::sample(ProcessNode::PLANAR_28NM, 1000, 42);
-/// assert_eq!(pop.len(), 1000);
-/// let hist = pop.bin_histogram(7).unwrap();
-/// assert_eq!(hist.iter().sum::<usize>(), 1000);
+/// assert_eq!(pop.dies().len(), 1000);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Population {
-    node: ProcessNode,
     dies: Vec<DieSample>,
 }
 
@@ -34,86 +30,19 @@ impl Population {
     pub fn sample(node: ProcessNode, n: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let dies = (0..n).map(|_| DieSample::sample(node, &mut rng)).collect();
-        Self { node, dies }
-    }
-
-    /// Builds a population from explicit dies (e.g. the handpicked device
-    /// personas of a paper experiment).
-    pub fn from_dies(node: ProcessNode, dies: Vec<DieSample>) -> Self {
-        Self { node, dies }
-    }
-
-    /// The manufacturing process.
-    pub fn node(&self) -> ProcessNode {
-        self.node
+        Self { dies }
     }
 
     /// The sampled dies.
     pub fn dies(&self) -> &[DieSample] {
         &self.dies
     }
-
-    /// Number of dies in the population.
-    pub fn len(&self) -> usize {
-        self.dies.len()
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.dies.is_empty()
-    }
-
-    /// Counts dies per bin under `n_bins`-way quantile binning.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SiliconError::InvalidParameter`] if `n_bins == 0`.
-    pub fn bin_histogram(&self, n_bins: u8) -> Result<Vec<usize>, SiliconError> {
-        let mut counts = vec![0usize; usize::from(n_bins.max(1))];
-        if n_bins == 0 {
-            return Err(SiliconError::InvalidParameter("n_bins must be >= 1"));
-        }
-        for die in &self.dies {
-            counts[usize::from(assign_bin(die, n_bins)?.index())] += 1;
-        }
-        Ok(counts)
-    }
-
-    /// All dies assigned to `bin` under `n_bins`-way binning.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SiliconError::InvalidParameter`] if `n_bins == 0` or the
-    /// bin index is out of range.
-    pub fn dies_in_bin(&self, bin: BinId, n_bins: u8) -> Result<Vec<DieSample>, SiliconError> {
-        if bin.index() >= n_bins {
-            return Err(SiliconError::InvalidParameter("bin out of range"));
-        }
-        let mut result = Vec::new();
-        for die in &self.dies {
-            if assign_bin(die, n_bins)? == bin {
-                result.push(*die);
-            }
-        }
-        Ok(result)
-    }
-
-    /// The die whose grade is closest to `grade`.
-    ///
-    /// Returns `None` on an empty population.
-    pub fn closest_to_grade(&self, grade: f64) -> Option<&DieSample> {
-        self.dies.iter().min_by(|a, b| {
-            (a.grade() - grade)
-                .abs()
-                .partial_cmp(&(b.grade() - grade).abs())
-                .expect("grades are finite")
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binning::assign_bin;
 
     #[test]
     fn sampling_is_deterministic() {
@@ -129,45 +58,15 @@ mod tests {
         // Grades are uniform quantiles, so equal-quantile bins should be
         // roughly balanced for large n.
         let pop = Population::sample(ProcessNode::PLANAR_28NM, 7000, 3);
-        let hist = pop.bin_histogram(7).unwrap();
+        let mut hist = [0usize; 7];
+        for die in pop.dies() {
+            hist[usize::from(assign_bin(die, 7).unwrap().index())] += 1;
+        }
         for &count in &hist {
             assert!(
                 (800..1200).contains(&count),
                 "bin count {count} far from uniform"
             );
         }
-        assert!(pop.bin_histogram(0).is_err());
-    }
-
-    #[test]
-    fn dies_in_bin_partition_the_population() {
-        let pop = Population::sample(ProcessNode::FINFET_14NM, 500, 11);
-        let mut total = 0;
-        for b in 0..5u8 {
-            total += pop.dies_in_bin(BinId(b), 5).unwrap().len();
-        }
-        assert_eq!(total, 500);
-        assert!(pop.dies_in_bin(BinId(5), 5).is_err());
-    }
-
-    #[test]
-    fn closest_to_grade_finds_neighbour() {
-        let pop = Population::sample(ProcessNode::PLANAR_20NM, 1000, 21);
-        let near = pop.closest_to_grade(0.5).unwrap();
-        assert!((near.grade() - 0.5).abs() < 0.01);
-        let empty = Population::from_dies(ProcessNode::PLANAR_20NM, Vec::new());
-        assert!(empty.closest_to_grade(0.5).is_none());
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn from_dies_preserves_order() {
-        let d1 = DieSample::from_grade(ProcessNode::PLANAR_28NM, 0.2).unwrap();
-        let d2 = DieSample::from_grade(ProcessNode::PLANAR_28NM, 0.8).unwrap();
-        let pop = Population::from_dies(ProcessNode::PLANAR_28NM, vec![d1, d2]);
-        assert_eq!(pop.len(), 2);
-        assert_eq!(pop.dies()[0], d1);
-        assert_eq!(pop.dies()[1], d2);
-        assert_eq!(pop.node(), ProcessNode::PLANAR_28NM);
     }
 }

@@ -125,11 +125,6 @@ impl PowerParams {
         self.leak_voltage_exp
     }
 
-    /// Temperature coefficient β (1/K) of the leakage law.
-    pub fn leak_temp_coeff(&self) -> f64 {
-        self.leak_temp_coeff
-    }
-
     /// Dynamic (switching) power of the cluster.
     ///
     /// `active_core_util` is the sum of per-core utilisations — 4.0 means

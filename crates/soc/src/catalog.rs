@@ -578,7 +578,8 @@ pub fn lg_g5_model() -> Result<Arc<DeviceModel>, SocError> {
 ///
 /// The Monsoon is programmed to the battery's **maximum** 4.4 V — the
 /// configuration the paper settled on after discovering the input-voltage
-/// throttle (use [`lg_g5_at_voltage`] for the Fig 10 comparison).
+/// throttle (the Fig 10 comparison swaps the supply with
+/// [`Device::set_supply`]).
 ///
 /// # Errors
 ///
@@ -587,21 +588,6 @@ pub fn lg_g5(grade: f64, label: impl Into<String>) -> Result<Device, SocError> {
     let model = lg_g5_model()?;
     let voltage = model.spec().max_battery_voltage;
     unit(model, grade, label.into(), voltage)
-}
-
-/// An LG G5 unit powered by a Monsoon programmed to `supply_voltage` —
-/// the Fig 10 experiment's independent variable.
-///
-/// # Errors
-///
-/// Returns [`SocError`] for a grade outside (0, 1) or a non-positive
-/// voltage.
-pub fn lg_g5_at_voltage(
-    grade: f64,
-    label: impl Into<String>,
-    supply_voltage: Volts,
-) -> Result<Device, SocError> {
-    unit(lg_g5_model()?, grade, label.into(), supply_voltage)
 }
 
 // ---------------------------------------------------------------------------
@@ -1018,7 +1004,6 @@ mod tests {
         nexus6(0.5, "n6").unwrap();
         nexus6p(0.5, "n6p").unwrap();
         lg_g5(0.5, "g5").unwrap();
-        lg_g5_at_voltage(0.5, "g5", Volts(3.85)).unwrap();
         pixel(0.5, "px").unwrap();
     }
 

@@ -24,7 +24,7 @@ use pv_silicon::binning::{voltage_bin_table, VfTable};
 use pv_silicon::DieSample;
 use pv_thermal::network::{Integrator, NodeId, ThermalNetwork, ThermalNetworkBuilder};
 use pv_thermal::probe::Probe;
-use pv_units::{Celsius, MegaHertz, Seconds, TempDelta, Volts, Watts};
+use pv_units::{Celsius, MegaHertz, Seconds, Volts, Watts};
 use std::sync::Arc;
 
 /// Fast-path power-table temperature resolution in kelvin. Die temperature
@@ -469,11 +469,6 @@ impl Device {
         })
     }
 
-    /// Thermal integration scheme currently in effect.
-    pub fn integrator(&self) -> Integrator {
-        self.network.integrator()
-    }
-
     /// Selects the thermal integration scheme. [`Integrator::Exponential`]
     /// additionally enables the device-level fast path (the
     /// quantised-temperature power table); Euler/RK4 run the original
@@ -520,11 +515,6 @@ impl Device {
         &self.label
     }
 
-    /// Simulated time elapsed.
-    pub fn time(&self) -> Seconds {
-        self.time
-    }
-
     /// Current true die temperature.
     pub fn die_temp(&self) -> Celsius {
         self.network.temperature(self.model.die_node)
@@ -539,11 +529,6 @@ impl Device {
     /// The power supply.
     pub fn supply(&self) -> &dyn PowerSupply {
         self.supply.as_ref()
-    }
-
-    /// Mutable access to the power supply (e.g. to reprogram a Monsoon).
-    pub fn supply_mut(&mut self) -> &mut dyn PowerSupply {
-        self.supply.as_mut()
     }
 
     /// Swaps the power supply (the Fig 10 battery-vs-Monsoon comparison).
@@ -699,6 +684,22 @@ impl Device {
             // Rail voltage + modelled power. The fast path memoises both per
             // (frequency, temperature bin, load) point; the temperature bin
             // in the key invalidates RBCPR trims as the die moves.
+            let evaluate = || {
+                let nominal_v = table.voltage_at(freq);
+                let v = match &spec.voltage_scheme {
+                    VoltageScheme::StaticTable => nominal_v,
+                    VoltageScheme::Rbcpr(rb) => rb.trim(nominal_v, &self.die, power_temp),
+                };
+                let p = cluster.power.total_power(
+                    &self.die,
+                    v,
+                    freq,
+                    power_temp,
+                    powered * util,
+                    powered,
+                );
+                (v, p)
+            };
             let (v, power) = if self.fast_path {
                 let key = PowerKey {
                     freq_bits: freq.value().to_bits(),
@@ -706,37 +707,9 @@ impl Device {
                     powered_bits: powered.to_bits(),
                     util_bits: util.to_bits(),
                 };
-                self.power_table.get_or_insert_with(ci, key, || {
-                    let nominal_v = table.voltage_at(freq);
-                    let v = match &spec.voltage_scheme {
-                        VoltageScheme::StaticTable => nominal_v,
-                        VoltageScheme::Rbcpr(rb) => rb.trim(nominal_v, &self.die, power_temp),
-                    };
-                    let p = cluster.power.total_power(
-                        &self.die,
-                        v,
-                        freq,
-                        power_temp,
-                        powered * util,
-                        powered,
-                    );
-                    (v, p)
-                })
+                self.power_table.get_or_insert_with(ci, key, evaluate)
             } else {
-                let nominal_v = table.voltage_at(freq);
-                let v = match &spec.voltage_scheme {
-                    VoltageScheme::StaticTable => nominal_v,
-                    VoltageScheme::Rbcpr(rb) => rb.trim(nominal_v, &self.die, die_temp),
-                };
-                let p = cluster.power.total_power(
-                    &self.die,
-                    v,
-                    freq,
-                    die_temp,
-                    powered * util,
-                    powered,
-                );
-                (v, p)
+                evaluate()
             };
             core_power += power;
 
@@ -786,65 +759,6 @@ impl Device {
         out.work_cycles = work_cycles;
         out.throttled = decision.is_throttled();
         Ok(())
-    }
-}
-
-impl Device {
-    /// Drives the device for `total` time in steps of `dt`, returning the
-    /// perf-weighted cycles retired and the supply energy consumed.
-    ///
-    /// Convenience over a manual [`step`](Self::step) loop for examples and
-    /// quick experiments; the harness in `accubench` remains the
-    /// full-protocol driver.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::InvalidStep`] for non-positive durations and
-    /// propagates any step error.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pv_soc::catalog;
-    /// use pv_soc::device::{CpuDemand, FrequencyMode};
-    /// use pv_silicon::binning::BinId;
-    /// use pv_units::Seconds;
-    ///
-    /// let mut device = catalog::nexus5(BinId(0))?;
-    /// let (work, energy) = device.run_for(
-    ///     Seconds(10.0),
-    ///     Seconds(0.1),
-    ///     CpuDemand::busy(),
-    ///     FrequencyMode::Unconstrained,
-    /// )?;
-    /// assert!(work > 0.0);
-    /// assert!(energy.value() > 0.0);
-    /// # Ok::<(), pv_soc::SocError>(())
-    /// ```
-    pub fn run_for(
-        &mut self,
-        total: Seconds,
-        dt: Seconds,
-        demand: CpuDemand,
-        mode: FrequencyMode,
-    ) -> Result<(f64, pv_units::Joules), SocError> {
-        if !(total.value() > 0.0 && total.is_finite()) {
-            return Err(SocError::InvalidStep("total must be > 0"));
-        }
-        if !(dt.value() > 0.0 && dt.is_finite()) {
-            return Err(SocError::InvalidStep("dt must be > 0"));
-        }
-        let mut work = 0.0;
-        let mut energy = pv_units::Joules::ZERO;
-        let mut remaining = total.value();
-        while remaining > 0.0 {
-            let step = Seconds(remaining.min(dt.value()));
-            let r = self.step(step, demand, mode)?;
-            work += r.work_cycles;
-            energy += r.supply_power * step;
-            remaining -= step.value();
-        }
-        Ok((work, energy))
     }
 }
 
@@ -978,22 +892,6 @@ impl Device {
     pub fn case_temp(&self) -> Celsius {
         self.network.temperature(self.model.case_node)
     }
-
-    /// Current package/board temperature.
-    pub fn package_temp(&self) -> Celsius {
-        self.network.temperature(self.model.package_node)
-    }
-
-    /// Temperature headroom before the first thermal trip, based on the
-    /// current *die* temperature (negative once past the trip).
-    pub fn headroom(&self) -> Option<TempDelta> {
-        self.model
-            .spec
-            .throttle
-            .steps
-            .first()
-            .map(|s| s.trip - self.die_temp())
-    }
 }
 
 #[cfg(test)]
@@ -1002,6 +900,7 @@ mod tests {
     use crate::catalog;
     use pv_power::Monsoon;
     use pv_silicon::binning::BinId;
+    use pv_units::TempDelta;
 
     fn n5(bin: u8) -> Device {
         catalog::nexus5(BinId(bin)).unwrap()
@@ -1025,7 +924,7 @@ mod tests {
         }
         assert!(d.die_temp() > t0 + TempDelta(5.0));
         assert!(work > 0.0);
-        assert!(d.time() > Seconds(29.9));
+        assert!(d.time > Seconds(29.9));
     }
 
     #[test]
@@ -1160,7 +1059,7 @@ mod tests {
         d.reset_thermal(Celsius(26.0)).unwrap();
         assert_eq!(d.die_temp(), Celsius(26.0));
         assert_eq!(d.case_temp(), Celsius(26.0));
-        assert_eq!(d.package_temp(), Celsius(26.0));
+        assert_eq!(d.network.temperature(d.model.package_node), Celsius(26.0));
     }
 
     #[test]
@@ -1243,21 +1142,6 @@ mod tests {
         let s = format!("{d}");
         assert!(s.contains("Nexus 5"));
         assert!(s.contains("bin-2"));
-    }
-
-    #[test]
-    fn headroom_shrinks_as_device_heats() {
-        let mut d = n5(0);
-        let h0 = d.headroom().unwrap();
-        for _ in 0..600 {
-            d.step(
-                Seconds(0.1),
-                CpuDemand::busy(),
-                FrequencyMode::Unconstrained,
-            )
-            .unwrap();
-        }
-        assert!(d.headroom().unwrap() < h0);
     }
 
     #[test]

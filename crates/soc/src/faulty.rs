@@ -45,26 +45,6 @@ impl FaultyDevice {
         }
     }
 
-    /// Shared view of the device's fault handle.
-    pub fn faults(&self) -> &FaultHandle {
-        &self.faults
-    }
-
-    /// The wrapped device.
-    pub fn inner(&self) -> &Device {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped device (bypasses the fault gate).
-    pub fn inner_mut(&mut self) -> &mut Device {
-        &mut self.inner
-    }
-
-    /// Unwraps back into the plain device.
-    pub fn into_inner(self) -> Device {
-        self.inner
-    }
-
     /// Lowest operating point across the device's clusters — where an
     /// injected throttle glitch pins the frequency.
     fn frequency_floor(&self) -> MegaHertz {

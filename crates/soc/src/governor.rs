@@ -1,10 +1,10 @@
-//! DVFS governors beyond the paper's two modes.
+//! A demand-driven DVFS governor beyond the paper's two modes.
 //!
 //! The paper measures with the governor pinned (UNCONSTRAINED = always-max,
 //! FIXED-FREQUENCY = pinned low). Real phones run demand-driven governors,
 //! and process variation is visible under them too — a leaky die throttles
-//! even when `ondemand` would otherwise have kept it at max. These
-//! governors produce a *target* frequency each tick; feed it to
+//! even when `ondemand` would otherwise have kept it at max. [`Ondemand`]
+//! produces a *target* frequency each tick; feed it to
 //! [`FrequencyMode::Fixed`](crate::device::FrequencyMode::Fixed) (the device
 //! snaps to the ladder and still applies thermal caps on top, exactly like
 //! cpufreq sitting below the thermal engine).
@@ -56,11 +56,6 @@ impl Ondemand {
         self.current = target;
         target
     }
-
-    /// The governor's current frequency.
-    pub fn current(&self) -> MegaHertz {
-        self.current
-    }
 }
 
 impl fmt::Display for Ondemand {
@@ -69,81 +64,6 @@ impl fmt::Display for Ondemand {
             f,
             "ondemand(up={:.0}%, at {:.0})",
             self.up_threshold * 100.0,
-            self.current
-        )
-    }
-}
-
-/// Linux-`conservative`-style governor: walk the ladder one step at a time
-/// instead of jumping, trading responsiveness for stability.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Conservative {
-    up_threshold: f64,
-    down_threshold: f64,
-    current: MegaHertz,
-}
-
-impl Conservative {
-    /// Creates a `conservative` governor (Linux defaults: up 0.80,
-    /// down 0.20).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::InvalidSpec`] unless
-    /// `0 <= down_threshold < up_threshold <= 1`.
-    pub fn new(
-        up_threshold: f64,
-        down_threshold: f64,
-        initial: MegaHertz,
-    ) -> Result<Self, SocError> {
-        if !(up_threshold > 0.0 && up_threshold <= 1.0) {
-            return Err(SocError::InvalidSpec("up_threshold not in (0,1]"));
-        }
-        if !(down_threshold >= 0.0 && down_threshold < up_threshold) {
-            return Err(SocError::InvalidSpec(
-                "down_threshold must be in [0, up_threshold)",
-            ));
-        }
-        Ok(Self {
-            up_threshold,
-            down_threshold,
-            current: initial,
-        })
-    }
-
-    /// Next target: one ladder step up on high load, one down on low load.
-    pub fn target(&mut self, table: &VfTable, util: f64) -> MegaHertz {
-        let util = util.clamp(0.0, 1.0);
-        let freqs: Vec<MegaHertz> = table.freqs().collect();
-        let idx = freqs
-            .iter()
-            .position(|f| (f.value() - self.current.value()).abs() < 1e-9)
-            // Unknown current (e.g. table swapped): restart from the bottom.
-            .unwrap_or(0);
-        let next = if util >= self.up_threshold {
-            freqs[(idx + 1).min(freqs.len() - 1)]
-        } else if util <= self.down_threshold {
-            freqs[idx.saturating_sub(1)]
-        } else {
-            freqs[idx]
-        };
-        self.current = next;
-        next
-    }
-
-    /// The governor's current frequency.
-    pub fn current(&self) -> MegaHertz {
-        self.current
-    }
-}
-
-impl fmt::Display for Conservative {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "conservative(up={:.0}%, down={:.0}%, at {:.0})",
-            self.up_threshold * 100.0,
-            self.down_threshold * 100.0,
             self.current
         )
     }
@@ -163,7 +83,7 @@ mod tests {
         let t = ladder();
         let mut g = Ondemand::new(0.8, t.min_freq()).unwrap();
         assert_eq!(g.target(&t, 1.0), MegaHertz(2265.0));
-        assert_eq!(g.current(), MegaHertz(2265.0));
+        assert_eq!(g.current, MegaHertz(2265.0));
     }
 
     #[test]
@@ -192,31 +112,10 @@ mod tests {
     }
 
     #[test]
-    fn conservative_steps_one_at_a_time() {
-        let t = ladder();
-        let mut g = Conservative::new(0.8, 0.2, MegaHertz(960.0)).unwrap();
-        assert_eq!(g.target(&t, 0.95), MegaHertz(1574.0));
-        assert_eq!(g.target(&t, 0.95), MegaHertz(2265.0));
-        assert_eq!(g.target(&t, 0.95), MegaHertz(2265.0)); // clamped at top
-        assert_eq!(g.target(&t, 0.05), MegaHertz(1574.0));
-        assert_eq!(g.target(&t, 0.5), MegaHertz(1574.0)); // hold inside band
-    }
-
-    #[test]
-    fn conservative_clamps_at_floor() {
-        let t = ladder();
-        let mut g = Conservative::new(0.8, 0.2, MegaHertz(300.0)).unwrap();
-        assert_eq!(g.target(&t, 0.0), MegaHertz(300.0));
-    }
-
-    #[test]
     fn validation() {
         let f = MegaHertz(300.0);
         assert!(Ondemand::new(0.0, f).is_err());
         assert!(Ondemand::new(1.5, f).is_err());
-        assert!(Conservative::new(0.8, 0.8, f).is_err());
-        assert!(Conservative::new(0.8, -0.1, f).is_err());
-        assert!(Conservative::new(0.0, 0.0, f).is_err());
     }
 
     #[test]
@@ -225,8 +124,6 @@ mod tests {
         let mut g = Ondemand::new(0.8, t.min_freq()).unwrap();
         g.target(&t, 1.0);
         assert!(format!("{g}").contains("ondemand"));
-        let c = Conservative::new(0.8, 0.2, t.min_freq()).unwrap();
-        assert!(format!("{c}").contains("conservative"));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * [`spec`] — declarative device descriptions: clusters, OPP ladders,
 //!   thermal RC parameters, throttle policies, supply characteristics.
-//! * [`governor`] — demand-driven DVFS governors (`ondemand`,
-//!   `conservative`) for studies beyond the paper's pinned modes.
+//! * [`governor`] — the demand-driven `ondemand` DVFS governor, for
+//!   studies beyond the paper's pinned modes.
 //! * [`throttle`] — stepped thermal throttling with hysteresis, core
 //!   hotplug (the Nexus 5 shuts a core at 80 °C, Fig 1), and the LG G5's
 //!   input-voltage throttle (Fig 10).

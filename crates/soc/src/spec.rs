@@ -110,11 +110,6 @@ impl SocSpec {
         }
         Ok(())
     }
-
-    /// Total core count across clusters.
-    pub fn total_cores(&self) -> u32 {
-        self.clusters.iter().map(|c| c.cores).sum()
-    }
 }
 
 /// Chassis thermal parameters: the lumped die → package → case → ambient
@@ -171,12 +166,6 @@ impl ThermalSpec {
             }
         }
         Ok(())
-    }
-
-    /// Total die-to-ambient resistance of the chain — the sustained power
-    /// the chassis can reject per kelvin of headroom.
-    pub fn total_resistance(&self) -> ThermalResistance {
-        self.die_to_package + self.package_to_case + self.case_to_ambient
     }
 }
 
@@ -258,8 +247,11 @@ mod tests {
             catalog::pixel2_spec().unwrap(),
         ] {
             spec.validate().unwrap();
-            assert!(spec.soc.total_cores() >= 4);
-            assert!(spec.thermal.total_resistance().value() > 0.0);
+            let cores: u32 = spec.soc.clusters.iter().map(|c| c.cores).sum();
+            assert!(cores >= 4);
+            let t = &spec.thermal;
+            let resistance = t.die_to_package + t.package_to_case + t.case_to_ambient;
+            assert!(resistance.value() > 0.0);
         }
     }
 

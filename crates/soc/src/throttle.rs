@@ -253,21 +253,6 @@ impl ThrottleState {
         self.engaged_steps
     }
 
-    /// Whether hotplug is currently unplugging cores.
-    pub fn hotplug_active(&self) -> bool {
-        self.hotplug_active
-    }
-
-    /// Whether the input-voltage cap is currently active.
-    pub fn input_voltage_active(&self) -> bool {
-        self.input_voltage_active
-    }
-
-    /// Whether the emergency thermal shutdown is currently active.
-    pub fn critical_active(&self) -> bool {
-        self.critical_active
-    }
-
     /// Whether any mechanism is limiting the device right now.
     pub fn is_throttled(&self) -> bool {
         self.engaged_steps > 0
@@ -402,7 +387,7 @@ mod tests {
         let mut s = ThrottleState::new();
         let d = s.update(&p, Celsius(80.0), Volts(4.4));
         assert_eq!(d.min_cores, Some(3));
-        assert!(s.hotplug_active());
+        assert!(s.hotplug_active);
         // Must cool below 74 to restore the core.
         let d = s.update(&p, Celsius(75.0), Volts(4.4));
         assert_eq!(d.min_cores, Some(3));
@@ -417,7 +402,7 @@ mod tests {
         // The Fig 10 scenario: Monsoon at nominal 3.85 V ⇒ throttled.
         let d = s.update(&p, Celsius(30.0), Volts(3.85));
         assert_eq!(d.freq_fraction, Some(0.8));
-        assert!(s.input_voltage_active());
+        assert!(s.input_voltage_active);
         // Raised to 4.4 V ⇒ released immediately (no hysteresis: the OS
         // samples the rail directly).
         let d = s.update(&p, Celsius(30.0), Volts(4.4));

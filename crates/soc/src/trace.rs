@@ -78,39 +78,6 @@ impl Trace {
         self.samples.iter().map(|s| s.dt).sum()
     }
 
-    /// Time-weighted mean frequency of `cluster`; `None` if the trace is
-    /// empty or the cluster index is out of range everywhere.
-    pub fn mean_freq(&self, cluster: usize) -> Option<MegaHertz> {
-        let mut weighted = 0.0;
-        let mut time = 0.0;
-        for s in &self.samples {
-            if let Some(f) = s.cluster_freqs.get(cluster) {
-                weighted += f.value() * s.dt.value();
-                time += s.dt.value();
-            }
-        }
-        if time > 0.0 {
-            Some(MegaHertz(weighted / time))
-        } else {
-            None
-        }
-    }
-
-    /// Time-weighted mean die temperature; `None` on an empty trace.
-    pub fn mean_die_temp(&self) -> Option<Celsius> {
-        let mut weighted = 0.0;
-        let mut time = 0.0;
-        for s in &self.samples {
-            weighted += s.die_temp.value() * s.dt.value();
-            time += s.dt.value();
-        }
-        if time > 0.0 {
-            Some(Celsius(weighted / time))
-        } else {
-            None
-        }
-    }
-
     /// Peak die temperature; `None` on an empty trace.
     pub fn peak_die_temp(&self) -> Option<Celsius> {
         self.samples
@@ -133,32 +100,6 @@ impl Trace {
             })
     }
 
-    /// Time share of each distinct frequency the primary cluster visited,
-    /// as `(frequency, fraction of trace time)` sorted by frequency — the
-    /// residency view behind the Fig 11/12 histograms.
-    pub fn freq_residency(&self, cluster: usize) -> Vec<(MegaHertz, f64)> {
-        let total = self.duration().value();
-        if total == 0.0 {
-            return Vec::new();
-        }
-        let mut acc: Vec<(f64, f64)> = Vec::new();
-        for s in &self.samples {
-            if let Some(f) = s.cluster_freqs.get(cluster) {
-                match acc
-                    .iter_mut()
-                    .find(|(freq, _)| (*freq - f.value()).abs() < 1e-9)
-                {
-                    Some((_, t)) => *t += s.dt.value(),
-                    None => acc.push((f.value(), s.dt.value())),
-                }
-            }
-        }
-        acc.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite frequencies"));
-        acc.into_iter()
-            .map(|(f, t)| (MegaHertz(f), t / total))
-            .collect()
-    }
-
     /// Fraction of trace time with the die at or above `threshold` — the
     /// "time spent at temperature" statistic the paper shows is *not*
     /// sufficient to predict throttling (Fig 11).
@@ -176,39 +117,9 @@ impl Trace {
         above / total
     }
 
-    /// Fraction of trace time any throttle was engaged.
-    pub fn fraction_time_throttled(&self) -> f64 {
-        let total = self.duration().value();
-        if total == 0.0 {
-            return 0.0;
-        }
-        let throttled: f64 = self
-            .samples
-            .iter()
-            .filter(|s| s.throttled)
-            .map(|s| s.dt.value())
-            .sum();
-        throttled / total
-    }
-
     /// Total energy drawn from the supply over the trace.
     pub fn supply_energy(&self) -> pv_units::Joules {
         self.samples.iter().map(|s| s.supply_power * s.dt).sum()
-    }
-
-    /// Per-sample `(time, die temperature)` pairs, for plotting.
-    pub fn temperature_series(&self) -> impl Iterator<Item = (Seconds, Celsius)> + '_ {
-        self.samples.iter().map(|s| (s.t, s.die_temp))
-    }
-
-    /// Per-sample `(time, frequency)` pairs for `cluster`, for plotting.
-    pub fn frequency_series(
-        &self,
-        cluster: usize,
-    ) -> impl Iterator<Item = (Seconds, MegaHertz)> + '_ {
-        self.samples
-            .iter()
-            .filter_map(move |s| s.cluster_freqs.get(cluster).map(|f| (s.t, *f)))
     }
 
     /// Renders the trace as CSV (header + one row per sample).
@@ -351,27 +262,11 @@ mod tests {
     }
 
     #[test]
-    fn mean_freq_is_time_weighted() {
-        let t = trace();
-        let mean = t.mean_freq(0).unwrap();
-        let expected = (2265.0 + 2265.0 + 960.0 + 1574.0) / 4.0;
-        assert!((mean.value() - expected).abs() < 1e-9);
-        assert_eq!(t.mean_freq(5), None);
-    }
-
-    #[test]
     fn temperature_statistics() {
         let t = trace();
-        assert!((t.mean_die_temp().unwrap().value() - 62.5).abs() < 1e-9);
         assert_eq!(t.peak_die_temp(), Some(Celsius(80.0)));
         assert!((t.fraction_time_at_or_above(Celsius(70.0)) - 0.5).abs() < 1e-12);
         assert!((t.fraction_time_at_or_above(Celsius(90.0))).abs() < 1e-12);
-    }
-
-    #[test]
-    fn throttle_fraction() {
-        let t = trace();
-        assert!((t.fraction_time_throttled() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -384,11 +279,8 @@ mod tests {
     fn empty_trace_behaviour() {
         let t = Trace::new();
         assert!(t.is_empty());
-        assert_eq!(t.mean_freq(0), None);
-        assert_eq!(t.mean_die_temp(), None);
         assert_eq!(t.peak_die_temp(), None);
         assert_eq!(t.fraction_time_at_or_above(Celsius(0.0)), 0.0);
-        assert_eq!(t.fraction_time_throttled(), 0.0);
     }
 
     #[test]
@@ -402,30 +294,9 @@ mod tests {
     }
 
     #[test]
-    fn series_iterators() {
-        let t = trace();
-        let temps: Vec<_> = t.temperature_series().collect();
-        assert_eq!(temps.len(), 4);
-        assert_eq!(temps[2].1, Celsius(80.0));
-        let freqs: Vec<_> = t.frequency_series(0).collect();
-        assert_eq!(freqs[2].1, MegaHertz(960.0));
-    }
-
-    #[test]
     fn case_temp_peak_and_residency() {
         let t = trace();
         assert_eq!(t.peak_case_temp(), Some(Celsius(70.0)));
-        let res = t.freq_residency(0);
-        // Frequencies 960, 1574, 2265 with shares 0.25, 0.25, 0.5.
-        assert_eq!(res.len(), 3);
-        assert_eq!(res[0].0, MegaHertz(960.0));
-        assert!((res[0].1 - 0.25).abs() < 1e-12);
-        assert_eq!(res[2].0, MegaHertz(2265.0));
-        assert!((res[2].1 - 0.5).abs() < 1e-12);
-        // Residencies sum to 1 for a single-cluster trace.
-        let total: f64 = res.iter().map(|(_, f)| f).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert!(Trace::new().freq_residency(0).is_empty());
         assert_eq!(Trace::new().peak_case_temp(), None);
     }
 

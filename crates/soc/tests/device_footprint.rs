@@ -86,12 +86,12 @@ fn unit_footprint(build: impl Fn() -> Device) -> [(u64, i64); 2] {
 
 #[test]
 fn a_pixel_owns_only_its_state() {
-    // The 11-byte label, the 32-byte Monsoon, and the network's
+    // The 11-byte label, the 24-byte Monsoon, and the network's
     // temperatures, heat vector and derivative buffer (4 nodes × 8 bytes
     // each).
     let [build, clone] = unit_footprint(|| catalog::pixel(0.5, "pixel-00001").unwrap());
-    assert_eq!(build, (5, 139), "building a Pixel (allocations, bytes)");
-    assert_eq!(clone, (5, 139), "cloning a Pixel (allocations, bytes)");
+    assert_eq!(build, (5, 131), "building a Pixel (allocations, bytes)");
+    assert_eq!(clone, (5, 131), "cloning a Pixel (allocations, bytes)");
 }
 
 #[test]
@@ -100,8 +100,8 @@ fn a_nexus5_owns_only_its_state_and_its_binned_table() {
     // outer vector and the table's points. Its `format!`ed label has 3
     // spare bytes its clone does not.
     let [build, clone] = unit_footprint(|| catalog::nexus5(BinId(2)).unwrap());
-    assert_eq!(build, (7, 240), "building a Nexus 5 (allocations, bytes)");
-    assert_eq!(clone, (7, 237), "cloning a Nexus 5 (allocations, bytes)");
+    assert_eq!(build, (7, 232), "building a Nexus 5 (allocations, bytes)");
+    assert_eq!(clone, (7, 229), "cloning a Nexus 5 (allocations, bytes)");
 }
 
 #[test]

@@ -9,20 +9,6 @@
 
 use crate::StatsError;
 
-/// Probability density of the standard normal at `x`.
-///
-/// # Examples
-///
-/// ```
-/// let peak = pv_stats::dist::normal_pdf(0.0);
-/// assert!((peak - 0.3989422804014327).abs() < 1e-15);
-/// ```
-pub fn normal_pdf(x: f64) -> f64 {
-    #[allow(clippy::excessive_precision)] // 1/sqrt(2*pi) to full f64 digits
-    const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
-    INV_SQRT_2PI * (-0.5 * x * x).exp()
-}
-
 /// Cumulative distribution of the standard normal at `x`.
 ///
 /// Computed via the complementary error function using the Abramowitz &
@@ -175,12 +161,6 @@ impl Normal {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pdf_is_symmetric_and_peaks_at_zero() {
-        assert!((normal_pdf(1.3) - normal_pdf(-1.3)).abs() < 1e-15);
-        assert!(normal_pdf(0.0) > normal_pdf(0.1));
-    }
 
     #[test]
     fn cdf_known_points() {

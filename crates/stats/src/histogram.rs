@@ -165,32 +165,6 @@ impl Histogram {
         self.lo + (self.hi - self.lo) * i as f64 / self.counts.len() as f64
     }
 
-    /// Fraction of total weight at or above `threshold`.
-    ///
-    /// This answers the Fig 11 question "how much time did the device spend
-    /// at high temperature?". Returns 0 when the histogram is empty.
-    pub fn fraction_at_or_above(&self, threshold: f64) -> f64 {
-        if self.total_weight == 0.0 {
-            return 0.0;
-        }
-        let mut acc = self.overflow;
-        for (i, &c) in self.counts.iter().enumerate() {
-            // A bin contributes if its lower edge is at or above the threshold;
-            // the bin containing the threshold contributes proportionally.
-            let lo = self.bin_edge(i);
-            let hi = self.bin_edge(i + 1);
-            if lo >= threshold {
-                acc += c;
-            } else if hi > threshold {
-                acc += c * (hi - threshold) / (hi - lo);
-            }
-        }
-        if threshold <= self.lo {
-            acc += self.underflow.min(0.0); // underflow is below lo, never above.
-        }
-        acc / self.total_weight
-    }
-
     /// Normalized bin fractions (each bin's weight over total in-range weight).
     /// Returns an all-zero vector when empty.
     pub fn fractions(&self) -> Vec<f64> {
@@ -296,7 +270,6 @@ mod tests {
     fn empty_histogram_mean_is_none() {
         let h = Histogram::new(0.0, 1.0, 2).unwrap();
         assert_eq!(h.mean(), None);
-        assert_eq!(h.fraction_at_or_above(0.5), 0.0);
     }
 
     #[test]
@@ -307,26 +280,6 @@ mod tests {
         h.add_weighted(5.0, -1.0);
         h.add_weighted(5.0, f64::NAN);
         assert_eq!(h.total_weight(), 0.0);
-    }
-
-    #[test]
-    fn fraction_at_or_above_counts_tail() {
-        let mut h = Histogram::new(0.0, 100.0, 10).unwrap();
-        for v in [5.0, 15.0, 25.0, 85.0, 95.0] {
-            h.add(v);
-        }
-        // Threshold at a bin edge: bins [80,90) and [90,100) → 2/5.
-        assert!((h.fraction_at_or_above(80.0) - 0.4).abs() < 1e-12);
-        // Everything is ≥ 0.
-        assert!((h.fraction_at_or_above(0.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fraction_interpolates_within_bin() {
-        let mut h = Histogram::new(0.0, 10.0, 1).unwrap();
-        h.add(5.0); // a single bin [0,10) with one sample
-                    // Half the bin lies above 5.0, so proportional attribution gives 0.5.
-        assert!((h.fraction_at_or_above(5.0) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   helpers used to produce the paper's normalized bar charts.
 //! * [`histogram::Histogram`] — fixed-bin histograms for the Fig 11/12
 //!   frequency and temperature distributions.
-//! * [`dist`] — normal pdf/cdf/quantile (Acklam's inverse-CDF approximation)
+//! * [`dist`] — normal cdf/quantile (Acklam's inverse-CDF approximation)
 //!   used by the silicon sampling model.
 //! * [`kmeans`] — seeded k-means (with k-means++ initialisation) for the
 //!   future-work bin-clustering experiment.
@@ -170,11 +170,6 @@ impl Summary {
         }
     }
 
-    /// Full range of the sample (`max − min`).
-    pub fn range(&self) -> f64 {
-        self.max - self.min
-    }
-
     /// Peak-to-peak spread in percent of the best (largest) observation:
     /// `100·(max − min)/max`.
     ///
@@ -251,15 +246,6 @@ pub fn normalize_to_min(values: &[f64]) -> Result<Vec<f64>, StatsError> {
     Ok(values.iter().map(|v| v / s.min()).collect())
 }
 
-/// Computes the mean of a slice.
-///
-/// # Errors
-///
-/// Returns an error for empty or non-finite input (see [`Summary::from_slice`]).
-pub fn mean(values: &[f64]) -> Result<f64, StatsError> {
-    Summary::from_slice(values).map(|s| s.mean())
-}
-
 /// Computes the `q`-quantile (0 ≤ q ≤ 1) by linear interpolation between
 /// order statistics (type-7 / NumPy default).
 ///
@@ -305,7 +291,7 @@ mod tests {
         assert_eq!(s.mean(), 5.0);
         assert_eq!(s.std(), 0.0);
         assert_eq!(s.rsd_percent(), 0.0);
-        assert_eq!(s.range(), 0.0);
+        assert_eq!(s.max() - s.min(), 0.0);
     }
 
     #[test]

@@ -19,13 +19,6 @@ pub struct LinearFit {
     pub r_squared: f64,
 }
 
-impl LinearFit {
-    /// Predicted `y` at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
-}
-
 /// Fits `y = a·x + b` by ordinary least squares.
 ///
 /// # Errors
@@ -102,7 +95,7 @@ mod tests {
         assert!((f.slope - 2.0).abs() < 1e-12);
         assert!((f.intercept - 3.0).abs() < 1e-12);
         assert!((f.r_squared - 1.0).abs() < 1e-12);
-        assert!((f.predict(10.0) - 23.0).abs() < 1e-12);
+        assert!((f.slope * 10.0 + f.intercept - 23.0).abs() < 1e-12);
     }
 
     #[test]

@@ -38,13 +38,6 @@ const PROPAGATOR_CACHE_CAP: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId(usize);
 
-impl NodeId {
-    /// Raw index of the node (useful for labelling traces).
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 #[derive(Debug, Clone, PartialEq)]
 enum NodeKind {
     Capacitive(ThermalCapacitance),
@@ -365,20 +358,6 @@ impl ThermalNetwork {
     /// mix-up).
     pub fn temperature(&self, node: NodeId) -> Celsius {
         Celsius(self.temps[node.0])
-    }
-
-    /// Name given to `node` at construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a foreign `NodeId`, as [`ThermalNetwork::temperature`].
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.topology.nodes[node.0].name
-    }
-
-    /// Number of nodes (capacitive + boundary).
-    pub fn node_count(&self) -> usize {
-        self.temps.len()
     }
 
     /// Overrides a capacitive node's temperature (e.g. to reset state
@@ -805,18 +784,12 @@ pub mod step_stats {
         SUBSTEPS.fetch_add(substeps, Ordering::Relaxed);
     }
 
-    /// (network steps, integrator substeps) recorded since the last reset.
+    /// (network steps, integrator substeps) recorded since process start.
     pub fn snapshot() -> (u64, u64) {
         (
             STEPS.load(Ordering::Relaxed),
             SUBSTEPS.load(Ordering::Relaxed),
         )
-    }
-
-    /// Zeroes both counters (e.g. at session start).
-    pub fn reset() {
-        STEPS.store(0, Ordering::Relaxed);
-        SUBSTEPS.store(0, Ordering::Relaxed);
     }
 }
 
@@ -924,7 +897,7 @@ mod tests {
         let (mut net, _, amb) = simple_pair();
         assert_eq!(
             net.step(Seconds(1.0), &[(amb, Watts(1.0))]),
-            Err(ThermalError::HeatIntoBoundary(amb.index()))
+            Err(ThermalError::HeatIntoBoundary(amb.0))
         );
     }
 
@@ -989,9 +962,9 @@ mod tests {
     #[test]
     fn names_and_display() {
         let (net, die, amb) = simple_pair();
-        assert_eq!(net.node_name(die), "die");
-        assert_eq!(net.node_name(amb), "ambient");
-        assert_eq!(net.node_count(), 2);
+        assert_eq!(net.topology.nodes[die.0].name, "die");
+        assert_eq!(net.topology.nodes[amb.0].name, "ambient");
+        assert_eq!(net.temps.len(), 2);
         let s = format!("{net}");
         assert!(s.contains("die") && s.contains("boundary"));
     }
@@ -1004,7 +977,7 @@ mod tests {
         a.step(Seconds(1.0), &[(die, Watts(5.0))]).unwrap();
         assert_eq!(b.temperature(die), Celsius(50.0), "the clone moved");
         assert_ne!(a.temperature(die), b.temperature(die));
-        assert_eq!(b.node_name(die), "die");
+        assert_eq!(b.topology.nodes[die.0].name, "die");
     }
 
     #[test]
@@ -1279,7 +1252,7 @@ mod exponential_tests {
                 assert!(
                     gap < 1e-4,
                     "case {case}: node {} diverged by {gap:.3e} K",
-                    id.index()
+                    id.0
                 );
             }
         }

@@ -13,7 +13,6 @@
 //! All randomness is seeded, so probes are deterministic per seed.
 
 use crate::ThermalError;
-use pv_faults::{FaultHandle, FaultKind};
 use pv_rng::rngs::StdRng;
 use pv_rng::{Rng, SeedableRng};
 use pv_units::{Celsius, Seconds, TempDelta};
@@ -161,109 +160,6 @@ impl Probe {
     }
 }
 
-/// A [`Probe`] read through a fault-injection gate.
-///
-/// With a disarmed [`FaultHandle`] (the default) every call is a plain
-/// pass-through and readings are bit-identical to the inner probe's. With an
-/// armed handle, three probe fault kinds apply at read time:
-///
-/// * [`FaultKind::ProbeDropout`] — reads fail with
-///   [`ThermalError::ProbeDropout`] while the fault window is active.
-/// * [`FaultKind::ProbeStuck`] — the first read inside the window is held
-///   and repeated until the window passes.
-/// * [`FaultKind::ProbeSpike`] — readings are offset by the event's
-///   magnitude, interpreted in kelvin.
-///
-/// Observation (the lag filter) keeps tracking the truth throughout, as a
-/// real sensor element would; only the *reported* value is corrupted.
-#[derive(Debug, Clone)]
-pub struct FaultyProbe {
-    inner: Probe,
-    faults: FaultHandle,
-    stuck: Option<Celsius>,
-}
-
-impl FaultyProbe {
-    /// Wraps `inner`, gating reads on `faults`.
-    pub fn new(inner: Probe, faults: FaultHandle) -> Self {
-        Self {
-            inner,
-            faults,
-            stuck: None,
-        }
-    }
-
-    /// Resets the inner lag state (see [`Probe::reset`]).
-    pub fn reset(&mut self, temp: Celsius) {
-        self.inner.reset(temp);
-    }
-
-    /// Advances the inner sensor (see [`Probe::observe`]). Faults never
-    /// block observation — the element keeps tracking even while stuck.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ThermalError::InvalidParameter`] from the inner probe.
-    pub fn observe(&mut self, truth: Celsius, dt: Seconds) -> Result<(), ThermalError> {
-        self.inner.observe(truth, dt)
-    }
-
-    /// Samples the sensor through the fault gate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::ProbeDropout`] while a dropout window is
-    /// active.
-    pub fn read(&mut self) -> Result<Celsius, ThermalError> {
-        if let Some(e) = self.faults.active(FaultKind::ProbeDropout) {
-            self.faults
-                .report_once(&e, || "probe returned no reading".into());
-            return Err(ThermalError::ProbeDropout);
-        }
-        if let Some(e) = self.faults.active(FaultKind::ProbeStuck) {
-            let held = match self.stuck {
-                Some(held) => held,
-                None => {
-                    let first = self.inner.read();
-                    self.stuck = Some(first);
-                    first
-                }
-            };
-            self.faults
-                .report_once(&e, || format!("probe stuck at {held}"));
-            return Ok(held);
-        }
-        self.stuck = None;
-        let mut reading = self.inner.read();
-        if let Some(e) = self.faults.active(FaultKind::ProbeSpike) {
-            reading += TempDelta(e.magnitude);
-            self.faults
-                .report_once(&e, || format!("probe spiked by {:+.2} K", e.magnitude));
-        }
-        Ok(reading)
-    }
-
-    /// The inner lag state (see [`Probe::lag_state`]).
-    pub fn lag_state(&self) -> Celsius {
-        self.inner.lag_state()
-    }
-
-    /// Shared view of the probe's fault handle.
-    pub fn faults(&self) -> &FaultHandle {
-        &self.faults
-    }
-
-    /// The wrapped probe.
-    pub fn inner(&self) -> &Probe {
-        &self.inner
-    }
-
-    /// Unwraps back into the plain probe.
-    pub fn into_inner(self) -> Probe {
-        self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,67 +265,5 @@ mod tests {
         assert!(p.observe(Celsius(30.0), Seconds(f64::NAN)).is_err());
         // A rejected observation leaves the state untouched.
         assert_eq!(p.read(), Celsius(25.0));
-    }
-
-    #[test]
-    fn disarmed_faulty_probe_is_transparent() {
-        use pv_faults::FaultHandle;
-        let mut plain = Probe::new(Seconds(2.0), TempDelta(0.3), TempDelta(0.1), 5).unwrap();
-        let mut gated = FaultyProbe::new(plain.clone(), FaultHandle::disarmed());
-        plain.reset(Celsius(26.0));
-        gated.reset(Celsius(26.0));
-        for i in 0..50 {
-            let t = Celsius(26.0 + f64::from(i) * 0.3);
-            plain.observe(t, Seconds(0.5)).unwrap();
-            gated.observe(t, Seconds(0.5)).unwrap();
-            assert_eq!(plain.read(), gated.read().unwrap());
-        }
-    }
-
-    #[test]
-    fn probe_faults_apply_in_window() {
-        use pv_faults::{FaultEvent, FaultHandle, FaultPlan};
-        let plan = FaultPlan::empty()
-            .with_event(FaultEvent {
-                at: 10.0,
-                duration: 5.0,
-                kind: FaultKind::ProbeDropout,
-                magnitude: 0.0,
-            })
-            .with_event(FaultEvent {
-                at: 20.0,
-                duration: 5.0,
-                kind: FaultKind::ProbeStuck,
-                magnitude: 0.0,
-            })
-            .with_event(FaultEvent {
-                at: 30.0,
-                duration: 5.0,
-                kind: FaultKind::ProbeSpike,
-                magnitude: 3.0,
-            });
-        let handle = FaultHandle::armed(plan);
-        let inner = Probe::new(Seconds(0.0), TempDelta(0.0), TempDelta(0.0), 0).unwrap();
-        let mut p = FaultyProbe::new(inner, handle.clone());
-        p.reset(Celsius(40.0));
-
-        // t = 0: clean.
-        assert_eq!(p.read().unwrap(), Celsius(40.0));
-        // t = 10: dropout.
-        handle.advance(10.0);
-        assert_eq!(p.read(), Err(ThermalError::ProbeDropout));
-        // t = 20: stuck holds the first reading across truth changes.
-        handle.advance(10.0);
-        let held = p.read().unwrap();
-        p.observe(Celsius(60.0), Seconds(1.0)).unwrap();
-        assert_eq!(p.read().unwrap(), held);
-        // t = 30: spike offsets by the magnitude in kelvin.
-        handle.advance(10.0);
-        assert_eq!(p.read().unwrap(), Celsius(60.0 + 3.0));
-        // t = 40: all windows passed; clean again.
-        handle.advance(10.0);
-        assert_eq!(p.read().unwrap(), Celsius(60.0));
-        // Each event reported exactly once despite repeated reads.
-        assert_eq!(handle.report_count(), 3);
     }
 }

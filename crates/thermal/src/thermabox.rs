@@ -200,11 +200,6 @@ impl ThermaBox {
         self.stalled = stalled;
     }
 
-    /// Whether the controller is currently stalled.
-    pub fn controller_stalled(&self) -> bool {
-        self.stalled
-    }
-
     /// Instantly offsets the chamber air temperature by `delta` — the
     /// injected band-excursion failure mode (door opened, plant misfire).
     /// The controller sees the excursion through the probe and recovers on
@@ -402,29 +397,9 @@ impl FaultyThermaBox {
         self.inner.air_temp()
     }
 
-    /// Plant currently engaged.
-    pub fn mode(&self) -> PlantMode {
-        self.inner.mode()
-    }
-
-    /// Signed deviation of the air temperature from the target.
-    pub fn deviation(&self) -> TempDelta {
-        self.inner.deviation()
-    }
-
     /// Whether the chamber is inside the acceptance band right now.
     pub fn is_stable(&self) -> bool {
         self.inner.is_stable()
-    }
-
-    /// The chamber configuration.
-    pub fn config(&self) -> &ThermaBoxConfig {
-        self.inner.config()
-    }
-
-    /// Shared view of the chamber's fault handle.
-    pub fn faults(&self) -> &FaultHandle {
-        &self.faults
     }
 
     /// Replaces the fault handle (re-arming or disarming the gate) and
@@ -434,21 +409,6 @@ impl FaultyThermaBox {
         self.faults = faults;
         self.last_excursion = None;
         self.inner.set_controller_stalled(false);
-    }
-
-    /// The wrapped chamber.
-    pub fn inner(&self) -> &ThermaBox {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped chamber.
-    pub fn inner_mut(&mut self) -> &mut ThermaBox {
-        &mut self.inner
-    }
-
-    /// Unwraps back into the plain chamber.
-    pub fn into_inner(self) -> ThermaBox {
-        self.inner
     }
 }
 
@@ -594,7 +554,7 @@ mod tests {
             plain.step(Seconds(1.0), Watts(4.0)).unwrap();
             gated.step(Seconds(1.0), Watts(4.0)).unwrap();
             assert_eq!(plain.air_temp(), gated.air_temp());
-            assert_eq!(plain.mode(), gated.mode());
+            assert_eq!(plain.mode(), gated.inner.mode());
         }
     }
 
@@ -617,18 +577,18 @@ mod tests {
             Err(ThermalError::ChamberStalled)
         );
         // During the stall the mode never changes.
-        let frozen = gated.mode();
+        let frozen = gated.inner.mode();
         for _ in 0..120 {
             gated.step(Seconds(1.0), Watts(6.0)).unwrap();
             handle.advance(1.0);
-            assert_eq!(gated.mode(), frozen);
+            assert_eq!(gated.inner.mode(), frozen);
         }
         // After the window the controller resumes and re-centres the band.
         for _ in 0..600 {
             gated.step(Seconds(1.0), Watts(6.0)).unwrap();
             handle.advance(1.0);
         }
-        assert!(gated.is_stable(), "deviation {}", gated.deviation());
+        assert!(gated.is_stable(), "deviation {}", gated.inner.deviation());
         assert!(handle.report_count() >= 1);
     }
 

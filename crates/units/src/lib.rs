@@ -62,12 +62,6 @@ macro_rules! scalar_unit {
             /// A zero-valued quantity.
             pub const ZERO: Self = Self(0.0);
 
-            /// Creates a new quantity from a raw `f64` value.
-            #[inline]
-            pub const fn new(value: f64) -> Self {
-                Self(value)
-            }
-
             /// Returns the raw `f64` value.
             #[inline]
             pub const fn value(self) -> f64 {
@@ -92,16 +86,6 @@ macro_rules! scalar_unit {
             #[inline]
             pub fn max(self, other: Self) -> Self {
                 Self(self.0.max(other.0))
-            }
-
-            /// Clamps `self` to the inclusive range `[lo, hi]`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `lo > hi` or either bound is NaN (as [`f64::clamp`]).
-            #[inline]
-            pub fn clamp(self, lo: Self, hi: Self) -> Self {
-                Self(self.0.clamp(lo.0, hi.0))
             }
 
             /// Returns `true` if the value is finite (not NaN or infinite).
@@ -304,15 +288,6 @@ impl FromJson for Celsius {
 }
 
 impl Celsius {
-    /// Absolute zero, −273.15 °C.
-    pub const ABSOLUTE_ZERO: Celsius = Celsius(-273.15);
-
-    /// Creates a new absolute temperature.
-    #[inline]
-    pub const fn new(value: f64) -> Self {
-        Self(value)
-    }
-
     /// Returns the raw value in degrees Celsius.
     #[inline]
     pub const fn value(self) -> f64 {
@@ -329,12 +304,6 @@ impl Celsius {
     #[inline]
     pub fn from_kelvin(kelvin: f64) -> Self {
         Self(kelvin - 273.15)
-    }
-
-    /// Returns the smaller of two temperatures.
-    #[inline]
-    pub fn min(self, other: Self) -> Self {
-        Self(self.0.min(other.0))
     }
 
     /// Returns the larger of two temperatures.
@@ -448,12 +417,6 @@ impl FromJson for MilliVolts {
 }
 
 impl MilliVolts {
-    /// Creates a new millivolt value.
-    #[inline]
-    pub const fn new(value: u32) -> Self {
-        Self(value)
-    }
-
     /// Returns the raw value in millivolts.
     #[inline]
     pub const fn value(self) -> u32 {
@@ -600,12 +563,6 @@ impl Seconds {
     pub fn from_minutes(minutes: f64) -> Self {
         Self(minutes * 60.0)
     }
-
-    /// Creates a duration from milliseconds.
-    #[inline]
-    pub fn from_millis(millis: f64) -> Self {
-        Self(millis / 1000.0)
-    }
 }
 
 #[cfg(test)]
@@ -661,7 +618,7 @@ mod tests {
         assert!((t.to_kelvin() - 299.15).abs() < 1e-12);
         let back = Celsius::from_kelvin(t.to_kelvin());
         assert!((back.value() - 26.0).abs() < 1e-12);
-        assert!((Celsius::ABSOLUTE_ZERO.to_kelvin()).abs() < 1e-12);
+        assert!((Celsius(-273.15).to_kelvin()).abs() < 1e-12);
     }
 
     #[test]
@@ -682,7 +639,6 @@ mod tests {
     #[test]
     fn seconds_constructors() {
         assert_eq!(Seconds::from_minutes(3.0), Seconds(180.0));
-        assert_eq!(Seconds::from_millis(250.0), Seconds(0.25));
     }
 
     #[test]
@@ -696,7 +652,6 @@ mod tests {
         assert_eq!((-w).abs(), w);
         assert_eq!(Watts(1.0).max(Watts(2.0)), Watts(2.0));
         assert_eq!(Watts(1.0).min(Watts(2.0)), Watts(1.0));
-        assert_eq!(Watts(5.0).clamp(Watts(0.0), Watts(3.0)), Watts(3.0));
         assert!(Watts(1.0).is_finite());
         assert!(!Watts(f64::NAN).is_finite());
     }

@@ -111,11 +111,6 @@ impl WorkloadSpec {
     pub fn utilization(&self) -> f64 {
         self.utilization
     }
-
-    /// Iterations per second one core sustains at `freq`.
-    pub fn rate_at(&self, freq: MegaHertz) -> f64 {
-        freq.to_hz() * self.utilization / self.cycles_per_iteration
-    }
 }
 
 /// Accumulates retired cycles across cores and steps.
@@ -174,7 +169,7 @@ mod tests {
     fn default_spec_matches_paper_sizing() {
         // ~1 iteration per second per core at the Nexus 6 top frequency.
         let spec = WorkloadSpec::pi_digits_default();
-        let rate = spec.rate_at(MegaHertz(2649.0));
+        let rate = MegaHertz(2649.0).to_hz() * spec.utilization() / spec.cycles_per_iteration();
         assert!((rate - 1.0).abs() < 1e-9, "rate {rate}");
     }
 
