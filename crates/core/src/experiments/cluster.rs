@@ -13,7 +13,7 @@ use crate::protocol::Protocol;
 use crate::report::TextTable;
 use crate::BenchError;
 use pv_power::Monsoon;
-use pv_silicon::population::Population;
+use pv_silicon::population;
 use pv_soc::catalog;
 use pv_soc::device::Device;
 use pv_stats::kmeans::{kmeans_1d, KMeansResult};
@@ -113,9 +113,7 @@ pub fn run(
 ) -> Result<ClusterStudy, BenchError> {
     let model = catalog::nexus5_model()?;
     let spec = model.spec();
-    let population = Population::sample(spec.soc.node, n, seed);
-
-    let dies = population.dies().to_vec();
+    let dies = population::sample(spec.soc.node, n, seed);
     let measured = par_map(dies, |i, die| -> Result<_, BenchError> {
         let supply =
             Box::new(Monsoon::new(spec.nominal_battery_voltage).map_err(pv_soc::SocError::from)?);

@@ -20,7 +20,7 @@ use crate::BenchError;
 use pv_power::Monsoon;
 use pv_rng::rngs::StdRng;
 use pv_rng::{Rng, SeedableRng};
-use pv_silicon::population::Population;
+use pv_silicon::population;
 use pv_soc::catalog;
 use pv_soc::device::Device;
 use pv_stats::{quantile, Summary};
@@ -125,10 +125,10 @@ pub fn run(
     seed: u64,
 ) -> Result<LowerBound, BenchError> {
     let node = catalog::pixel_spec()?.soc.node;
-    let population = Population::sample(node, population_size, seed);
+    let dies = population::sample(node, population_size, seed);
 
     // One measurement per population die (reused across fleet draws).
-    let energies = par_map(population.dies().to_vec(), |i, die| energy_of(die, i, cfg))?;
+    let energies = par_map(dies, |i, die| energy_of(die, i, cfg))?;
     let population_spread = spread_percent(&energies)?;
 
     let fleet_size = 3;

@@ -12,7 +12,7 @@ use crate::protocol::Protocol;
 use crate::BenchError;
 use pv_power::Monsoon;
 use pv_silicon::binning::BinId;
-use pv_silicon::population::Population;
+use pv_silicon::population;
 use pv_silicon::DieSample;
 use pv_soc::catalog;
 use pv_soc::device::Device;
@@ -130,16 +130,15 @@ fn measure_controlled(
 /// Propagates harness errors.
 pub fn run(cfg: &ExperimentConfig, n: usize, seed: u64) -> Result<RankingStudy, BenchError> {
     let spec = catalog::nexus5_spec()?;
-    let population = Population::sample(spec.soc.node, n, seed);
+    let dies = population::sample(spec.soc.node, n, seed);
     // Uncontrolled submissions: each iteration at a different hot ambient,
     // inflating the iteration-to-iteration RSD past the filter.
     let uncontrolled = 3usize;
 
-    let mut units: Vec<Unit> = population
-        .dies()
-        .iter()
+    let mut units: Vec<Unit> = dies
+        .into_iter()
         .enumerate()
-        .map(|(i, die)| Unit::Crowd(i, *die))
+        .map(|(i, die)| Unit::Crowd(i, die))
         .collect();
     units.extend((0..uncontrolled).map(Unit::HotCar));
     let submitted = units.len();

@@ -345,7 +345,7 @@ fn parse_manifest(text: &str) -> Option<BTreeMap<String, String>> {
     };
     let mut map = BTreeMap::new();
     for (name, value) in entries {
-        map.insert(name, value.as_str()?.to_owned());
+        map.insert(name.into_owned(), value.as_str()?.to_owned());
     }
     Some(map)
 }

@@ -7,6 +7,14 @@
 //! [`ToJson`]/[`FromJson`] traits, and the [`impl_to_json!`] macro that
 //! generates field-by-field `ToJson` impls for plain structs.
 //!
+//! Object keys are [`Cow<'static, str>`](Cow). Keys the program spells out
+//! (`obj.insert("mean", …)`, the field names [`impl_to_json!`] writes) are
+//! borrowed from the binary and cost no allocation, so a large document of
+//! small objects (a recorded trace holds one per sample) allocates only
+//! for its values. Keys read by the parser, or built at run time from a
+//! `String`, are owned. Lookup and equality compare key text, so a parsed
+//! document equals the one that was written.
+//!
 //! # Examples
 //!
 //! ```
@@ -26,6 +34,7 @@
 
 use core::fmt;
 use core::ops::Index;
+use std::borrow::Cow;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,8 +49,9 @@ pub enum Json {
     String(String),
     /// An ordered array.
     Array(Vec<Json>),
-    /// An object; insertion order is preserved.
-    Object(Vec<(String, Json)>),
+    /// An object; insertion order is preserved. Keys are borrowed when
+    /// static and owned when parsed or built at run time.
+    Object(Vec<(Cow<'static, str>, Json)>),
 }
 
 /// Error from [`Json::from_str`].
@@ -79,8 +89,9 @@ impl Json {
         Json::Object(Vec::new())
     }
 
-    /// Appends a key/value pair; objects only (no-op otherwise).
-    pub fn insert(&mut self, key: impl Into<String>, value: Json) {
+    /// Appends a key/value pair; objects only (no-op otherwise). A
+    /// `&'static str` key is stored borrowed, a `String` key owned.
+    pub fn insert(&mut self, key: impl Into<Cow<'static, str>>, value: Json) {
         if let Json::Object(entries) = self {
             entries.push((key.into(), value));
         }
@@ -151,10 +162,6 @@ impl Json {
     }
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_close) = match indent {
-            Some(w) => ("\n", " ".repeat(w * (depth + 1)), " ".repeat(w * depth)),
-            None => ("", String::new(), String::new()),
-        };
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -170,12 +177,10 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad);
+                    new_line(out, indent, depth + 1);
                     item.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad_close);
+                new_line(out, indent, depth);
                 out.push(']');
             }
             Json::Object(entries) => {
@@ -188,8 +193,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad);
+                    new_line(out, indent, depth + 1);
                     write_escaped(out, k);
                     out.push(':');
                     if indent.is_some() {
@@ -197,8 +201,7 @@ impl Json {
                     }
                     v.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad_close);
+                new_line(out, indent, depth);
                 out.push('}');
             }
         }
@@ -249,6 +252,14 @@ impl Index<usize> for Json {
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_string_compact())
+    }
+}
+
+/// When pretty-printing, starts a new line indented `depth` levels.
+fn new_line(out: &mut String, indent: Option<usize>, depth: usize) {
+    if let Some(w) = indent {
+        out.push('\n');
+        out.extend(core::iter::repeat_n(' ', w * depth));
     }
 }
 
@@ -368,7 +379,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Pars
                 }
                 *pos += 1;
                 let value = parse_value(bytes, pos, depth + 1)?;
-                entries.push((key, value));
+                entries.push((Cow::Owned(key), value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -665,10 +676,13 @@ macro_rules! impl_to_json {
         impl $crate::ToJson for $ty {
             fn to_json(&self) -> $crate::Json {
                 // One allocation of the exact field count, not a push-grown
-                // vector: large documents (recorded traces) hold one object
-                // per sample.
+                // vector, and keys borrowed from the binary: large documents
+                // (recorded traces) hold one object per sample.
                 $crate::Json::Object(vec![
-                    $((stringify!($field).to_owned(), $crate::ToJson::to_json(&self.$field)),)*
+                    $((
+                        ::std::borrow::Cow::Borrowed(stringify!($field)),
+                        $crate::ToJson::to_json(&self.$field),
+                    ),)*
                 ])
             }
         }
@@ -743,6 +757,68 @@ mod tests {
     fn integers_render_without_fraction() {
         assert_eq!(Json::Number(3.0).to_string_compact(), "3");
         assert_eq!(Json::Number(3.25).to_string_compact(), "3.25");
+    }
+
+    /// The writer's exact bytes, compact and pretty, for one document that
+    /// covers every value kind and both empty and non-empty containers.
+    #[test]
+    fn writer_bytes_are_pinned() {
+        let mut inner = Json::object();
+        inner.insert("empty_obj", Json::object());
+        inner.insert("empty_arr", Json::Array(Vec::new()));
+        inner.insert(
+            "arr",
+            Json::Array(vec![
+                Json::Number(1.0),
+                Json::Array(vec![Json::Null, Json::Bool(false)]),
+                Json::object(),
+            ]),
+        );
+        let mut doc = Json::object();
+        doc.insert("int", Json::Number(42.0));
+        doc.insert("neg", Json::Number(-7.0));
+        doc.insert("frac", Json::Number(0.125));
+        doc.insert("tiny", Json::Number(1e-7));
+        doc.insert("neg_zero", Json::Number(-0.0));
+        doc.insert("nan", Json::Number(f64::NAN));
+        doc.insert("big", Json::Number(1e15));
+        doc.insert("esc\"key", Json::String("a\nb\tc\\d\u{1}\u{e9}".to_owned()));
+        doc.insert("t", Json::Bool(true));
+        doc.insert("nested", inner);
+        assert_eq!(
+            doc.to_string_compact(),
+            concat!(
+                r#"{"int":42,"neg":-7,"frac":0.125,"tiny":0.0000001,"neg_zero":0,"#,
+                r#""nan":null,"big":1000000000000000,"esc\"key":"a\nb\tc\\d\u0001é","#,
+                r#""t":true,"nested":{"empty_obj":{},"empty_arr":[],"arr":[1,[null,false],{}]}}"#,
+            )
+        );
+        assert_eq!(
+            doc.to_string_pretty(),
+            r#"{
+  "int": 42,
+  "neg": -7,
+  "frac": 0.125,
+  "tiny": 0.0000001,
+  "neg_zero": 0,
+  "nan": null,
+  "big": 1000000000000000,
+  "esc\"key": "a\nb\tc\\d\u0001é",
+  "t": true,
+  "nested": {
+    "empty_obj": {},
+    "empty_arr": [],
+    "arr": [
+      1,
+      [
+        null,
+        false
+      ],
+      {}
+    ]
+  }
+}"#
+        );
     }
 
     #[test]

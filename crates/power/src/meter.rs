@@ -80,11 +80,6 @@ impl EnergyMeter {
     pub fn peak_power(&self) -> Watts {
         self.peak
     }
-
-    /// Zeroes the meter for the next measurement window.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 /// An [`EnergyMeter`] recorded through a fault-injection gate.
@@ -184,14 +179,6 @@ mod tests {
         assert_eq!(m.energy(), Joules::ZERO);
         assert_eq!(m.average_power(), None);
         assert_eq!(m.peak_power(), Watts::ZERO);
-    }
-
-    #[test]
-    fn reset_returns_to_zero() {
-        let mut m = EnergyMeter::new();
-        m.record(Watts(5.0), Seconds(1.0)).unwrap();
-        m.reset();
-        assert_eq!(m, EnergyMeter::new());
     }
 
     #[test]

@@ -124,45 +124,6 @@ impl ProcessNode {
         sigma_leak_residual: 0.035,
     };
 
-    /// Creates a custom process node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SiliconError::InvalidParameter`] if any sigma/coupling is
-    /// negative or non-finite, or the feature size is not positive.
-    pub fn new(
-        name: &'static str,
-        feature_nm: f64,
-        sigma_speed: f64,
-        leak_coupling: f64,
-        sigma_leak_residual: f64,
-    ) -> Result<Self, SiliconError> {
-        if feature_nm <= 0.0 || feature_nm.is_nan() {
-            return Err(SiliconError::InvalidParameter("feature_nm must be > 0"));
-        }
-        for (v, what) in [
-            (sigma_speed, "sigma_speed"),
-            (leak_coupling, "leak_coupling"),
-            (sigma_leak_residual, "sigma_leak_residual"),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(SiliconError::InvalidParameter(what));
-            }
-        }
-        Ok(Self {
-            name,
-            feature_nm,
-            sigma_speed,
-            leak_coupling,
-            sigma_leak_residual,
-        })
-    }
-
-    /// Feature size in nanometres.
-    pub fn feature_nm(&self) -> f64 {
-        self.feature_nm
-    }
-
     /// Log-normal coupling between speed and leakage.
     pub fn leak_coupling(&self) -> f64 {
         self.leak_coupling
@@ -398,14 +359,6 @@ mod tests {
         leaks.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = leaks[leaks.len() / 2];
         assert!((median - 1.0).abs() < 0.07, "median leakage {median}");
-    }
-
-    #[test]
-    fn custom_node_validation() {
-        assert!(ProcessNode::new("x", 10.0, 0.01, 0.2, 0.01).is_ok());
-        assert!(ProcessNode::new("x", 0.0, 0.01, 0.2, 0.01).is_err());
-        assert!(ProcessNode::new("x", 10.0, -0.01, 0.2, 0.01).is_err());
-        assert!(ProcessNode::new("x", 10.0, 0.01, f64::NAN, 0.01).is_err());
     }
 
     #[test]

@@ -98,66 +98,6 @@ pub fn normal_quantile(p: f64) -> Result<f64, StatsError> {
     Ok(x)
 }
 
-/// A normal distribution with configurable mean and standard deviation.
-///
-/// # Examples
-///
-/// ```
-/// use pv_stats::dist::Normal;
-/// let iq = Normal::new(100.0, 15.0).unwrap();
-/// assert!((iq.quantile(0.5).unwrap() - 100.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    std: f64,
-}
-
-impl Normal {
-    /// Creates a normal distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] if `std` is negative or
-    /// either parameter is non-finite.
-    pub fn new(mean: f64, std: f64) -> Result<Self, StatsError> {
-        if !mean.is_finite() || !std.is_finite() {
-            return Err(StatsError::NonFiniteValue);
-        }
-        if std < 0.0 {
-            return Err(StatsError::InvalidParameter("negative std"));
-        }
-        Ok(Self { mean, std })
-    }
-
-    /// The distribution mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// The distribution standard deviation.
-    pub fn std(&self) -> f64 {
-        self.std
-    }
-
-    /// CDF at `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        if self.std == 0.0 {
-            return if x < self.mean { 0.0 } else { 1.0 };
-        }
-        normal_cdf((x - self.mean) / self.std)
-    }
-
-    /// Quantile at probability `p`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] unless `0 < p < 1`.
-    pub fn quantile(&self, p: f64) -> Result<f64, StatsError> {
-        Ok(self.mean + self.std * normal_quantile(p)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,28 +138,5 @@ mod tests {
                 normal_cdf(x)
             );
         }
-    }
-
-    #[test]
-    fn parameterized_normal() {
-        let n = Normal::new(10.0, 2.0).unwrap();
-        assert!((n.cdf(10.0) - 0.5).abs() < 1e-7);
-        assert!((n.quantile(0.841_344_746).unwrap() - 12.0).abs() < 1e-5);
-        assert_eq!(n.mean(), 10.0);
-        assert_eq!(n.std(), 2.0);
-    }
-
-    #[test]
-    fn degenerate_normal_is_step_function() {
-        let n = Normal::new(5.0, 0.0).unwrap();
-        assert_eq!(n.cdf(4.999), 0.0);
-        assert_eq!(n.cdf(5.0), 1.0);
-    }
-
-    #[test]
-    fn normal_rejects_bad_parameters() {
-        assert!(Normal::new(0.0, -1.0).is_err());
-        assert!(Normal::new(f64::NAN, 1.0).is_err());
-        assert!(Normal::new(0.0, f64::INFINITY).is_err());
     }
 }

@@ -58,15 +58,11 @@ impl fmt::Display for WorkloadError {
 
 impl std::error::Error for WorkloadError {}
 
-/// Cost model of one benchmark iteration.
-///
-/// `cycles_per_iteration` is the core-cycles one π-loop iteration retires;
-/// `utilization` is the per-core duty cycle the workload sustains (1.0 for
-/// the tight spigot loop).
+/// Cost model of one benchmark iteration: the core-cycles one π-loop
+/// iteration retires.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     cycles_per_iteration: f64,
-    utilization: f64,
 }
 
 impl WorkloadSpec {
@@ -75,41 +71,12 @@ impl WorkloadSpec {
     pub fn pi_digits_default() -> Self {
         Self {
             cycles_per_iteration: 2.649e9,
-            utilization: 1.0,
         }
-    }
-
-    /// Creates a custom workload cost model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::InvalidParameter`] unless
-    /// `cycles_per_iteration > 0` and `0 < utilization <= 1`.
-    pub fn new(cycles_per_iteration: f64, utilization: f64) -> Result<Self, WorkloadError> {
-        if !(cycles_per_iteration > 0.0 && cycles_per_iteration.is_finite()) {
-            return Err(WorkloadError::InvalidParameter(
-                "cycles_per_iteration must be > 0",
-            ));
-        }
-        if !(utilization > 0.0 && utilization <= 1.0) {
-            return Err(WorkloadError::InvalidParameter(
-                "utilization must be in (0,1]",
-            ));
-        }
-        Ok(Self {
-            cycles_per_iteration,
-            utilization,
-        })
     }
 
     /// Cycles retired per iteration.
     pub fn cycles_per_iteration(&self) -> f64 {
         self.cycles_per_iteration
-    }
-
-    /// Per-core duty cycle of the workload.
-    pub fn utilization(&self) -> f64 {
-        self.utilization
     }
 }
 
@@ -138,20 +105,10 @@ impl WorkTally {
         self.cycles += MegaHertz(f).to_hz() * t * u;
     }
 
-    /// Total cycles retired.
-    pub fn cycles(&self) -> f64 {
-        self.cycles
-    }
-
     /// Completed iterations under `spec` (fractional: the paper counts
     /// whole iterations, use [`f64::floor`] if exactness matters).
     pub fn iterations(&self, spec: &WorkloadSpec) -> f64 {
         self.cycles / spec.cycles_per_iteration
-    }
-
-    /// Zeroes the tally for the next phase.
-    pub fn reset(&mut self) {
-        self.cycles = 0.0;
     }
 }
 
@@ -169,7 +126,7 @@ mod tests {
     fn default_spec_matches_paper_sizing() {
         // ~1 iteration per second per core at the Nexus 6 top frequency.
         let spec = WorkloadSpec::pi_digits_default();
-        let rate = MegaHertz(2649.0).to_hz() * spec.utilization() / spec.cycles_per_iteration();
+        let rate = MegaHertz(2649.0).to_hz() / spec.cycles_per_iteration();
         assert!((rate - 1.0).abs() < 1e-9, "rate {rate}");
     }
 
@@ -187,7 +144,7 @@ mod tests {
 
     #[test]
     fn utilization_scales_linearly() {
-        let spec = WorkloadSpec::new(1.0e9, 1.0).unwrap();
+        let spec = WorkloadSpec::pi_digits_default();
         let mut full = WorkTally::new();
         let mut half = WorkTally::new();
         full.add(MegaHertz(1000.0), Seconds(10.0), 1.0);
@@ -197,34 +154,16 @@ mod tests {
 
     #[test]
     fn out_of_range_inputs_are_clamped() {
+        let spec = WorkloadSpec::pi_digits_default();
+        let mut full = WorkTally::new();
+        full.add(MegaHertz(1000.0), Seconds(1.0), 1.0);
         let mut tally = WorkTally::new();
         tally.add(MegaHertz(1000.0), Seconds(1.0), 2.0); // util clamps to 1
-        let clamped = tally.cycles();
-        assert_eq!(clamped, 1.0e9);
+        assert_eq!(tally, full);
         tally.add(MegaHertz(-5.0), Seconds(1.0), 1.0); // negative freq = no-op
         tally.add(MegaHertz(1000.0), Seconds(-1.0), 1.0); // negative dt = no-op
         tally.add(MegaHertz(1000.0), Seconds(1.0), -0.5); // negative util = no-op
-        assert_eq!(tally.cycles(), clamped);
-    }
-
-    #[test]
-    fn spec_validation() {
-        assert!(WorkloadSpec::new(0.0, 1.0).is_err());
-        assert!(WorkloadSpec::new(-1.0, 1.0).is_err());
-        assert!(WorkloadSpec::new(1.0e9, 0.0).is_err());
-        assert!(WorkloadSpec::new(1.0e9, 1.5).is_err());
-        assert!(WorkloadSpec::new(f64::NAN, 1.0).is_err());
-        let s = WorkloadSpec::new(2.0e9, 0.8).unwrap();
-        assert_eq!(s.cycles_per_iteration(), 2.0e9);
-        assert_eq!(s.utilization(), 0.8);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let mut tally = WorkTally::new();
-        tally.add(MegaHertz(1000.0), Seconds(1.0), 1.0);
-        tally.reset();
-        assert_eq!(tally.cycles(), 0.0);
+        assert_eq!(tally.iterations(&spec), full.iterations(&spec));
     }
 
     #[test]

@@ -58,11 +58,11 @@ fn device_sensor_noise_is_label_seeded() {
 
 #[test]
 fn population_sampling_is_seed_stable() {
-    use process_variation::pv_silicon::population::Population;
-    let a = Population::sample(ProcessNode::FINFET_14NM, 64, 1234);
-    let b = Population::sample(ProcessNode::FINFET_14NM, 64, 1234);
+    use process_variation::pv_silicon::population;
+    let a = population::sample(ProcessNode::FINFET_14NM, 64, 1234);
+    let b = population::sample(ProcessNode::FINFET_14NM, 64, 1234);
     assert_eq!(a, b);
-    let c = Population::sample(ProcessNode::FINFET_14NM, 64, 1235);
+    let c = population::sample(ProcessNode::FINFET_14NM, 64, 1235);
     assert_ne!(a, c);
 }
 
