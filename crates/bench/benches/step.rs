@@ -2,12 +2,12 @@
 //! fast path.
 //!
 //! Three measurements per integrator, written to `BENCH_step.json` in
-//! the `pv-bench-report/v1` schema for `benchdiff`'s regression gate:
+//! the `pv-bench-report/v1` schema:
 //!
 //! * **thermal step-rate** — `ThermalNetwork::step` throughput on the
 //!   catalog Pixel RC topology at the protocol's busy cadence. The
-//!   derived `thermal_speedup_exp_vs_rk4` metric is the one the ≥ 5×
-//!   floor reads: the exponential propagator replaces RK4's four
+//!   derived `thermal_speedup_exp_vs_rk4` metric is held to a ≥ 5×
+//!   floor ([`FLOOR`]): the exponential propagator replaces RK4's four
 //!   derivative sweeps with one dense mat-vec pair;
 //! * a **raw device-step loop** on one Pixel (`ns/step`), with a
 //!   counting global allocator snapshotted around the measured region —
@@ -42,6 +42,10 @@
 //! cargo bench -p pv-bench --bench step -- --steps 200000
 //! ```
 //!
+//! After writing the report the bench exits 1 if the zero-allocation
+//! check or the floor failed. Smoke mode records no floor: its short
+//! loops measure no ratio worth holding to one.
+//!
 //! Flags: `--steps N` (pinned iterations per raw/thermal sample,
 //! default 200000), `--samples N` (timed samples per loop, default 10),
 //! `--sessions N` (session samples, default 60), `--out PATH` (default
@@ -51,7 +55,7 @@
 use accubench::harness::{Ambient, Harness};
 use accubench::protocol::Protocol;
 use pv_bench::cli::{switch, valued, Cli};
-use pv_bench::report::{BenchReport, Check, Metric};
+use pv_bench::report::{BenchReport, Check, Floor, Metric};
 use pv_bench::stats::{robust, RobustStats, DEFAULT_NOISE_THRESHOLD};
 use pv_soc::catalog;
 use pv_soc::device::{CpuDemand, Device, FrequencyMode, StepReport};
@@ -94,6 +98,13 @@ fn alloc_count() -> u64 {
 }
 
 const INTEGRATORS: [Integrator; 3] = [Integrator::Euler, Integrator::Rk4, Integrator::Exponential];
+
+/// The step-rate floor a full run must hold.
+const FLOOR: Floor = Floor {
+    metric: "thermal_speedup_exp_vs_rk4",
+    min: 5.0,
+    min_host_parallelism: 0,
+};
 
 struct Options {
     steps: usize,
@@ -402,6 +413,9 @@ fn main() {
         name: "steady_state_allocs_zero".to_owned(),
         ok: steady_allocs == 0,
     });
+    if !opts.smoke {
+        report.check_floor(FLOOR);
+    }
     report.write(&opts.out).expect("write BENCH_step.json");
 
     println!(
@@ -413,11 +427,5 @@ fn main() {
          {session_speedup_vs_euler:.2}x vs euler"
     );
     println!("wrote {}", opts.out);
-    if steady_allocs != 0 {
-        eprintln!(
-            "FATAL: steady-state stepping made {steady_allocs} heap allocation(s) \
-             (must be zero for every integrator)"
-        );
-        std::process::exit(1);
-    }
+    report.exit_on_failed_checks();
 }

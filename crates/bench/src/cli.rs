@@ -1,7 +1,7 @@
 //! The command lines of `repro` and `accubench`: one flag table per
-//! binary ([`REPRO`], [`ACCUBENCH`]) and one parser over both. `benchdiff`
-//! and the `sweep`/`step` benches build their tables from the same
-//! [`switch`] and [`valued`] flags.
+//! binary ([`REPRO`], [`ACCUBENCH`]) and one parser over both. The
+//! `sweep`/`step` benches build their tables from the same [`switch`] and
+//! [`valued`] flags.
 //!
 //! A table names every flag, whether it takes a value, and the commands
 //! that read it; the usage text is generated from it. [`Cli::parse`]

@@ -1,21 +1,20 @@
 //! Machine-readable benchmark reports: the `pv-bench-report/v1` schema.
 //!
-//! Both perf benches (`sweep` and `step`) emit the same JSON shape so a
-//! single tool — `benchdiff` — can gate any of them against a committed
-//! baseline. A report carries:
+//! Both perf benches (`sweep` and `step`) write the same JSON shape, so
+//! one reader can follow any of them across commits. A report carries:
 //!
 //! * an **environment fingerprint** (host parallelism, rustc version,
-//!   commit SHA, sample count) so a diff can tell "code got slower"
-//!   apart from "different machine";
+//!   commit SHA, sample count), the conditions a number was measured
+//!   under;
 //! * a list of **metrics**, each with a robust point estimate (`value`,
 //!   the p50), spread statistics, the pinned iteration count, and the
 //!   `noisy` guardrail flag from [`crate::stats`];
-//! * a list of boolean **checks** (e.g. the sweep's determinism
-//!   contract) that `benchdiff` fails the build on unconditionally.
+//! * a list of boolean **checks**: the bench's invariants (e.g. the
+//!   sweep's determinism contract) and its absolute [`Floor`]s.
 //!
-//! Parsing is strict: [`BenchReport::from_json`] rejects missing or
-//! mistyped fields with a field-path error message, which is what
-//! `benchdiff --check-schema` surfaces as a PR-time lint.
+//! A bench writes its report first and then calls
+//! [`BenchReport::exit_on_failed_checks`], so a broken invariant or floor
+//! fails the bench and the evidence is still on disk.
 
 use crate::stats::RobustStats;
 use pv_json::Json;
@@ -25,7 +24,7 @@ use std::path::Path;
 pub const SCHEMA: &str = "pv-bench-report/v1";
 
 /// Where the benchmark ran: enough context to judge comparability.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct EnvFingerprint {
     /// `std::thread::available_parallelism` on the measuring host.
     pub host_parallelism: usize,
@@ -73,28 +72,28 @@ impl EnvFingerprint {
     }
 }
 
-/// One gated measurement.
-#[derive(Debug, Clone, PartialEq)]
+/// One measurement: a robust summary of its timed samples.
+#[derive(Debug, Clone)]
 pub struct Metric {
-    /// Stable name `benchdiff` matches baselines by (e.g. `speedup/t4`).
+    /// Stable name across runs (e.g. `speedup/t4`).
     pub name: String,
     /// Display unit (`devices/s`, `ns/step`, `ms`, `x`, …).
     pub unit: String,
     /// Direction: `true` when bigger numbers are better.
     pub higher_is_better: bool,
-    /// Robust point estimate (p50 of retained samples, or the derived
-    /// scalar for ratio metrics).
+    /// Robust point estimate: the p50 of retained samples (for a ratio
+    /// metric, of its per-round ratios).
     pub value: f64,
-    /// 90th percentile of retained samples (== `value` for scalars).
+    /// 90th percentile of retained samples.
     pub p90: f64,
-    /// Smallest retained sample (== `value` for scalars).
+    /// Smallest retained sample.
     pub min: f64,
     /// Scaled MAD / p50; see [`crate::stats`].
     pub rel_spread: f64,
-    /// True when `rel_spread` exceeded the bench's guardrail — the
-    /// signal for `benchdiff` to widen its tolerance band.
+    /// True when `rel_spread` exceeded the bench's guardrail: the value
+    /// should not be trusted to better than its spread.
     pub noisy: bool,
-    /// Timed samples behind the estimate (0 for derived scalars).
+    /// Timed samples behind the estimate.
     pub samples: usize,
     /// Pinned iterations per sample (1 when a sample is one full run).
     pub iterations: u64,
@@ -125,32 +124,6 @@ impl Metric {
             outliers_rejected: stats.outliers_rejected,
         }
     }
-
-    /// Builds a derived scalar metric (e.g. a speedup ratio). Spread is
-    /// propagated by the caller — pass the worst component's spread so
-    /// the noise-aware widening rule still applies to ratios.
-    pub fn scalar(
-        name: impl Into<String>,
-        unit: impl Into<String>,
-        higher_is_better: bool,
-        value: f64,
-        rel_spread: f64,
-        noisy: bool,
-    ) -> Self {
-        Self {
-            name: name.into(),
-            unit: unit.into(),
-            higher_is_better,
-            value,
-            p90: value,
-            min: value,
-            rel_spread,
-            noisy,
-            samples: 0,
-            iterations: 0,
-            outliers_rejected: 0,
-        }
-    }
 }
 
 /// A pass/fail invariant carried alongside the metrics.
@@ -162,8 +135,20 @@ pub struct Check {
     pub ok: bool,
 }
 
+/// An absolute lower bound a bench holds one of its own metrics to.
+#[derive(Debug, Clone, Copy)]
+pub struct Floor {
+    /// Metric name in the report (e.g. `speedup/t4`).
+    pub metric: &'static str,
+    /// The run's value must be at least this.
+    pub min: f64,
+    /// The floor applies only on a host with at least this many CPUs:
+    /// a 4-thread speedup shows nothing on a 2-CPU host.
+    pub min_host_parallelism: usize,
+}
+
 /// A full bench run: fingerprint + metrics + checks.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct BenchReport {
     /// Which bench produced this (`sweep`, `step`).
     pub bench: String,
@@ -248,114 +233,46 @@ impl BenchReport {
         out
     }
 
-    /// Strict parse of the `pv-bench-report/v1` shape. Errors name the
-    /// offending field path.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
-        let schema = json
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing string field `schema`")?;
-        if schema != SCHEMA {
-            return Err(format!("unsupported schema `{schema}` (want `{SCHEMA}`)"));
-        }
-        let bench = json
-            .get("bench")
-            .and_then(Json::as_str)
-            .ok_or("missing string field `bench`")?
-            .to_owned();
-        let env = json.get("env").ok_or("missing object field `env`")?;
-        let env = EnvFingerprint {
-            host_parallelism: field_usize(env, "env", "host_parallelism")?,
-            rustc_version: field_str(env, "env", "rustc_version")?,
-            commit_sha: field_str(env, "env", "commit_sha")?,
-            sample_count: field_usize(env, "env", "sample_count")?,
-        };
-        let metrics_json = json
-            .get("metrics")
-            .and_then(Json::as_array)
-            .ok_or("missing array field `metrics`")?;
-        let mut metrics = Vec::with_capacity(metrics_json.len());
-        for (i, m) in metrics_json.iter().enumerate() {
-            let at = format!("metrics[{i}]");
-            metrics.push(Metric {
-                name: field_str(m, &at, "name")?,
-                unit: field_str(m, &at, "unit")?,
-                higher_is_better: field_bool(m, &at, "higher_is_better")?,
-                value: field_f64(m, &at, "value")?,
-                p90: field_f64(m, &at, "p90")?,
-                min: field_f64(m, &at, "min")?,
-                rel_spread: field_f64(m, &at, "rel_spread")?,
-                noisy: field_bool(m, &at, "noisy")?,
-                samples: field_usize(m, &at, "samples")?,
-                iterations: field_f64(m, &at, "iterations")? as u64,
-                outliers_rejected: field_usize(m, &at, "outliers_rejected")?,
-            });
-        }
-        let checks_json = json
-            .get("checks")
-            .and_then(Json::as_array)
-            .ok_or("missing array field `checks`")?;
-        let mut checks = Vec::with_capacity(checks_json.len());
-        for (i, c) in checks_json.iter().enumerate() {
-            let at = format!("checks[{i}]");
-            checks.push(Check {
-                name: field_str(c, &at, "name")?,
-                ok: field_bool(c, &at, "ok")?,
-            });
-        }
-        let mut seen = std::collections::HashSet::new();
-        for m in &metrics {
-            if !seen.insert(m.name.as_str()) {
-                return Err(format!("duplicate metric name `{}`", m.name));
-            }
-        }
-        Ok(Self {
-            bench,
-            env,
-            metrics,
-            checks,
-        })
-    }
-
     /// Writes the report as pretty JSON (with trailing newline).
     pub fn write(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         std::fs::write(path, self.to_json().to_string_pretty() + "\n")
     }
 
-    /// Loads and strictly parses a report file.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, String> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let json = Json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        Self::from_json(&json).map_err(|e| format!("{}: {e}", path.display()))
+    /// Records `floor` as the check `<metric> >= <min>`, which fails when
+    /// the metric is below the bound or missing from the report. On a
+    /// host with fewer CPUs than the floor needs, no check is recorded
+    /// and a "floor skipped" note goes to stderr.
+    pub fn check_floor(&mut self, floor: Floor) {
+        if self.env.host_parallelism < floor.min_host_parallelism {
+            eprintln!(
+                "floor on `{}` skipped: host has {} CPU(s), floor needs >= {}",
+                floor.metric, self.env.host_parallelism, floor.min_host_parallelism
+            );
+            return;
+        }
+        let ok = self
+            .metric(floor.metric)
+            .is_some_and(|m| m.value >= floor.min);
+        self.checks.push(Check {
+            name: format!("{} >= {}", floor.metric, floor.min),
+            ok,
+        });
     }
-}
 
-fn field_f64(obj: &Json, at: &str, key: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing number field `{at}.{key}`"))
-}
-
-fn field_usize(obj: &Json, at: &str, key: &str) -> Result<usize, String> {
-    let v = field_f64(obj, at, key)?;
-    if v < 0.0 || v.fract() != 0.0 {
-        return Err(format!("field `{at}.{key}` must be a non-negative integer"));
+    /// Prints every failed check to stderr and exits 1 when there is one.
+    pub fn exit_on_failed_checks(&self) {
+        let mut failed = false;
+        for check in self.checks.iter().filter(|c| !c.ok) {
+            eprintln!(
+                "FAILED check `{}` in the `{}` bench",
+                check.name, self.bench
+            );
+            failed = true;
+        }
+        if failed {
+            std::process::exit(1);
+        }
     }
-    Ok(v as usize)
-}
-
-fn field_str(obj: &Json, at: &str, key: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing string field `{at}.{key}`"))
-}
-
-fn field_bool(obj: &Json, at: &str, key: &str) -> Result<bool, String> {
-    obj.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("missing bool field `{at}.{key}`"))
 }
 
 #[cfg(test)]
@@ -363,63 +280,67 @@ mod tests {
     use super::*;
     use crate::stats::{robust, DEFAULT_NOISE_THRESHOLD};
 
-    fn sample_report() -> BenchReport {
-        let stats = robust(&[1.0, 1.1, 0.9, 1.0, 1.05], DEFAULT_NOISE_THRESHOLD).unwrap();
-        let mut r = BenchReport::new("sweep", 5);
-        r.metrics.push(Metric::from_stats(
-            "devices_per_sec/t1",
-            "devices/s",
-            true,
-            &stats,
-            1,
-        ));
+    fn report_with(name: &str, value: f64, host_parallelism: usize) -> BenchReport {
+        let stats = robust(&[value], DEFAULT_NOISE_THRESHOLD).unwrap();
+        let mut r = BenchReport::new("sweep", 1);
+        r.env.host_parallelism = host_parallelism;
         r.metrics
-            .push(Metric::scalar("speedup/t4", "x", true, 2.4, 0.01, false));
-        r.checks.push(Check {
-            name: "reports_identical".to_owned(),
-            ok: true,
-        });
+            .push(Metric::from_stats(name, "x", true, &stats, 1));
         r
     }
 
+    const T4: Floor = Floor {
+        metric: "speedup/t4",
+        min: 2.0,
+        min_host_parallelism: 4,
+    };
+
     #[test]
-    fn report_round_trips_through_json() {
-        let r = sample_report();
-        let back = BenchReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(r, back);
+    fn floor_check_fails_below_the_floor_and_passes_at_it() {
+        let mut below = report_with("speedup/t4", 1.99, 4);
+        below.check_floor(T4);
+        assert_eq!(
+            below.checks,
+            [Check {
+                name: "speedup/t4 >= 2".to_owned(),
+                ok: false
+            }]
+        );
+        let mut at = report_with("speedup/t4", 2.0, 4);
+        at.check_floor(T4);
+        assert_eq!(at.checks.len(), 1);
+        assert!(at.checks[0].ok);
     }
 
     #[test]
-    fn parse_rejects_wrong_schema() {
-        let mut json = sample_report().to_json();
-        if let Json::Object(entries) = &mut json {
-            entries[0].1 = Json::String("something-else/v9".to_owned());
-        }
-        let err = BenchReport::from_json(&json).unwrap_err();
-        assert!(err.contains("unsupported schema"), "{err}");
+    fn floor_on_missing_metric_fails() {
+        let mut r = report_with("speedup/t2", 3.0, 4);
+        r.check_floor(T4);
+        assert_eq!(r.checks.len(), 1);
+        assert!(!r.checks[0].ok);
     }
 
     #[test]
-    fn parse_rejects_missing_metric_field() {
-        let text = r#"{
-          "schema": "pv-bench-report/v1",
-          "bench": "sweep",
-          "env": {"host_parallelism": 1, "rustc_version": "x", "commit_sha": "y", "sample_count": 3},
-          "metrics": [{"name": "m", "unit": "x", "higher_is_better": true}],
-          "checks": []
-        }"#;
-        let json = Json::from_str(text).unwrap();
-        let err = BenchReport::from_json(&json).unwrap_err();
-        assert!(err.contains("metrics[0].value"), "{err}");
+    fn floor_skipped_on_starved_host() {
+        let mut r = report_with("speedup/t4", 0.5, 3);
+        r.check_floor(T4);
+        assert!(r.checks.is_empty());
     }
 
     #[test]
-    fn parse_rejects_duplicate_metric_names() {
-        let mut r = sample_report();
-        let dup = r.metrics[0].clone();
-        r.metrics.push(dup);
-        let err = BenchReport::from_json(&r.to_json()).unwrap_err();
-        assert!(err.contains("duplicate metric name"), "{err}");
+    fn report_json_keeps_the_v1_shape() {
+        let mut r = report_with("speedup/t4", 2.5, 4);
+        r.check_floor(T4);
+        let json = r.to_json();
+        assert_eq!(json.get("schema").and_then(Json::as_str), Some(SCHEMA));
+        let check = &json.get("checks").and_then(Json::as_array).unwrap()[0];
+        assert_eq!(
+            check.get("name").and_then(Json::as_str),
+            Some("speedup/t4 >= 2")
+        );
+        assert_eq!(check.get("ok").and_then(Json::as_bool), Some(true));
+        let metric = &json.get("metrics").and_then(Json::as_array).unwrap()[0];
+        assert_eq!(metric.get("value").and_then(Json::as_f64), Some(2.5));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! statistics with interpolation (p50/p90), median absolute deviation,
 //! Tukey-fence outlier rejection, and a single [`RobustStats`] summary
 //! that carries a *relative spread* guardrail — metrics whose spread
-//! exceeds the threshold are flagged `noisy` so downstream gating
-//! (`benchdiff`) can widen its tolerance band instead of flapping.
+//! exceeds the threshold are flagged `noisy`, so a reader of the report
+//! knows the value is not to be trusted to better than its spread.
 //!
 //! All functions are deterministic pure functions of their input vector,
 //! so the whole path is unit-testable with injected samples.

@@ -183,8 +183,8 @@ impl Runner<'_> {
             Target::Fig3 => self.emit(out, &fig3::run(cfg)?, |f| {
                 noted(f.render(), "paper: holds 26 ± 0.5 °C")
             }),
-            Target::Fig4 => self.emit(out, self.fig45()?, |f| Ok(f.unconstrained.render())),
-            Target::Fig5 => self.emit(out, self.fig45()?, |f| Ok(f.fixed.render())),
+            Target::Fig4 => self.emit(out, &self.fig45()?.unconstrained, |t| Ok(t.render())),
+            Target::Fig5 => self.emit(out, &self.fig45()?.fixed, |t| Ok(t.render())),
             Target::Fig6 => self.study(out, target, 0, plans::nexus5, (14.0, 19.0)),
             Target::Fig7 => self.study(out, target, 2, plans::nexus6p, (10.0, 12.0)),
             Target::Fig8 => self.study(out, target, 3, plans::lg_g5, (4.0, 10.0)),
@@ -198,11 +198,11 @@ impl Runner<'_> {
                     f.max_vs_battery()
                 ))
             }),
-            Target::Fig11 => self.emit(out, self.fig1112()?, |f| {
-                noted(f.pixel.render(), "paper: 7% perf gap matching the mean-frequency gap")
+            Target::Fig11 => self.emit(out, &self.fig1112()?.pixel, |p| {
+                noted(p.render(), "paper: 7% perf gap matching the mean-frequency gap")
             }),
-            Target::Fig12 => self.emit(out, self.fig1112()?, |f| {
-                noted(f.nexus5.render(), "paper: 11% perf gap matching the mean-frequency gap")
+            Target::Fig12 => self.emit(out, &self.fig1112()?.nexus5, |p| {
+                noted(p.render(), "paper: 11% perf gap matching the mean-frequency gap")
             }),
             Target::Fig13 => {
                 let fig = if self.share_studies {
@@ -366,17 +366,39 @@ mod tests {
     #[test]
     fn text_and_json_render_the_same_run() {
         let cfg = ExperimentConfig::quick();
-        let render = |json| {
+        let render = |target: Target, json| {
             let mut out = Vec::new();
-            run(&[Target::Table1], &cfg, None, None, json, &mut out).unwrap();
+            run(&[target], &cfg, None, None, json, &mut out).unwrap();
             String::from_utf8(out).unwrap()
         };
-        let text = render(false);
-        assert!(text.starts_with("==== table1 ====\n"), "{text}");
-        assert!(text.contains("worst model-vs-kernel deviation"), "{text}");
-        let json = render(true);
-        let body = json.strip_prefix("==== table1 ====\n").unwrap();
-        let expected = table1::run().unwrap().to_json().to_string_pretty();
-        assert_eq!(body, format!("{expected}\n"));
+        let fig45 = fig45::run(&cfg).unwrap();
+        let fig1112 = fig1112::run(&cfg).unwrap();
+        // Each target's text carries `marker`; its JSON is `expected`.
+        let cases = [
+            (
+                Target::Table1,
+                "worst model-vs-kernel deviation".to_owned(),
+                table1::run().unwrap().to_json(),
+            ),
+            (
+                Target::Fig4,
+                fig45.unconstrained.render(),
+                fig45.unconstrained.to_json(),
+            ),
+            (
+                Target::Fig12,
+                fig1112.nexus5.render(),
+                fig1112.nexus5.to_json(),
+            ),
+        ];
+        for (target, marker, expected) in cases {
+            let header = format!("==== {} ====\n", target.name());
+            let text = render(target, false);
+            assert!(text.starts_with(&header), "{text}");
+            assert!(text.contains(&marker), "{text}");
+            let json = render(target, true);
+            let body = json.strip_prefix(&header).unwrap();
+            assert_eq!(body, format!("{}\n", expected.to_string_pretty()));
+        }
     }
 }

@@ -18,13 +18,13 @@
 //!   meter, and (when the caller wraps its device in a
 //!   [`pv_soc::faulty::FaultyDevice`]) the device itself. Disarmed — the
 //!   default — every path is a bit-identical pass-through;
-//! * [`RetryPolicy`]: an iteration that fails with a *transient* error
-//!   ([`BenchError::is_transient`]) is retried after an idle backoff wait
-//!   in simulated time, so fault windows genuinely pass;
+//! * retry: an iteration that fails with a *transient* error
+//!   ([`BenchError::is_transient`]) is retried, up to 3 attempts, after an
+//!   idle backoff wait in simulated time, so fault windows genuinely pass;
 //! * iteration slots that exhaust their retry budget are **quarantined**
 //!   ([`crate::session::QuarantinedIteration`]) rather than aborting the
 //!   session, and never contribute to summary statistics;
-//! * [`QualityGates`] judge the finished session into a
+//! * fixed quality gates judge the finished session into a
 //!   [`Verdict`]: too few surviving iterations ⇒
 //!   [`Verdict::Invalid`]; quarantines, cooldown timeouts, chamber-band
 //!   excursions or excessive spread ⇒ [`Verdict::Degraded`].
@@ -127,30 +127,25 @@ impl Ambient {
 /// `backoff_base · backoff_factor^(n−1)`, capped at `backoff_max`, idling
 /// the device (and advancing the fault clock) so injected fault windows
 /// actually pass before the retry.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
+struct RetryPolicy {
     /// Total attempts per iteration slot (first try included). An
     /// iteration that fails transiently this many times is quarantined.
-    pub max_attempts: u32,
+    max_attempts: u32,
     /// Idle wait before the first retry.
-    pub backoff_base: Seconds,
+    backoff_base: Seconds,
     /// Multiplier applied to the wait after each further failure.
-    pub backoff_factor: f64,
+    backoff_factor: f64,
     /// Ceiling on any single backoff wait.
-    pub backoff_max: Seconds,
+    backoff_max: Seconds,
 }
 
-impl Default for RetryPolicy {
-    /// Three attempts with 30 s → 60 s waits, capped at 8 minutes.
-    fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            backoff_base: Seconds(30.0),
-            backoff_factor: 2.0,
-            backoff_max: Seconds(480.0),
-        }
-    }
-}
+/// Three attempts with 30 s → 60 s waits, capped at 8 minutes.
+const RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 3,
+    backoff_base: Seconds(30.0),
+    backoff_factor: 2.0,
+    backoff_max: Seconds(480.0),
+};
 
 impl RetryPolicy {
     /// The idle wait before retrying after `failed_attempts` failures.
@@ -162,29 +157,24 @@ impl RetryPolicy {
 }
 
 /// Acceptance thresholds that judge a finished session into a [`Verdict`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QualityGates {
+struct QualityGates {
     /// Minimum iterations that must survive (clamped to the number
     /// requested) for the session to be usable at all.
-    pub min_valid_iterations: usize,
+    min_valid_iterations: usize,
     /// Ceiling on the performance relative standard deviation before the
     /// session is flagged degraded (the paper's repeatability bar).
-    pub max_rsd_percent: f64,
+    max_rsd_percent: f64,
     /// Minimum fraction of each workload window the ambient must spend
     /// inside its acceptance band.
-    pub min_band_occupancy: f64,
+    min_band_occupancy: f64,
 }
 
-impl Default for QualityGates {
-    /// At least 3 surviving iterations, ≤ 5 % RSD, ≥ 80 % band occupancy.
-    fn default() -> Self {
-        Self {
-            min_valid_iterations: 3,
-            max_rsd_percent: 5.0,
-            min_band_occupancy: 0.8,
-        }
-    }
-}
+/// At least 3 surviving iterations, ≤ 5 % RSD, ≥ 80 % band occupancy.
+const GATES: QualityGates = QualityGates {
+    min_valid_iterations: 3,
+    max_rsd_percent: 5.0,
+    min_band_occupancy: 0.8,
+};
 
 /// Runs [`Protocol`]s against devices.
 ///
@@ -208,14 +198,12 @@ pub struct Harness {
     ambient: Ambient,
     workload_spec: WorkloadSpec,
     faults: FaultHandle,
-    retry: RetryPolicy,
-    gates: QualityGates,
     watchdog: Option<Watchdog>,
 }
 
 impl Harness {
     /// Creates a harness after validating the protocol. Faults start
-    /// disarmed; retry policy and quality gates start at their defaults.
+    /// disarmed.
     ///
     /// # Errors
     ///
@@ -227,8 +215,6 @@ impl Harness {
             ambient,
             workload_spec: WorkloadSpec::pi_digits_default(),
             faults: FaultHandle::disarmed(),
-            retry: RetryPolicy::default(),
-            gates: QualityGates::default(),
             watchdog: None,
         })
     }
@@ -242,20 +228,6 @@ impl Harness {
     pub fn with_faults(mut self, faults: FaultHandle) -> Self {
         self.ambient.set_faults(faults.clone());
         self.faults = faults;
-        self
-    }
-
-    /// Replaces the retry policy.
-    #[must_use]
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Replaces the quality gates.
-    #[must_use]
-    pub fn with_quality_gates(mut self, gates: QualityGates) -> Self {
-        self.gates = gates;
         self
     }
 
@@ -539,7 +511,7 @@ impl Harness {
         quarantined: &[QuarantinedIteration],
         requested: usize,
     ) -> Verdict {
-        let need = self.gates.min_valid_iterations.min(requested).max(1);
+        let need = GATES.min_valid_iterations.min(requested).max(1);
         if runs.len() < need {
             return Verdict::Invalid;
         }
@@ -547,10 +519,10 @@ impl Harness {
             || runs.iter().any(|it| it.cooldown_timed_out)
             || runs
                 .iter()
-                .any(|it| it.band_occupancy < self.gates.min_band_occupancy);
+                .any(|it| it.band_occupancy < GATES.min_band_occupancy);
         if runs.len() >= 2 {
             if let Ok(perf) = Summary::from_iter(runs.iter().map(|i| i.iterations_completed)) {
-                degraded |= perf.rsd_percent() > self.gates.max_rsd_percent;
+                degraded |= perf.rsd_percent() > GATES.max_rsd_percent;
             }
         }
         if degraded {
@@ -563,7 +535,7 @@ impl Harness {
     /// Runs `iterations` back-to-back iterations — the paper ran 5 per
     /// device per workload.
     ///
-    /// Each iteration slot is retried per the [`RetryPolicy`] when it fails
+    /// Each iteration slot is retried, up to 3 attempts, when it fails
     /// with a *transient* error (injected probe dropouts, meter
     /// disconnects, chamber stalls, hotplug flaps), idling the device
     /// through an exponential backoff between attempts. Slots that exhaust
@@ -594,8 +566,8 @@ impl Harness {
                         break;
                     }
                     Err(e) if e.is_transient() => {
-                        if attempts < self.retry.max_attempts {
-                            self.idle_wait(device, self.retry.backoff_for(attempts))?;
+                        if attempts < RETRY.max_attempts {
+                            self.idle_wait(device, RETRY.backoff_for(attempts))?;
                         } else {
                             quarantined.push(QuarantinedIteration {
                                 index,
@@ -814,10 +786,9 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let r = RetryPolicy::default();
-        assert_eq!(r.backoff_for(1), Seconds(30.0));
-        assert_eq!(r.backoff_for(2), Seconds(60.0));
-        assert_eq!(r.backoff_for(5), Seconds(480.0)); // capped
+        assert_eq!(RETRY.backoff_for(1), Seconds(30.0));
+        assert_eq!(RETRY.backoff_for(2), Seconds(60.0));
+        assert_eq!(RETRY.backoff_for(5), Seconds(480.0)); // capped
     }
 
     /// A session whose device drops its sensor briefly mid-cooldown still

@@ -7,7 +7,7 @@
 //! identically.
 
 use accubench::crowd::{populate_parallel, CrowdDatabase, SweepConfig};
-use accubench::harness::{Ambient, Harness, QualityGates, RetryPolicy};
+use accubench::harness::{Ambient, Harness};
 use accubench::journal::CancelToken;
 use accubench::protocol::Protocol;
 use accubench::session::Verdict;
@@ -139,8 +139,8 @@ fn few_transient_faults_still_validate() {
     assert_eq!(session.verdict, Verdict::Valid);
 }
 
-/// Custom retry policies are honoured: with a single attempt allowed, a
-/// permanent fault quarantines every slot after exactly one try.
+/// The retry budget is honoured: a permanent fault quarantines every slot
+/// after exactly three tries, and no slot survives.
 #[test]
 fn retry_policy_attempt_budget_is_respected() {
     let plan = FaultPlan::empty().with_event(FaultEvent {
@@ -156,25 +156,20 @@ fn retry_policy_attempt_budget_is_respected() {
     );
     let mut harness = Harness::new(quick(), Ambient::Fixed(Celsius(26.0)))
         .unwrap()
-        .with_faults(handle.clone())
-        .with_retry_policy(RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        });
+        .with_faults(handle.clone());
     let session = harness.run_session(&mut device, 3).unwrap();
     assert!(session.iterations.is_empty());
     assert_eq!(session.quarantined.len(), 3);
     for q in &session.quarantined {
-        assert_eq!(q.attempts, 1);
+        assert_eq!(q.attempts, 3);
     }
     assert_eq!(session.verdict, Verdict::Invalid);
 }
 
-/// Permissive quality gates are honoured: when only one iteration survives
-/// a permanent late fault, `min_valid_iterations: 1` downgrades the
-/// verdict to Degraded instead of Invalid.
+/// The quality gates need three surviving iterations: when only one of
+/// three survives a permanent late fault, the session is Invalid.
 #[test]
-fn quality_gates_are_configurable() {
+fn quality_gates_need_three_surviving_iterations() {
     // Measure one clean iteration so the permanent fault starts after it.
     let clock = FaultHandle::armed(FaultPlan::empty());
     let mut probe_dev = FaultyDevice::new(
@@ -200,17 +195,11 @@ fn quality_gates_are_configurable() {
     );
     let mut harness = Harness::new(quick(), Ambient::Fixed(Celsius(26.0)))
         .unwrap()
-        .with_faults(handle.clone())
-        .with_quality_gates(QualityGates {
-            min_valid_iterations: 1,
-            ..QualityGates::default()
-        });
+        .with_faults(handle.clone());
     let session = harness.run_session(&mut device, 3).unwrap();
     assert_eq!(session.iterations.len(), 1);
     assert_eq!(session.quarantined.len(), 2);
-    // One surviving iteration clears the permissive gate, but the
-    // quarantines still taint the verdict.
-    assert_eq!(session.verdict, Verdict::Degraded);
+    assert_eq!(session.verdict, Verdict::Invalid);
 }
 
 /// The same fault plan driven through the same session twice produces an

@@ -239,7 +239,7 @@ fn short_write_repairs_tail_and_recommits() {
     let mem = MemStorage::new();
     let faulty = Storage::new(Arc::new(FaultyStorage::new(
         Storage::new(Arc::new(mem.clone())),
-        &storage_plan(FaultKind::StorageShortWrite, 3.0, 0.0),
+        &storage_plan(FaultKind::StorageShortWrite, 3.0, 1.0),
     )));
     let mut sdb = db();
     let mut journal = Journal::open_with(faulty.clone(), JOURNAL).unwrap();
@@ -272,7 +272,7 @@ fn fsync_lie_is_healed_by_resume_after_power_cycle() {
     let mem = MemStorage::new();
     let faulty = Storage::new(Arc::new(FaultyStorage::new(
         Storage::new(Arc::new(mem.clone())),
-        &storage_plan(FaultKind::StorageFsyncLie, last_sync, 0.0),
+        &storage_plan(FaultKind::StorageFsyncLie, last_sync, 1.0),
     )));
     let mut sdb = db();
     let mut journal = Journal::open_with(faulty.clone(), JOURNAL).unwrap();

@@ -198,8 +198,9 @@ impl ToJson for FaultKind {
 pub struct FaultEvent {
     /// Start time, seconds from session start.
     pub at: f64,
-    /// Window length in seconds. Zero-duration events fire exactly once,
-    /// at the first query at or after `at`.
+    /// Window length in seconds; must be positive. On the storage
+    /// operation clock, `duration = 1` covers exactly operation `at`. A
+    /// window of zero length covers nothing, so it never fires.
     pub duration: f64,
     /// What fails.
     pub kind: FaultKind,
@@ -211,14 +212,9 @@ pub struct FaultEvent {
 }
 
 impl FaultEvent {
-    /// Whether the window covers time `t` (half-open, `[at, at+duration)`,
-    /// except zero-duration windows which cover exactly `t == at`).
+    /// Whether the window covers time `t` (half-open, `[at, at+duration)`).
     pub fn active_at(&self, t: f64) -> bool {
-        if self.duration <= 0.0 {
-            (t - self.at).abs() < f64::EPSILON
-        } else {
-            t >= self.at && t < self.at + self.duration
-        }
+        t >= self.at && t < self.at + self.duration
     }
 }
 
@@ -297,7 +293,9 @@ impl FaultPlan {
     /// ```
     ///
     /// Comments (`#`) and blank lines are ignored. Unknown keys, unknown
-    /// kinds, and malformed lines are errors.
+    /// kinds, and malformed lines are errors, and so is a number that is
+    /// not finite, a negative `at` or a `duration` that is not positive:
+    /// such a window could never fire.
     pub fn from_toml_str(input: &str) -> Result<Self, PlanParseError> {
         #[derive(Default)]
         struct Partial {
@@ -349,11 +347,16 @@ impl FaultPlan {
                 message: format!("expected `key = value`, got `{line}`"),
             })?;
             let (key, value) = (key.trim(), value.trim());
-            let num = |v: &str| -> Result<f64, PlanParseError> {
-                v.parse::<f64>().map_err(|_| PlanParseError {
+            let num = |v: &str, valid: fn(f64) -> bool, what: &str| {
+                let err = |message| PlanParseError {
                     line: lineno,
-                    message: format!("`{key}` is not a number: `{v}`"),
-                })
+                    message,
+                };
+                match v.parse::<f64>() {
+                    Ok(x) if x.is_finite() && valid(x) => Ok(x),
+                    Ok(_) => Err(err(format!("`{key}` must be {what}, not `{v}`"))),
+                    Err(_) => Err(err(format!("`{key}` is not a number: `{v}`"))),
+                }
             };
             match (&mut current, key) {
                 (None, "seed") => {
@@ -368,9 +371,15 @@ impl FaultPlan {
                         message: format!("unknown top-level key `{key}`"),
                     });
                 }
-                (Some((partial, _)), "at") => partial.at = Some(num(value)?),
-                (Some((partial, _)), "duration") => partial.duration = Some(num(value)?),
-                (Some((partial, _)), "magnitude") => partial.magnitude = Some(num(value)?),
+                (Some((partial, _)), "at") => {
+                    partial.at = Some(num(value, |x| x >= 0.0, "a finite number >= 0")?)
+                }
+                (Some((partial, _)), "duration") => {
+                    partial.duration = Some(num(value, |x| x > 0.0, "a finite number > 0")?)
+                }
+                (Some((partial, _)), "magnitude") => {
+                    partial.magnitude = Some(num(value, |_| true, "a finite number")?)
+                }
                 (Some((partial, _)), "kind") => {
                     let name = value.trim_matches('"');
                     partial.kind = Some(FaultKind::parse(name).ok_or_else(|| PlanParseError {
@@ -703,6 +712,25 @@ mod tests {
         let err = FaultPlan::from_toml_str("[[event]]\nat = 0\nduration = 1\nkind = \"bogus\"\n")
             .unwrap_err();
         assert_eq!(err.line, 4);
+        // Windows that could never fire are refused on their own line.
+        for (key, value) in [
+            ("duration", "0"),
+            ("duration", "-1"),
+            ("duration", "nan"),
+            ("duration", "inf"),
+            ("at", "-0.5"),
+            ("at", "inf"),
+            ("at", "NaN"),
+            ("magnitude", "nan"),
+            ("magnitude", "-inf"),
+        ] {
+            let text = format!(
+                "seed = 1\n[[event]]\nat = 1\nduration = 1\nkind = \"probe-spike\"\n{key} = {value}\n"
+            );
+            let err = FaultPlan::from_toml_str(&text).unwrap_err();
+            assert_eq!(err.line, 6, "{key} = {value}: {err}");
+            assert!(err.message.contains(key), "{key} = {value}: {err}");
+        }
     }
 
     #[test]
@@ -768,18 +796,5 @@ mod tests {
         let e = b.active(FaultKind::HotplugFlap).expect("shared clock");
         b.report(&e, "flap");
         assert_eq!(a.report_count(), 1);
-    }
-
-    #[test]
-    fn zero_duration_event_fires_at_exact_time() {
-        let e = FaultEvent {
-            at: 2.0,
-            duration: 0.0,
-            kind: FaultKind::ProbeSpike,
-            magnitude: 3.0,
-        };
-        assert!(!e.active_at(1.9));
-        assert!(e.active_at(2.0));
-        assert!(!e.active_at(2.1));
     }
 }

@@ -27,10 +27,10 @@ fn linear_find(plan: &FaultPlan, kind: FaultKind, t: f64) -> Option<FaultEvent> 
 }
 
 /// A plan drawing its kinds from a few of the 18, so windows of one kind
-/// overlap and most kinds are absent. Start times and durations sit on a
-/// 0.5 s grid, so clock steps of 0.25 s land exactly on the zero-duration
-/// events; each event carries a distinct magnitude, so the test can tell
-/// overlapping events apart. `sorted` decides whether the events are kept
+/// overlap and most kinds are absent. Start times and durations (at least
+/// 0.5 s) sit on a 0.5 s grid, so clock steps of 0.25 s land exactly on
+/// window edges; each event carries a distinct magnitude, so the test can
+/// tell overlapping events apart. `sorted` decides whether the events are kept
 /// in start order ([`FaultPlan::with_event`]) or left as drawn, the way a
 /// hand-built plan may be.
 fn random_plan(rng: &mut StdRng, sorted: bool) -> FaultPlan {
@@ -43,14 +43,9 @@ fn random_plan(rng: &mut StdRng, sorted: bool) -> FaultPlan {
         events: Vec::new(),
     };
     for i in 0..rng.gen_range(0..40usize) {
-        let duration = if rng.gen_range(0..4u32) == 0 {
-            0.0
-        } else {
-            0.5 * rng.gen_range(1..40u32) as f64
-        };
         let event = FaultEvent {
             at: 0.5 * rng.gen_range(0..100u32) as f64,
-            duration,
+            duration: 0.5 * rng.gen_range(1..40u32) as f64,
             kind: palette[rng.gen_range(0..palette.len())],
             magnitude: i as f64,
         };
@@ -84,7 +79,6 @@ fn check_walk(plan: &FaultPlan, handle: &FaultHandle, dt: f64, steps: usize, tag
 fn indexed_active_matches_the_linear_scan() {
     let mut rng = StdRng::seed_from_u64(0xFA017);
     let mut hits = 0usize;
-    let mut zero_hits = 0usize;
     for case in 0..300 {
         let plan = random_plan(&mut rng, case % 2 == 0);
         let handle = FaultHandle::armed(plan.clone());
@@ -97,22 +91,15 @@ fn indexed_active_matches_the_linear_scan() {
         let dt = 0.1 + rng.gen_range(0.0..0.9);
         check_walk(&plan, &handle, dt, 80, &format!("case {case} after reset"));
 
-        // Count that the walks really hit events, zero-duration ones too.
+        // Count that the walks really hit events.
         for step in 0..260 {
             let t = step as f64 * 0.25;
             for e in &plan.events {
-                if e.active_at(t) {
-                    hits += 1;
-                    zero_hits += usize::from(e.duration == 0.0);
-                }
+                hits += usize::from(e.active_at(t));
             }
         }
     }
     assert!(hits > 10_000, "walks rarely met an active window: {hits}");
-    assert!(
-        zero_hits > 100,
-        "zero-duration events never fired: {zero_hits}"
-    );
 }
 
 #[test]

@@ -58,7 +58,7 @@ pub mod prelude {
         populate_parallel, CrowdDatabase, CrowdScore, SweepConfig, SweepReport,
     };
     pub use accubench::experiments::ExperimentConfig;
-    pub use accubench::harness::{Ambient, Harness, QualityGates, RetryPolicy};
+    pub use accubench::harness::{Ambient, Harness};
     pub use accubench::journal::{CancelToken, Journal, Record};
     pub use accubench::protocol::{CooldownTarget, Protocol};
     pub use accubench::session::{Iteration, QuarantinedIteration, Session, Verdict};
