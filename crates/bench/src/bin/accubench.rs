@@ -8,18 +8,21 @@
 //! running the THERMABOX, and `--scale` shrinks the warmup and workload.
 //! `--trace` writes the last iteration's full trace as CSV.
 //!
-//! `--faults` arms a fault plan: instrument kinds hit the session, and
-//! `storage-*` kinds hit the `--journal` filesystem instead, where
-//! `at`/`duration` count storage operations. An accubench journal is a
+//! `--faults` arms a fault plan: instrument and session kinds hit the
+//! session, and `storage-*` kinds hit the `--journal` filesystem instead,
+//! where `at`/`duration` count storage operations; a plan with a storage
+//! kind is refused without `--journal`. An accubench journal is a
 //! one-device sweep journal: `--resume` replays its journaled result
 //! instead of re-measuring, and refuses a journal written under other
 //! options. Every option is checked before the journal is opened.
 //!
-//! `--max-task-seconds` stops a session that runs longer at its next
-//! cooperative checkpoint, as timed-out (DESIGN.md §12). A panicked,
-//! timed-out or failed session exits non-zero under `--on-failure abort`
-//! (the default); under `quarantine` it is journaled with its typed status
-//! and the process exits 0.
+//! Every session runs under the sweeps' simulated-time budget, so a
+//! wedged one (a `session-stall` window) stops as timed-out; no healthy
+//! session reaches it. `--max-task-seconds` stops a session that runs
+//! longer in wall time at its next cooperative checkpoint, as timed-out
+//! too (DESIGN.md §12). A panicked, timed-out or failed session exits
+//! non-zero under `--on-failure abort` (the default); under `quarantine`
+//! it is journaled with its typed status and the process exits 0.
 //!
 //! ```text
 //! accubench --device nexus5:0
@@ -38,7 +41,7 @@ use accubench::protocol::Protocol;
 use accubench::session::Session;
 use accubench::supervise::{OnFailure, SupervisionPolicy, Watchdog};
 use pv_bench::cli::{open_journal, write_failed, Flags, ACCUBENCH};
-use pv_faults::{FaultHandle, FaultPlan};
+use pv_faults::{FaultHandle, FaultKind, FaultPlan};
 use pv_soc::catalog;
 use pv_soc::faulty::FaultyDevice;
 use pv_thermal::network::Integrator;
@@ -165,7 +168,9 @@ fn run(flags: &Flags<'_>) -> Result<ExitCode, String> {
     // Storage kinds in the plan never fire on the session's simulated-time
     // clock — they are split out and armed on the journal's filesystem,
     // where `at`/`duration` count storage operations.
-    let (faults, storage_plan, fault_toml) = match flags.fault_plan("--faults")? {
+    // Without a journal, storage kinds would have nothing to hit.
+    let accepts = |k: FaultKind| journal_path.is_some() || !k.is_storage();
+    let (faults, storage_plan, fault_toml) = match flags.fault_plan("--faults", accepts)? {
         Some((plan, text)) => {
             let (storage_events, instrument_events): (Vec<_>, Vec<_>) =
                 plan.events.into_iter().partition(|e| e.kind.is_storage());
@@ -201,12 +206,16 @@ fn run(flags: &Flags<'_>) -> Result<ExitCode, String> {
         Some(t) => Ambient::Fixed(Celsius(t)),
         None => Ambient::paper_chamber().map_err(|e| e.to_string())?,
     };
+    // The sweeps' default budget: it stops a wedged session as timed-out,
+    // and no healthy session reaches it.
+    let mut watchdog = Watchdog::new().with_sim_budget(protocol.fault_horizon(iterations));
+    if let Some(wall) = policy.max_wall_seconds {
+        watchdog = watchdog.with_wall_limit(wall);
+    }
     let mut harness = Harness::new(protocol, ambient)
         .map_err(|e| e.to_string())?
-        .with_faults(faults.clone());
-    if let Some(wall) = policy.max_wall_seconds {
-        harness = harness.with_watchdog(Watchdog::new().with_wall_limit(wall));
-    }
+        .with_faults(faults.clone())
+        .with_watchdog(watchdog);
 
     // Digest over everything that determines this run's simulated outcome,
     // including the fault plan's *text* (editing the plan file invalidates

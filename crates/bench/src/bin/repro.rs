@@ -10,8 +10,10 @@
 //! writes plot-ready `.dat` files and a checksum manifest, which `repro
 //! verify <dir>` re-checks. `--integrator` picks the thermal scheme
 //! (default `euler`; `exponential` is the fast path, DESIGN.md §11).
-//! `--faults` arms a fault plan for the `rsd` sessions only. In debug
-//! builds `--verbose` prints the thermal step counters.
+//! `--faults` arms a fault plan for the `rsd` sessions only, and refuses
+//! a plan with a session or storage kind, which those sessions cannot
+//! apply (DESIGN.md §8). In debug builds `--verbose` prints the thermal
+//! step counters.
 //!
 //! Every experiment fans its device sessions out at the host's available
 //! parallelism and merges them in device order, so output is
@@ -29,9 +31,9 @@
 //!   bootstrap confidence intervals;
 //! - `--max-task-seconds` and `--on-failure` supervise sessions, and the
 //!   `--chaos-*` flags inject panics and stalls (DESIGN.md §12);
-//! - `--storage-faults` injects filesystem faults under the journal, and
-//!   `--storage-escalation` says what happens when healing runs out
-//!   (DESIGN.md §13).
+//! - `--storage-faults` injects filesystem faults under the journal and
+//!   refuses a plan with any other kind, and `--storage-escalation` says
+//!   what happens when healing runs out (DESIGN.md §13).
 //!
 //! `repro fsck <journal>` checks a journal; `--repair` truncates torn
 //! tails, as `--resume` does.
@@ -49,6 +51,7 @@ use accubench::protocol::Protocol;
 use accubench::storage::StorageEscalation;
 use accubench::supervise::{SessionChaos, SupervisionPolicy};
 use pv_bench::cli::{open_journal, write_failed, Flags, REPRO};
+use pv_faults::FaultKind;
 use pv_soc::catalog;
 use pv_soc::device::Device;
 use pv_stats::sampling::{self, Estimates, Strategy, StratumSample};
@@ -132,7 +135,10 @@ fn experiment_config(flags: &Flags<'_>) -> Result<ExperimentConfig, String> {
 /// Runs the experiment `targets` and prints them.
 fn run_experiments(targets: &[Target], flags: &Flags<'_>) -> Result<ExitCode, String> {
     let cfg = experiment_config(flags)?;
-    let fault_plan = flags.fault_plan("--faults")?.map(|(plan, _)| plan);
+    let instrument = |k| pv_faults::ALL_KINDS.contains(&k);
+    let fault_plan = flags
+        .fault_plan("--faults", instrument)?
+        .map(|(plan, _)| plan);
     if let (Some(plan), Some(path)) = (&fault_plan, flags.value("--faults")) {
         eprintln!("armed fault plan {path}: {} event(s)", plan.events.len());
     }
@@ -261,7 +267,9 @@ fn run_sweep(flags: &Flags<'_>) -> Result<ExitCode, String> {
     let storage_escalation = flags
         .choice("--storage-escalation", StorageEscalation::parse)?
         .unwrap_or(StorageEscalation::Degrade);
-    let storage_faults = flags.fault_plan("--storage-faults")?.map(|(plan, _)| plan);
+    let storage_faults = flags
+        .fault_plan("--storage-faults", FaultKind::is_storage)?
+        .map(|(plan, _)| plan);
     let n = flags.positive_integer("--devices")?.unwrap_or(100);
     let sampling_plan = sampling_plan(flags, n)?;
     let seed = flags.unsigned("--seed")?;
@@ -305,7 +313,7 @@ fn run_sweep(flags: &Flags<'_>) -> Result<ExitCode, String> {
     };
 
     if let Some(plan) = &storage_faults {
-        let armed = plan.events.iter().filter(|e| e.kind.is_storage()).count();
+        let armed = plan.events.len();
         eprintln!("armed storage fault plan: {armed} storage event(s)");
     }
     let mut journal = journal_path

@@ -14,7 +14,7 @@
 use accubench::journal::Journal;
 use accubench::storage::{FaultyStorage, Storage};
 use accubench::supervise::{OnFailure, SupervisionPolicy};
-use pv_faults::FaultPlan;
+use pv_faults::{FaultKind, FaultPlan, SESSION_KINDS};
 use std::sync::Arc;
 
 /// One flag of a command line.
@@ -301,14 +301,35 @@ impl<'a> Flags<'a> {
         self.get(flag, &format!("one of {names}"), parse)
     }
 
-    /// The fault plan named by `flag`, with the plan file's text.
-    pub fn fault_plan(&self, flag: &str) -> Result<Option<(FaultPlan, String)>, String> {
+    /// The fault plan named by `flag`, with the plan file's text. `Err`
+    /// names the first event kind `accepts` refuses, and the flags that
+    /// apply that kind: a plan is never partly ignored.
+    pub fn fault_plan(
+        &self,
+        flag: &str,
+        accepts: impl Fn(FaultKind) -> bool,
+    ) -> Result<Option<(FaultPlan, String)>, String> {
         let Some(path) = self.value(flag) else {
             return Ok(None);
         };
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("{flag}: could not read {path}: {e}"))?;
         let plan = FaultPlan::from_toml_str(&text).map_err(|e| format!("{flag}: {path}: {e}"))?;
+        if let Some(kind) = plan.events.iter().map(|e| e.kind).find(|&k| !accepts(k)) {
+            let applied_by = if kind.is_storage() {
+                "storage kinds are applied by `repro sweep --storage-faults` \
+                 and by `accubench --faults` with `--journal`"
+            } else if SESSION_KINDS.contains(&kind) {
+                "session kinds are applied by `accubench --faults`; \
+                 a sweep draws them with `--chaos-panics`/`--chaos-stalls`"
+            } else {
+                "instrument kinds are applied by `repro <experiment> --faults` \
+                 and by `accubench --faults`; a sweep draws them with `--seed`"
+            };
+            return Err(format!(
+                "{flag}: {path}: `{kind}` is not applied here; {applied_by}"
+            ));
+        }
         Ok(Some((plan, text)))
     }
 

@@ -3,21 +3,37 @@
 //! journaled run replays on `--resume`, refuses a
 //! journal written under a different configuration, commits the end of
 //! its session at once, and heals a cut journal to the uninterrupted bytes.
+//! A plan with a storage kind needs a journal, and a wedged session stops
+//! on the default simulated-time budget.
 
 use std::path::Path;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 /// Runs one short session with the whitespace-split `extra` options, then
-/// `tail` (kept whole, so it may hold a path).
+/// `tail` (kept whole, so it may hold a path). A run still going after a
+/// minute is killed and fails the test, so a wedged session cannot hang it.
 fn accubench(extra: &str, tail: &[&str]) -> Output {
-    // Backtraces would put thread-dependent stacks into panic notes.
-    Command::new(env!("CARGO_BIN_EXE_accubench"))
+    let mut child = Command::new(env!("CARGO_BIN_EXE_accubench"))
+        // Backtraces would put thread-dependent stacks into panic notes.
         .env("RUST_BACKTRACE", "0")
         .args("--device nexus5:2 --scale 0.1 --iterations 2".split_whitespace())
         .args(extra.split_whitespace())
         .args(tail)
-        .output()
-        .expect("accubench binary runs")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("accubench binary runs");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            panic!("{extra} {tail:?}: still running after a minute");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().unwrap()
 }
 
 fn journaled(journal: &Path, extra: &str) -> Output {
@@ -182,4 +198,44 @@ fn resume_re_measures_a_device_cut_before_its_outcome() {
     assert!(err.contains("re-measuring"), "{err}");
     assert_eq!(std::fs::read(&journal).unwrap(), whole, "healed bytes");
     assert_eq!(fsck(&journal), Some(0));
+}
+
+#[test]
+fn faults_refuse_a_storage_kind_without_a_journal() {
+    let dir = accubench::storage::TempDir::new("accubench-storage-kind");
+    let plan = dir.file("enospc.toml");
+    let toml = "[[event]]\nkind = \"storage-enospc\"\nat = 5.0\nduration = 1.0\n";
+    std::fs::write(&plan, toml).unwrap();
+    let out = accubench("", &["--faults", plan.to_str().unwrap()]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("`storage-enospc` is not applied here"),
+        "{err}"
+    );
+    assert!(err.contains("with `--journal`"), "{err}");
+    assert!(out.stdout.is_empty(), "measured anyway");
+}
+
+#[test]
+fn a_stalled_session_times_out_on_the_default_budget() {
+    let dir = accubench::storage::TempDir::new("accubench-stall");
+    let plan = dir.file("stall.toml");
+    let toml = "[[event]]\nkind = \"session-stall\"\nat = 10.0\nduration = 1e12\n";
+    std::fs::write(&plan, toml).unwrap();
+    let faults = ["--faults", plan.to_str().unwrap()];
+
+    let aborted = accubench("", &faults);
+    let err = stderr(&aborted);
+    assert_eq!(aborted.status.code(), Some(1), "{err}");
+    assert!(err.contains("error (timed-out)"), "{err}");
+    assert!(err.contains("simulated-time budget"), "{err}");
+
+    let journal = dir.file("run.journal");
+    let journal_flag = ["--journal", journal.to_str().unwrap()];
+    let args = [&faults[..], &journal_flag].concat();
+    let quarantined = accubench("--on-failure quarantine", &args);
+    assert!(quarantined.status.success(), "{}", stderr(&quarantined));
+    let text = std::fs::read_to_string(&journal).unwrap();
+    assert!(text.contains(r#""status":"timed-out""#), "{text}");
 }

@@ -2,8 +2,10 @@
 //! values never leak into positional targets, and a flag outside the
 //! table, or an unknown target, fails with the usage text instead of
 //! being silently ignored. `--export` writes what a target computed once.
+//! A fault plan with a kind its flag cannot apply is refused, not ignored.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -177,4 +179,69 @@ fn export_runs_each_experiment_once() {
         let exported = step_stats(&[target, "--quick", "--export", export]);
         assert_eq!(plain, exported, "{target}");
     }
+}
+
+/// Runs `repro` on `args` plus `flag` naming a plan of one `kind` event
+/// (at 500, lasting 1e12), and asserts the plan was refused before any
+/// work: exit 1 within a minute (an applied stall would never end), an
+/// error naming the kind and `applied_by`, nothing on stdout.
+fn assert_plan_refused(args: &[&str], flag: &str, kind: &str, applied_by: &str) {
+    let dir = accubench::storage::TempDir::new("repro-plan-kinds");
+    let plan = dir.file("plan.toml");
+    let toml = format!("[[event]]\nkind = \"{kind}\"\nat = 500.0\nduration = 1e12\n");
+    std::fs::write(&plan, toml).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .args([flag, plan.to_str().unwrap()])
+        .env("RUST_BACKTRACE", "0")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro binary runs");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            panic!("{args:?} {flag} {kind}: still running after a minute");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{kind}: {stderr}");
+    let reason = format!("{flag}: {}: `{kind}` is not applied here", plan.display());
+    assert!(stderr.contains(&reason), "{kind}: {stderr}");
+    assert!(stderr.contains(applied_by), "{kind}: {stderr}");
+    assert!(out.stdout.is_empty(), "{kind}: ran anyway");
+}
+
+#[test]
+fn experiment_faults_refuse_a_session_panic() {
+    let rsd = ["rsd", "--quick"];
+    assert_plan_refused(&rsd, "--faults", "session-panic", "`accubench --faults`");
+}
+
+#[test]
+fn experiment_faults_refuse_a_session_stall() {
+    let rsd = ["rsd", "--quick"];
+    assert_plan_refused(&rsd, "--faults", "session-stall", "`accubench --faults`");
+}
+
+#[test]
+fn experiment_faults_refuse_a_storage_kind() {
+    let rsd = ["rsd", "--quick"];
+    let applied_by = "`repro sweep --storage-faults`";
+    assert_plan_refused(&rsd, "--faults", "storage-enospc", applied_by);
+}
+
+#[test]
+fn storage_faults_refuse_an_instrument_kind() {
+    let dir = accubench::storage::TempDir::new("repro-storage-kinds");
+    let journal = dir.file("sweep.journal");
+    let sweep = ["sweep", "--quick", "--devices", "2", "--journal"];
+    let args = [&sweep[..], &[journal.to_str().unwrap()]].concat();
+    let applied_by = "`repro <experiment> --faults`";
+    assert_plan_refused(&args, "--storage-faults", "probe-dropout", applied_by);
+    assert!(!journal.exists(), "the refused sweep opened its journal");
 }

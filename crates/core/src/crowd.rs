@@ -378,25 +378,13 @@ impl SweepConfig {
         self
     }
 
-    /// Simulated-time horizon fault plans must cover: every requested
-    /// iteration at full length, times the retry budget, with slack.
-    fn fault_horizon(&self) -> f64 {
-        let per_iteration = self.protocol.warmup.value()
-            + self.protocol.cooldown_timeout.value()
-            + self.protocol.workload.value();
-        per_iteration * self.iterations as f64 * 4.0
-    }
-
     /// The per-attempt simulated-time budget every supervised session runs
-    /// under: the policy's explicit budget, or the fault horizon — a bound
-    /// no healthy session (including its full retry/backoff budget)
-    /// approaches, so arming it by default costs nothing while
-    /// guaranteeing that even an infinitely wedged session terminates
-    /// deterministically.
+    /// under: the policy's explicit budget, or the protocol's
+    /// [`fault_horizon`](Protocol::fault_horizon).
     fn sim_budget(&self) -> f64 {
         self.supervision
             .max_sim_seconds
-            .unwrap_or_else(|| self.fault_horizon())
+            .unwrap_or_else(|| self.protocol.fault_horizon(self.iterations))
     }
 
     /// Hex [`fnv64`] digest over every field that determines the sweep's
@@ -914,7 +902,7 @@ fn fault_handle_for(cfg: &SweepConfig, index: usize, chaos: Option<&ChaosVictims
     let mut plan = match cfg.fault_seed {
         Some(seed) => FaultPlan::generate(
             seed.wrapping_add(index as u64),
-            cfg.fault_horizon(),
+            cfg.protocol.fault_horizon(cfg.iterations),
             cfg.fault_mean_interval.value(),
             &cfg.fault_kinds,
         ),

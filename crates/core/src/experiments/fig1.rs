@@ -15,7 +15,7 @@ use pv_power::EnergyMeter;
 use pv_soc::catalog::fleet;
 use pv_soc::device::{CpuDemand, FrequencyMode};
 use pv_units::{Celsius, Joules, Seconds};
-use pv_workload::WorkloadSpec;
+use pv_workload::CYCLES_PER_ITERATION;
 
 /// Outcome for one bin.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,11 +127,10 @@ impl Fig1 {
 ///
 /// Propagates harness and device errors.
 pub fn run(cfg: &ExperimentConfig) -> Result<Fig1, BenchError> {
-    let spec = WorkloadSpec::pi_digits_default();
     // A Nexus 5 at 2,265 MHz with 4 cores retires ~3.42 iterations/s; size
     // the target so the best bin needs a few minutes (before throttling).
     let window = 300.0 * cfg.scale;
-    let target_iterations = (4.0 * 2265.0e6 / spec.cycles_per_iteration()) * window * 0.8;
+    let target_iterations = (4.0 * 2265.0e6 / CYCLES_PER_ITERATION) * window * 0.8;
 
     let warmup = Protocol::unconstrained()
         .with_warmup(Seconds(180.0 * cfg.scale))
@@ -149,7 +148,7 @@ pub fn run(cfg: &ExperimentConfig) -> Result<Fig1, BenchError> {
         let mut peak = device.die_temp();
         let mut shutdown = false;
         let dt = Seconds(0.1);
-        while work / spec.cycles_per_iteration() < target_iterations {
+        while work / CYCLES_PER_ITERATION < target_iterations {
             device.set_ambient(harness.ambient_temp())?;
             let r = device.step(dt, CpuDemand::busy(), FrequencyMode::Unconstrained)?;
             meter

@@ -14,7 +14,7 @@ use pv_silicon::binning::BinId;
 use pv_soc::catalog;
 use pv_soc::device::{CpuDemand, Device, FrequencyMode};
 use pv_units::{Celsius, Joules, Seconds};
-use pv_workload::WorkloadSpec;
+use pv_workload::CYCLES_PER_ITERATION;
 
 /// Energy at one ambient point for one device.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,13 +79,12 @@ fn run_fixed_work_at_ambient(
     ambient: Celsius,
     target_iterations: f64,
 ) -> Result<AmbientPoint, BenchError> {
-    let spec = WorkloadSpec::pi_digits_default();
     device.reset_thermal(ambient)?;
     let mut meter = EnergyMeter::new();
     let mut work = 0.0;
     let mut elapsed = 0.0;
     let dt = Seconds(0.1);
-    while work / spec.cycles_per_iteration() < target_iterations {
+    while work / CYCLES_PER_ITERATION < target_iterations {
         let r = device.step(dt, CpuDemand::busy(), FrequencyMode::Unconstrained)?;
         meter
             .record(r.supply_power, dt)
@@ -113,8 +112,7 @@ fn run_fixed_work_at_ambient(
 /// Propagates device errors.
 pub fn run(cfg: &ExperimentConfig) -> Result<Fig2, BenchError> {
     let ambients = [12.0, 19.0, 26.0, 33.0, 40.0, 46.0];
-    let spec = WorkloadSpec::pi_digits_default();
-    let target = (4.0 * 2265.0e6 / spec.cycles_per_iteration()) * 120.0 * cfg.scale.max(0.1);
+    let target = (4.0 * 2265.0e6 / CYCLES_PER_ITERATION) * 120.0 * cfg.scale.max(0.1);
 
     let mut sweeps = Vec::new();
     for bin in [1u8, 3] {

@@ -54,7 +54,7 @@ use pv_soc::trace::Trace;
 use pv_stats::Summary;
 use pv_thermal::thermabox::{FaultyThermaBox, ThermaBox, ThermaBoxConfig};
 use pv_units::{Celsius, Seconds, Watts};
-use pv_workload::WorkloadSpec;
+use pv_workload::CYCLES_PER_ITERATION;
 
 /// The thermal environment the device sits in.
 #[derive(Debug)]
@@ -196,7 +196,6 @@ const GATES: QualityGates = QualityGates {
 pub struct Harness {
     protocol: Protocol,
     ambient: Ambient,
-    workload_spec: WorkloadSpec,
     faults: FaultHandle,
     watchdog: Option<Watchdog>,
 }
@@ -213,7 +212,6 @@ impl Harness {
         Ok(Self {
             protocol,
             ambient,
-            workload_spec: WorkloadSpec::pi_digits_default(),
             faults: FaultHandle::disarmed(),
             watchdog: None,
         })
@@ -486,7 +484,7 @@ impl Harness {
         let workload_secs = workload_time.max(f64::MIN_POSITIVE);
         let peak_temp = peak.unwrap_or_else(|| device.die_temp());
         Ok(Iteration {
-            iterations_completed: work_cycles / self.workload_spec.cycles_per_iteration(),
+            iterations_completed: work_cycles / CYCLES_PER_ITERATION,
             energy: meter.energy(),
             cooldown_duration,
             cooldown_timed_out: timed_out && self.protocol.cooldown_timeout.value() > 0.0,

@@ -33,7 +33,8 @@
 //!   poisoned segment and **rotate**: the journal continues in a fresh
 //!   `<path>.seg1`, `<path>.seg2`, … file, preserving the sealed prefix.
 //!   [`Journal::open`] transparently reads a rotated chain back as one
-//!   record stream. [`StoragePolicy`] bounds both budgets, and
+//!   record stream. Both budgets are fixed: 4 retries per commit with a
+//!   0.05 s first backoff, and 4 segments including the base file.
 //!   [`StorageHealth`] reports what the healing machinery actually did;
 //! * when every budget is exhausted the append finally errors, and the
 //!   sweep's storage escalation decides between degrading and aborting
@@ -62,7 +63,7 @@
 
 use crate::crowd::SweepOutcome;
 use crate::executor::PanicSummary;
-use crate::storage::{classify, FaultClass, Storage, StorageFile, StorageHealth, StoragePolicy};
+use crate::storage::{classify, FaultClass, Storage, StorageFile, StorageHealth};
 use crate::supervise::DeviceStatus;
 use crate::BenchError;
 use core::fmt;
@@ -311,6 +312,18 @@ const SCAN_CHUNK: usize = 64 * 1024;
 /// arrive, so recovery never buffers more than this.
 const MAX_LINE: usize = 4 * 1024 * 1024;
 
+/// Transient-error retries per commit before escalating to rotation.
+const MAX_RETRIES: u32 = 4;
+
+/// First simulated backoff in seconds; doubles per retry. Recorded in
+/// [`StorageHealth::backoff_sim_s`], never slept: nothing in the journal
+/// waits on the wall clock, so healing stays deterministic.
+const BACKOFF_START_S: f64 = 0.05;
+
+/// Maximum journal segments, including the base file. Rotation past this
+/// budget fails the append.
+const MAX_SEGMENTS: u32 = 4;
+
 /// The one decoder of the journal's line format. It is fed the bytes of a
 /// segment in any chunking — [`scan_file`] feeds [`SCAN_CHUNK`]-sized
 /// reads, [`scan_bytes`] one whole slice — and yields the same records
@@ -449,7 +462,6 @@ pub struct Journal {
     /// an exact record boundary.
     record_locs: Vec<(usize, u64)>,
     dropped_bytes: u64,
-    policy: StoragePolicy,
     health: StorageHealth,
 }
 
@@ -518,7 +530,6 @@ impl Journal {
             recovered,
             record_locs,
             dropped_bytes: dropped,
-            policy: StoragePolicy::default(),
             health: StorageHealth::default(),
         })
     }
@@ -593,8 +604,7 @@ impl Journal {
     /// # Errors
     ///
     /// Returns [`JournalError::Io`] on write or sync failure, after the
-    /// retry and rotation budgets of the journal's [`StoragePolicy`] are
-    /// exhausted.
+    /// retry and rotation budgets are exhausted.
     pub fn append(&mut self, record: &Record) -> Result<(), JournalError> {
         self.append_all(core::slice::from_ref(record))
     }
@@ -632,13 +642,13 @@ impl Journal {
     }
 
     /// Writes and syncs one encoded batch, healing as it goes: transient
-    /// errors get up to `max_retries` in-place retries (booking simulated
+    /// errors get up to [`MAX_RETRIES`] in-place retries (booking simulated
     /// backoff, never sleeping), persistent errors — or exhausted
     /// retries — quarantine the active segment and rotate to a fresh one
     /// while the segment budget lasts.
     fn commit(&mut self, buf: &[u8]) -> Result<(), JournalError> {
         let mut retries = 0u32;
-        let mut backoff = self.policy.backoff_start_s;
+        let mut backoff = BACKOFF_START_S;
         loop {
             let err = match self
                 .file
@@ -651,7 +661,7 @@ impl Journal {
                 }
                 Err(e) => e,
             };
-            if classify(&err) == FaultClass::Transient && retries < self.policy.max_retries {
+            if classify(&err) == FaultClass::Transient && retries < MAX_RETRIES {
                 retries += 1;
                 self.health.retries += 1;
                 self.health.backoff_sim_s += backoff;
@@ -661,7 +671,7 @@ impl Journal {
             }
             if self.rotate(&err) {
                 retries = 0;
-                backoff = self.policy.backoff_start_s;
+                backoff = BACKOFF_START_S;
             } else {
                 return Err(JournalError::Io(err));
             }
@@ -684,7 +694,7 @@ impl Journal {
     /// when the segment budget is exhausted or the fresh segment cannot be
     /// established.
     fn rotate(&mut self, cause: &std::io::Error) -> bool {
-        if self.segments.len() as u32 >= self.policy.max_segments {
+        if self.segments.len() as u32 >= MAX_SEGMENTS {
             return false;
         }
         // Seal the poisoned segment's committed prefix as well as the
@@ -693,7 +703,7 @@ impl Journal {
         self.repair_tail();
         let _ = self.file.sync_data();
         let next = segment_path(&self.base, self.segments.len());
-        for _ in 0..=self.policy.max_retries {
+        for _ in 0..=MAX_RETRIES {
             match self.storage.create(&next) {
                 Ok(file) => {
                     self.health.rotations += 1;
@@ -1438,24 +1448,22 @@ mod tests {
     #[test]
     fn persistent_failure_rotates_to_a_fresh_segment() {
         let (mem, inner) = mem_storage();
-        // Persistent EIO on the second batch's write, then the window
-        // "ends" — but persistent EIO never clears, so only rotation (a
-        // fresh segment = different disk region, modelled by the fault
-        // plan ending) can save the journal. Use a *bounded transient*
-        // window longer than the retry budget instead: retries exhaust,
-        // rotation succeeds once the window closes.
-        let plan = FaultPlan::empty().with_event(event(3.0, 6.0, FaultKind::StorageEioTransient));
+        // A bounded transient window longer than the retry budget: ops 0-2
+        // (create, first write, sync) succeed, then the second batch's five
+        // writes (ops 3, 5, 7, 9, 11) fail around four tail repairs. With
+        // the 4 retries spent, rotation seals the old segment (ops 12-13)
+        // and creates the fresh one at op 14, after the window closed.
+        let plan = FaultPlan::empty().with_event(event(3.0, 9.0, FaultKind::StorageEioTransient));
         let storage = Storage::new(std::sync::Arc::new(FaultyStorage::new(inner, &plan)));
         let path = std::path::Path::new("run.journal");
         let records = sample_records();
         let mut j = Journal::open_with(storage.clone(), path).unwrap();
-        j.policy = StoragePolicy {
-            max_retries: 2,
-            ..StoragePolicy::default()
-        };
         j.append(&records[0]).unwrap();
         j.append_all(&records[1..]).unwrap();
+        assert_eq!(j.health().retries, 4, "{:?}", j.health());
         assert_eq!(j.health().rotations, 1, "{:?}", j.health());
+        // 0.05 s doubled per retry: 0.05 + 0.1 + 0.2 + 0.4.
+        assert!((j.health().backoff_sim_s - 0.75).abs() < 1e-12);
         assert_eq!(j.segments().len(), 2);
         assert!(j.health().events[0].contains("rotated"));
         drop(j);
@@ -1483,18 +1491,16 @@ mod tests {
     #[test]
     fn truncate_recovered_spans_rotated_segments() {
         let (_, inner) = mem_storage();
-        let plan = FaultPlan::empty().with_event(event(3.0, 6.0, FaultKind::StorageEioTransient));
+        // The same window as `persistent_failure_rotates_to_a_fresh_segment`.
+        let plan = FaultPlan::empty().with_event(event(3.0, 9.0, FaultKind::StorageEioTransient));
         let storage = Storage::new(std::sync::Arc::new(FaultyStorage::new(inner, &plan)));
         let path = std::path::Path::new("run.journal");
         let records = sample_records();
         {
             let mut j = Journal::open_with(storage.clone(), path).unwrap();
-            j.policy = StoragePolicy {
-                max_retries: 2,
-                ..StoragePolicy::default()
-            };
             j.append(&records[0]).unwrap();
             j.append_all(&records[1..]).unwrap();
+            assert_eq!(j.health().retries, 4, "{:?}", j.health());
             assert_eq!(j.segments().len(), 2);
         }
         let mut j = Journal::open_with(storage.clone(), path).unwrap();

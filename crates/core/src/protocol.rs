@@ -135,6 +135,18 @@ impl Protocol {
         self
     }
 
+    /// Simulated time a session of `iterations` iterations may take: every
+    /// iteration at full length (warmup, cooldown timeout, workload), times
+    /// 4 for retries and backoff. Sweeps draw their fault plans over it,
+    /// and sweeps and `accubench` arm it as the default simulated-time
+    /// budget: no healthy session approaches it, while a wedged one stops
+    /// on it deterministically (DESIGN.md §12).
+    pub fn fault_horizon(&self, iterations: usize) -> f64 {
+        (self.warmup.value() + self.cooldown_timeout.value() + self.workload.value())
+            * iterations as f64
+            * 4.0
+    }
+
     /// Validates all durations and steps.
     ///
     /// # Errors

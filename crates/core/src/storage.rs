@@ -24,8 +24,8 @@
 //!   --storage-faults` exercises degradation end to end.
 //!
 //! [`classify`] sorts an `io::Error` into transient vs persistent so the
-//! journal's bounded retry/backoff ([`StoragePolicy`]) knows whether to
-//! retry, rotate to a fresh segment, or give up and let the sweep degrade
+//! journal's bounded retry/backoff knows whether to retry, rotate to a
+//! fresh segment, or give up and let the sweep degrade
 //! ([`StorageEscalation`]).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -708,7 +708,15 @@ pub struct FaultyStorage {
 impl FaultyStorage {
     /// Wraps `inner`, injecting the storage events of `plan` (non-storage
     /// events are ignored).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event cannot fire ([`FaultEvent::can_fire`]). A plan
+    /// read by [`FaultPlan::from_toml_str`] never holds one.
     pub fn new(inner: Storage, plan: &FaultPlan) -> Self {
+        for e in &plan.events {
+            assert!(e.can_fire(), "fault event can never fire: {e:?}");
+        }
         let events = plan
             .events
             .iter()
@@ -874,7 +882,7 @@ impl StorageBackend for FaultyStorage {
 }
 
 // ---------------------------------------------------------------------------
-// Retry policy and escalation.
+// Escalation.
 // ---------------------------------------------------------------------------
 
 /// What a sweep does when the journal's storage gives out entirely
@@ -913,32 +921,6 @@ impl StorageEscalation {
 impl fmt::Display for StorageEscalation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// Bounded recovery budget for journal appends: how often to retry a
-/// transient error, how much *simulated* backoff to book-keep (nothing
-/// ever wall-clock sleeps — determinism is sacred), and how many segments
-/// rotation may create before the journal gives up.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoragePolicy {
-    /// Transient-error retries per commit before escalating to rotation.
-    pub max_retries: u32,
-    /// First simulated backoff in seconds; doubles per retry. Recorded in
-    /// [`StorageHealth::backoff_sim_s`], never slept.
-    pub backoff_start_s: f64,
-    /// Maximum journal segments (including the base file). Rotation past
-    /// this budget fails the append.
-    pub max_segments: u32,
-}
-
-impl Default for StoragePolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 4,
-            backoff_start_s: 0.05,
-            max_segments: 4,
-        }
     }
 }
 
@@ -1165,6 +1147,18 @@ mod tests {
             let e = f.write_all(b"x").unwrap_err();
             assert_eq!(classify(&e), FaultClass::Persistent);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "fault event can never fire")]
+    fn faulty_storage_refuses_a_window_that_cannot_fire() {
+        let plan = FaultPlan::empty().with_event(FaultEvent {
+            at: f64::NAN,
+            duration: 1.0,
+            kind: FaultKind::StorageEnospc,
+            magnitude: 0.0,
+        });
+        let _ = FaultyStorage::new(Storage::new(Arc::new(MemStorage::new())), &plan);
     }
 
     #[test]

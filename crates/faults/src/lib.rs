@@ -15,10 +15,10 @@
 //! - [`FaultPlan`] — a seed plus a sorted list of events. Plans can be
 //!   written by hand, parsed from a small TOML subset, or generated
 //!   pseudo-randomly from a seed (same seed ⇒ same plan, always).
-//! - [`Injector`] / [`FaultHandle`] — the runtime side. Wrappers around the
-//!   probe, meter, chamber, and device share one cloneable handle, ask it
-//!   "is fault X active now?", and log a [`FaultReport`] whenever a fault
-//!   actually perturbed an observation.
+//! - [`FaultHandle`] — the runtime side. Wrappers around the probe, meter,
+//!   chamber, and device share one cloneable handle, ask it "is fault X
+//!   active now?", and log a [`FaultReport`] whenever a fault actually
+//!   perturbed an observation.
 //!
 //! A disarmed handle ([`FaultHandle::disarmed`]) answers "no" to every
 //! query without consuming randomness or doing arithmetic, so wrapped
@@ -215,6 +215,17 @@ impl FaultEvent {
     /// Whether the window covers time `t` (half-open, `[at, at+duration)`).
     pub fn active_at(&self, t: f64) -> bool {
         t >= self.at && t < self.at + self.duration
+    }
+
+    /// Whether the window can fire: a finite `at >= 0`, a finite
+    /// `duration > 0` and a finite `magnitude`. Any other window covers no
+    /// time, or perturbs with a non-number, so it would be armed in vain.
+    pub fn can_fire(&self) -> bool {
+        self.at.is_finite()
+            && self.at >= 0.0
+            && self.duration.is_finite()
+            && self.duration > 0.0
+            && self.magnitude.is_finite()
     }
 }
 
@@ -448,7 +459,7 @@ pv_json::impl_to_json!(FaultReport {
 /// Runtime state: the armed plan indexed by kind, the simulation clock,
 /// and the report log.
 #[derive(Debug)]
-pub struct Injector {
+struct Injector {
     /// The plan's events, stably sorted by kind, so each kind's events
     /// keep their plan order.
     events: Vec<FaultEvent>,
@@ -511,7 +522,15 @@ impl FaultHandle {
     /// Arms a plan. The clock starts at zero. The plan's events are
     /// grouped by kind once here, so each [`FaultHandle::active`] query
     /// scans only the events of the kind it asks about.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event cannot fire ([`FaultEvent::can_fire`]). A plan
+    /// read by [`FaultPlan::from_toml_str`] never holds one.
     pub fn armed(plan: FaultPlan) -> Self {
+        for e in &plan.events {
+            assert!(e.can_fire(), "fault event can never fire: {e:?}");
+        }
         Self {
             inner: Some(Rc::new(RefCell::new(Injector::new(plan)))),
         }
@@ -526,14 +545,6 @@ impl FaultHandle {
     pub fn advance(&self, dt: f64) {
         if let Some(inner) = &self.inner {
             inner.borrow_mut().now += dt;
-        }
-    }
-
-    /// Resets the clock to zero (start of a fresh session) without
-    /// clearing the report log.
-    pub fn reset_clock(&self) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().now = 0.0;
         }
     }
 
@@ -730,7 +741,32 @@ mod tests {
             let err = FaultPlan::from_toml_str(&text).unwrap_err();
             assert_eq!(err.line, 6, "{key} = {value}: {err}");
             assert!(err.message.contains(key), "{key} = {value}: {err}");
+            // Each refused value fails `can_fire` too.
+            let mut e = FaultEvent {
+                at: 1.0,
+                duration: 1.0,
+                kind: FaultKind::ProbeSpike,
+                magnitude: 0.0,
+            };
+            let x: f64 = value.parse().unwrap();
+            match key {
+                "at" => e.at = x,
+                "duration" => e.duration = x,
+                _ => e.magnitude = x,
+            }
+            assert!(!e.can_fire(), "{key} = {value}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "fault event can never fire")]
+    fn armed_handle_refuses_a_window_that_cannot_fire() {
+        let _ = FaultHandle::armed(FaultPlan::empty().with_event(FaultEvent {
+            at: 10.0,
+            duration: 0.0,
+            kind: FaultKind::MeterDisconnect,
+            magnitude: 0.0,
+        }));
     }
 
     #[test]

@@ -11,20 +11,19 @@
 //! ```
 
 use process_variation::prelude::*;
-use pv_workload::WorkloadSpec;
+use pv_workload::CYCLES_PER_ITERATION;
 
 fn run_fixed_work(
     device: &mut Device,
     ambient: Celsius,
     target: f64,
 ) -> Result<(f64, f64), BenchError> {
-    let spec = WorkloadSpec::pi_digits_default();
     device.reset_thermal(ambient)?;
     let mut meter = EnergyMeter::new();
     let mut work = 0.0;
     let mut t = 0.0;
     let dt = Seconds(0.5);
-    while work / spec.cycles_per_iteration() < target {
+    while work / CYCLES_PER_ITERATION < target {
         let r = device.step(dt, CpuDemand::busy(), FrequencyMode::Unconstrained)?;
         meter
             .record(r.supply_power, dt)
@@ -36,8 +35,7 @@ fn run_fixed_work(
 }
 
 fn main() -> Result<(), BenchError> {
-    let spec = WorkloadSpec::pi_digits_default();
-    let target = 4.0 * 2265.0e6 / spec.cycles_per_iteration() * 90.0;
+    let target = 4.0 * 2265.0e6 / CYCLES_PER_ITERATION * 90.0;
 
     println!("Energy to complete {target:.0} iterations vs ambient temperature\n");
     println!(

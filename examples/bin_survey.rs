@@ -11,13 +11,12 @@
 
 use process_variation::prelude::*;
 use pv_soc::trace::Trace;
-use pv_workload::WorkloadSpec;
+use pv_workload::CYCLES_PER_ITERATION;
 
 fn main() -> Result<(), BenchError> {
     let csv = std::env::args().any(|a| a == "--csv");
-    let spec = WorkloadSpec::pi_digits_default();
     // Work a healthy device finishes in about two minutes flat-out.
-    let target_iterations = 4.0 * 2265.0e6 / spec.cycles_per_iteration() * 120.0;
+    let target_iterations = 4.0 * 2265.0e6 / CYCLES_PER_ITERATION * 120.0;
 
     println!("Fixed work: {target_iterations:.0} iterations of 4,285 pi digits\n");
     println!(
@@ -36,7 +35,7 @@ fn main() -> Result<(), BenchError> {
         let mut peak: f64 = 26.0;
         let mut shutdown = false;
         let dt = Seconds(0.5);
-        while work / spec.cycles_per_iteration() < target_iterations {
+        while work / CYCLES_PER_ITERATION < target_iterations {
             let r = device.step(dt, CpuDemand::busy(), FrequencyMode::Unconstrained)?;
             meter
                 .record(r.supply_power, dt)

@@ -112,9 +112,8 @@ fn device_tables_match_direct_binning() {
 
 #[test]
 fn work_tally_consistency_between_device_and_workload_crates() {
-    use process_variation::pv_workload::{WorkTally, WorkloadSpec};
-    // A device pinned at 960 MHz for 10 s must credit exactly what the
-    // workload crate's own accounting predicts.
+    // A Nexus 5 pinned at 960 MHz for 10 s credits 4 cores × 960 MHz ×
+    // 10 s of work: its one cluster has weight 1.
     let mut device = catalog::nexus5(BinId(0)).unwrap();
     let mut device_cycles = 0.0;
     for _ in 0..100 {
@@ -127,16 +126,10 @@ fn work_tally_consistency_between_device_and_workload_crates() {
             .unwrap();
         device_cycles += r.work_cycles;
     }
-    let mut tally = WorkTally::new();
-    for _ in 0..4 {
-        tally.add(MegaHertz(960.0), Seconds(10.0), 1.0);
-    }
-    let spec = WorkloadSpec::pi_digits_default();
-    let direct = tally.iterations(&spec);
-    let via_device = device_cycles / spec.cycles_per_iteration();
+    let expected = 4.0 * 960.0e6 * 10.0;
     assert!(
-        (direct - via_device).abs() < 1e-6 * direct,
-        "device accounting {via_device} vs workload accounting {direct}"
+        (device_cycles - expected).abs() < 1e-6 * expected,
+        "device accounting {device_cycles} vs 4 cores x 960 MHz x 10 s = {expected}"
     );
 }
 
