@@ -41,7 +41,7 @@ use accubench::protocol::Protocol;
 use accubench::session::Session;
 use accubench::supervise::{OnFailure, SupervisionPolicy, Watchdog};
 use pv_bench::cli::{open_journal, write_failed, Flags, ACCUBENCH};
-use pv_faults::{FaultHandle, FaultKind, FaultPlan};
+use pv_faults::{FaultHandle, FaultKind, FaultPlan, SESSION_KINDS};
 use pv_soc::catalog;
 use pv_soc::faulty::FaultyDevice;
 use pv_thermal::network::Integrator;
@@ -172,12 +172,19 @@ fn run(flags: &Flags<'_>) -> Result<ExitCode, String> {
     let accepts = |k: FaultKind| journal_path.is_some() || !k.is_storage();
     let (faults, storage_plan, fault_toml) = match flags.fault_plan("--faults", accepts)? {
         Some((plan, text)) => {
-            let (storage_events, instrument_events): (Vec<_>, Vec<_>) =
+            // Instrument and session events both run on the session's
+            // simulated-time clock; only the count tells them apart.
+            let (storage_events, timed_events): (Vec<_>, Vec<_>) =
                 plan.events.into_iter().partition(|e| e.kind.is_storage());
+            let chaos = timed_events
+                .iter()
+                .filter(|e| SESSION_KINDS.contains(&e.kind))
+                .count();
             eprintln!(
-                "armed fault plan {}: {} instrument event(s), {} storage event(s)",
+                "armed fault plan {}: {} instrument event(s), {chaos} session event(s), \
+                 {} storage event(s)",
                 flags.value("--faults").unwrap_or_default(),
-                instrument_events.len(),
+                timed_events.len() - chaos,
                 storage_events.len(),
             );
             let storage_plan = (!storage_events.is_empty()).then_some(FaultPlan {
@@ -186,7 +193,7 @@ fn run(flags: &Flags<'_>) -> Result<ExitCode, String> {
             });
             let instruments = FaultHandle::armed(FaultPlan {
                 seed: plan.seed,
-                events: instrument_events,
+                events: timed_events,
             });
             (instruments, storage_plan, text)
         }

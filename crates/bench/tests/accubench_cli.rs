@@ -227,6 +227,11 @@ fn a_stalled_session_times_out_on_the_default_budget() {
 
     let aborted = accubench("", &faults);
     let err = stderr(&aborted);
+    let armed = format!(
+        "armed fault plan {}: 0 instrument event(s), 1 session event(s), 0 storage event(s)",
+        plan.display()
+    );
+    assert!(err.contains(&armed), "{err}");
     assert_eq!(aborted.status.code(), Some(1), "{err}");
     assert!(err.contains("error (timed-out)"), "{err}");
     assert!(err.contains("simulated-time budget"), "{err}");

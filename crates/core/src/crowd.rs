@@ -721,11 +721,12 @@ fn write_sweep<'a>(
 /// * a journal with recovered records must lead with a header whose digest
 ///   matches the requested sweep — otherwise
 ///   [`JournalError::DigestMismatch`] is returned and *nothing* runs;
-/// * the journal's contiguous restored prefix is replayed on the caller
-///   before any worker spawns: its outcomes (and crowd-database
+/// * [`prepare_journal`] cuts the journal at its first out-of-sequence
+///   outcome, so it holds devices `0..k`. They are replayed on the caller
+///   before any worker spawns: their outcomes (and crowd-database
 ///   submissions, via the journaled scores) are restored instead of
 ///   re-simulated. Because every device session is seeded independently
-///   (`fault_seed + index`), the resumed tail is bit-identical to what an
+///   (`fault_seed + index`), devices `k..` are bit-identical to what an
 ///   uninterrupted run would have computed;
 /// * each finished device stages its [`Record::Outcome`] (plus a
 ///   [`Record::Note`] when it hit faults or quarantines) in canonical
@@ -818,23 +819,9 @@ struct DeviceRun {
     /// The device's outcome and submitted score, as the journal records
     /// them.
     result: JournaledOutcome,
-    /// `false` when the outcome was replayed from the journal instead of
-    /// being re-simulated (replays are never re-journaled).
-    fresh: bool,
     /// Per-attempt supervision failures (including failed attempts that a
     /// later retry recovered from), journaled as `Record::Supervision`.
     failures: Vec<AttemptFailure>,
-}
-
-impl DeviceRun {
-    /// A freshly simulated device.
-    fn fresh(result: JournaledOutcome, failures: Vec<AttemptFailure>) -> Self {
-        Self {
-            result,
-            fresh: true,
-            failures,
-        }
-    }
 }
 
 impl JournaledOutcome {
@@ -980,7 +967,7 @@ fn supervise_device(
         match result {
             Ok(session) => {
                 let result = JournaledOutcome::finished(label, &session, reports, attempt);
-                return DeviceRun::fresh(result, failures);
+                return DeviceRun { result, failures };
             }
             Err(failure) => failures.push(failure),
         }
@@ -989,27 +976,8 @@ fn supervise_device(
     // faults are deterministic, so retries fail identically — but real
     // fleets retry against nondeterministic hardware, which is what
     // `max_attempts > 1` models.
-    DeviceRun::fresh(JournaledOutcome::hole(label, reports, &failures), failures)
-}
-
-/// Runs device `index`: replays its journaled outcome when the journal has
-/// one past the contiguous prefix (possible only in a hand-assembled
-/// journal), and supervises a fresh session otherwise.
-fn run_device(
-    cfg: &SweepConfig,
-    chaos: Option<&ChaosVictims>,
-    index: usize,
-    device: &Device,
-    journaled: &BTreeMap<usize, JournaledOutcome>,
-) -> DeviceRun {
-    match journaled.get(&index) {
-        Some(result) => DeviceRun {
-            result: result.clone(),
-            fresh: false,
-            failures: Vec::new(),
-        },
-        None => supervise_device(cfg, index, chaos, device),
-    }
+    let result = JournaledOutcome::hole(label, reports, &failures);
+    DeviceRun { result, failures }
 }
 
 /// Defense-in-depth when a device task itself panics (the supervision
@@ -1017,10 +985,11 @@ fn run_device(
 /// hole carrying the panic headline.
 fn panicked_run(label: String, panic: executor::PanicSummary) -> DeviceRun {
     let failures = vec![AttemptFailure::of_panic(1, panic)];
-    DeviceRun::fresh(JournaledOutcome::hole(label, 0, &failures), failures)
+    let result = JournaledOutcome::hole(label, 0, &failures);
+    DeviceRun { result, failures }
 }
 
-/// The sweep's journal writer: stages each fresh device's records and
+/// The sweep's journal writer: stages each simulated device's records and
 /// commits them once per [`STREAM_GROUP`] of device indices — one write and
 /// one fsync per group — applying the storage escalation when a commit
 /// fails past the journal's own retry and rotation budgets.
@@ -1164,22 +1133,19 @@ fn sweep<S: SweepSink>(
     let labels: Vec<String> = devices.iter().map(|d| d.label().to_owned()).collect();
     let digest = cfg.digest(model, &labels);
     let total = devices.len();
-    let mut replay = match journal.as_deref_mut() {
+    let replay = match journal.as_deref_mut() {
         Some(j) => prepare_journal(j, model, digest, total)?,
         None => Replay::default(),
     };
-    let mut resumed = 0usize;
 
-    // Replay the journal's contiguous restored prefix on the caller — no
-    // simulation, no cancellation gate. Replaying the submission keeps the
-    // sink identical to the uninterrupted run; admission filtering is
+    // Replay the journal's outcomes, devices `0..prefix`, on the caller —
+    // no simulation, no cancellation gate. Replaying the submission keeps
+    // the sink identical to the uninterrupted run; admission filtering is
     // deterministic in the score alone, so `accepted` cannot diverge.
-    let mut prefix = 0usize;
-    while let Some(mut result) = replay.outcomes.remove(&prefix) {
-        sink.submit(prefix, &mut result)?;
+    let prefix = replay.outcomes.len();
+    for (index, mut result) in replay.outcomes {
+        sink.submit(index, &mut result)?;
         sink.keep(result.outcome);
-        resumed += 1;
-        prefix += 1;
     }
 
     // Fan the unsimulated tail out, one task per device: task `k` is
@@ -1190,7 +1156,6 @@ fn sweep<S: SweepSink>(
     tail.drain(..prefix);
     let chaos = cfg.chaos.as_ref().map(|c| c.resolve(total));
     let chaos = chaos.as_ref();
-    let journaled = &replay.outcomes;
     let mut writer = GroupWriter {
         journal,
         escalation: cfg.storage_escalation,
@@ -1204,7 +1169,7 @@ fn sweep<S: SweepSink>(
         tail,
         threads,
         cancel,
-        |k, device: Device| run_device(cfg, chaos, prefix + k, &device, journaled),
+        |k, device: Device| supervise_device(cfg, prefix + k, chaos, &device),
         |k, caught| -> Result<(), BenchError> {
             let index = prefix + k;
             // `supervise_device` is infallible — panics inside a session
@@ -1216,11 +1181,7 @@ fn sweep<S: SweepSink>(
                 TaskOutcome::Panicked(panic) => panicked_run(labels[index].clone(), panic),
             };
             sink.submit(index, &mut run.result)?;
-            if run.fresh {
-                writer.stage(index, &run);
-            } else {
-                resumed += 1;
-            }
+            writer.stage(index, &run);
             sunk += 1;
             let outcome = run.result.outcome;
             // Escalation: under `abort`, a supervision hole fails the
@@ -1259,7 +1220,7 @@ fn sweep<S: SweepSink>(
         devices: total,
         processed: prefix + sunk,
         complete,
-        resumed,
+        resumed: prefix,
         storage_degraded: writer.degraded,
     })
 }

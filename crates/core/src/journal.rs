@@ -42,8 +42,9 @@
 //!
 //! [`fsck`] is the offline half: it scans a journal chain read-only,
 //! reporting per-segment torn bytes, header/completeness, and duplicate
-//! outcomes (`repro fsck` wires it to the command line; repair is just
-//! [`Journal::open`], which truncates torn tails and re-syncs).
+//! or out-of-sequence outcomes (`repro fsck` wires it to the command
+//! line; repair is just [`Journal::open`], which truncates torn tails and
+//! re-syncs).
 //!
 //! The record stream is: a [`Record::Header`] binding the journal to one
 //! run configuration (via [`fnv64`] digest), per-device
@@ -565,9 +566,9 @@ impl Journal {
     /// A device's records are appended as one batch ending in its
     /// [`Record::Outcome`] — the *commit point* resume keys on. A tear can
     /// still land inside the batch, leaving valid `Supervision`/`Note`
-    /// lines with no sealing outcome; [`prepare_journal`] uses this to drop
-    /// those dangling lines before the device re-runs, which re-emits them
-    /// and keeps the healed journal byte-identical to an uninterrupted run.
+    /// lines with no sealing outcome; [`prepare_journal`] uses this to cut
+    /// all a resume does not trust before the devices re-run, which
+    /// re-emits them and keeps the healed journal byte-identical.
     ///
     /// # Errors
     ///
@@ -611,7 +612,7 @@ impl Journal {
 
     /// Appends a batch of records with a **single** write and fsync — the
     /// sweep's merge step uses this to commit one device group at a time:
-    /// every fresh device of one [`crate::crowd::STREAM_GROUP`]-aligned
+    /// every simulated device of one [`crate::crowd::STREAM_GROUP`]-aligned
     /// span of device indices, each as its supervision, note and outcome
     /// records, at one durability point instead of paying per-device sync
     /// latency. Byte layout is identical to appending one by one, so
@@ -854,14 +855,38 @@ impl AttemptFailure {
     }
 }
 
+/// The resume rule of [`prepare_journal`]: how many leading records of a
+/// journal a resume trusts. A journal without a leading header trusts
+/// nothing.
+fn trusted_len(records: &[Record]) -> usize {
+    let Some(Record::Header { devices, .. }) = records.first() else {
+        return 0;
+    };
+    let (mut next, mut trusted) = (0, 1);
+    for (i, record) in records.iter().enumerate().skip(1) {
+        match record {
+            Record::Supervision { .. } | Record::Note { .. } => continue,
+            Record::Outcome { index, .. } if *index < next => {}
+            Record::Outcome { index, .. } if *index == next && next < *devices => next += 1,
+            Record::Complete { .. } if next == *devices => {}
+            _ => break,
+        }
+        trusted = i + 1;
+    }
+    trusted
+}
+
 /// Binds `journal` to one run before any device runs. A fresh journal gets
 /// a [`Record::Header`] carrying `digest` and the device count. A recovered
 /// journal must lead with a header of the same digest and device count.
-/// Its uncommitted tail — `Supervision`/`Note` records that no `Outcome`
-/// sealed, left by a crash inside a device's batch — is truncated, so
-/// re-running that device heals the journal to the uninterrupted bytes.
-/// Returns what the journal holds: the journaled outcomes by device index,
-/// and whether the seal is present.
+/// A resume trusts it up to its first record out of sequence, as the
+/// scanner trusts bytes up to the first torn line. An outcome is in
+/// sequence when its index is the next one expected, or repeats one
+/// already seen (as a rotated re-commit leaves), and is below the device
+/// count; the seal is, once every device's outcome is. The rest is cut,
+/// with the `Supervision`/`Note` tail no outcome committed, so re-running
+/// those devices heals the journal to the uninterrupted bytes. Returns
+/// the journaled outcomes, exactly devices `0..k`, and the seal's presence.
 ///
 /// # Errors
 ///
@@ -898,12 +923,7 @@ pub fn prepare_journal(
         }
         _ => return Err(JournalError::MissingHeader),
     }
-    let committed = journal
-        .recovered()
-        .iter()
-        .rposition(|r| !matches!(r, Record::Supervision { .. } | Record::Note { .. }))
-        .map_or(0, |i| i + 1);
-    journal.truncate_recovered(committed)?;
+    journal.truncate_recovered(trusted_len(journal.recovered()))?;
     Replay::from_records(journal.recovered())
 }
 
@@ -993,6 +1013,11 @@ pub struct FsckReport {
     /// rotated re-commit; harmless to resume (keyed by index) but worth
     /// reporting.
     pub duplicate_outcomes: usize,
+    /// Outcome and seal records a resume would cut: the first one out of
+    /// sequence (an outcome past a gap in the device indices or at or past
+    /// the header's device count, or a seal before the last outcome) and
+    /// every outcome and seal after it.
+    pub out_of_sequence: usize,
     /// Whether the chain starts with a sweep header.
     pub has_header: bool,
     /// Whether a final completion marker is present.
@@ -1002,13 +1027,14 @@ pub struct FsckReport {
 }
 
 impl FsckReport {
-    /// A clean journal: no torn bytes anywhere, and either empty or
-    /// properly headed. (An *incomplete* journal is still clean — it is
-    /// exactly what `--resume` consumes.)
+    /// A clean journal: no torn bytes anywhere, either empty or properly
+    /// headed, and no record out of sequence. (An *incomplete* journal is
+    /// still clean — it is exactly what `--resume` consumes.)
     pub fn is_clean(&self) -> bool {
         self.torn_bytes == 0
             && (self.records == 0 || self.has_header)
             && self.duplicate_outcomes == 0
+            && self.out_of_sequence == 0
     }
 }
 
@@ -1046,6 +1072,9 @@ impl fmt::Display for FsckReport {
         if self.duplicate_outcomes > 0 {
             write!(f, ", {} duplicate outcome(s)", self.duplicate_outcomes)?;
         }
+        if self.out_of_sequence > 0 {
+            write!(f, ", {} record(s) out of sequence", self.out_of_sequence)?;
+        }
         Ok(())
     }
 }
@@ -1072,11 +1101,13 @@ pub fn fsck_with(storage: &Storage, path: impl AsRef<Path>) -> Result<FsckReport
         records: 0,
         outcomes: 0,
         duplicate_outcomes: 0,
+        out_of_sequence: 0,
         has_header: false,
         complete: false,
         torn_bytes: 0,
     };
     let mut seen = std::collections::BTreeSet::new();
+    let mut chain = Vec::new();
     for seg in segment_chain(storage, path.as_ref()) {
         let bytes = storage.read(&seg)?;
         let (records, valid_len) = scan_bytes(&bytes);
@@ -1102,7 +1133,12 @@ pub fn fsck_with(storage: &Storage, path: impl AsRef<Path>) -> Result<FsckReport
             valid_bytes: valid_len,
             torn_bytes: torn,
         });
+        chain.extend(records);
     }
+    report.out_of_sequence = chain[trusted_len(&chain)..]
+        .iter()
+        .filter(|r| !matches!(r, Record::Supervision { .. } | Record::Note { .. }))
+        .count();
     Ok(report)
 }
 

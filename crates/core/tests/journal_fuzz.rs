@@ -2,13 +2,24 @@
 //! behind — random bit flips, spliced duplicate runs, mid-record
 //! truncation, pure garbage — recovery must never panic, must never yield
 //! a record that fails its own checksum, and the streamed (chunked) scan
-//! must agree byte-for-byte with the in-memory slice scan.
+//! must agree byte-for-byte with the in-memory slice scan. Resume gets the
+//! same treatment one level up: a journaled sweep whose records are
+//! deleted, duplicated or re-indexed (each line with a valid checksum)
+//! must resume without a panic to the uninterrupted run.
 
-use accubench::crowd::SweepOutcome;
-use accubench::journal::{decode_line, encode_line, fnv64, scan_bytes, Journal, Record};
+use accubench::crowd::{
+    populate_parallel, CrowdDatabase, JournaledSweep, SweepConfig, SweepOutcome,
+};
+use accubench::journal::{
+    decode_line, encode_line, fnv64, scan_bytes, CancelToken, Journal, Record,
+};
+use accubench::protocol::Protocol;
 use accubench::storage::{MemStorage, Storage};
 use accubench::supervise::DeviceStatus;
+use pv_faults::ALL_KINDS;
 use pv_rng::{Rng, SeedableRng, StdRng};
+use pv_soc::catalog;
+use pv_units::Seconds;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -50,10 +61,7 @@ fn corpus() -> (Vec<Record>, Vec<u8>) {
         });
     }
     records.push(Record::Complete { devices: 6 });
-    let bytes = records
-        .iter()
-        .flat_map(|r| encode_line(r).into_bytes())
-        .collect();
+    let bytes = encode_all(&records);
     (records, bytes)
 }
 
@@ -266,4 +274,105 @@ fn over_long_line_is_torn_tail_however_it_is_chunked() {
     let (recovered, valid_len) = check_recovery(&input, "over-long note");
     assert_same_records(&recovered, &records[..1], "over-long note");
     assert_eq!(valid_len as usize, header.len());
+}
+
+/// Devices in the sweep the resume fuzz mutates.
+const FLEET: usize = 4;
+
+/// Runs a journaled sweep of [`FLEET`] Pixels, on a 2 s warmup and a 2 s
+/// workload and faulted often enough that some devices journal notes,
+/// over an in-memory journal holding `bytes`. Returns the sweep and the
+/// journal's bytes afterwards.
+fn resume_small_sweep(bytes: &[u8]) -> (JournaledSweep, Vec<u8>) {
+    let protocol = Protocol::unconstrained()
+        .with_warmup(Seconds(2.0))
+        .with_workload(Seconds(2.0));
+    let cfg = SweepConfig::clean(protocol, 1).with_faults(0x5EED, Seconds(3.0), ALL_KINDS.to_vec());
+    let devices = (0..FLEET)
+        .map(|i| catalog::pixel(0.2 + 0.2 * i as f64, format!("pixel-{i}")).unwrap())
+        .collect();
+    let mem = MemStorage::new();
+    let storage = Storage::new(Arc::new(mem.clone()));
+    let path = Path::new("/fuzz/sweep.journal");
+    {
+        let mut f = storage.create(path).unwrap();
+        f.write_all(bytes).unwrap();
+        f.sync_data().unwrap();
+    }
+    let mut journal = Journal::open_with(storage, path).unwrap();
+    let mut db = CrowdDatabase::new(5.0).unwrap();
+    let sweep = populate_parallel(
+        &mut db,
+        "Pixel",
+        devices,
+        &cfg,
+        Some(&mut journal),
+        &CancelToken::new(),
+        1,
+    )
+    .unwrap();
+    drop(journal);
+    (sweep, mem.file_bytes(path).unwrap())
+}
+
+/// The journal bytes of `records`, one `encode_line` each.
+fn encode_all(records: &[Record]) -> Vec<u8> {
+    records
+        .iter()
+        .flat_map(|r| encode_line(r).into_bytes())
+        .collect()
+}
+
+/// The uninterrupted sweep, its journal's records, and the position of
+/// each device's outcome among them.
+fn uninterrupted() -> (JournaledSweep, Vec<u8>, Vec<Record>, Vec<usize>) {
+    let (sweep, bytes) = resume_small_sweep(&[]);
+    assert!(sweep.complete);
+    let (records, _) = scan_bytes(&bytes);
+    let outcomes: Vec<usize> = (0..records.len())
+        .filter(|&i| matches!(records[i], Record::Outcome { .. }))
+        .collect();
+    assert_eq!(outcomes.len(), FLEET);
+    assert!(
+        records.iter().any(|r| matches!(r, Record::Note { .. })),
+        "the fuzzed sweep should journal notes"
+    );
+    (sweep, bytes, records, outcomes)
+}
+
+#[test]
+fn out_of_sequence_outcomes_resume_to_the_uninterrupted_sweep() {
+    let (base, base_bytes, records, at) = uninterrupted();
+    let mut rng = StdRng::seed_from_u64(0x0DD5_E9ED);
+    for round in 0..30 {
+        let mut mutated = records.clone();
+        let tag = match round % 3 {
+            0 => {
+                let i = rng.gen_range(0..FLEET);
+                mutated.remove(at[i]);
+                format!("round {round}: outcome {i} deleted")
+            }
+            1 => {
+                // A copy of outcome j ahead of outcome j - 1: a later
+                // repeat would be in sequence, this one is a gap.
+                let j = rng.gen_range(1..FLEET);
+                let pos = rng.gen_range(1..at[j - 1] + 1);
+                mutated.insert(pos, records[at[j]].clone());
+                format!("round {round}: outcome {j} copied to record {pos}")
+            }
+            _ => {
+                let i = rng.gen_range(0..FLEET);
+                let to = FLEET + rng.gen_range(0..3usize);
+                if let Record::Outcome { index, .. } = &mut mutated[at[i]] {
+                    *index = to;
+                }
+                format!("round {round}: outcome {i} re-indexed to {to}")
+            }
+        };
+        let (sweep, bytes) = resume_small_sweep(&encode_all(&mutated));
+        assert!(sweep.complete, "{tag}");
+        assert!(sweep.resumed < FLEET, "{tag}: resumed {}", sweep.resumed);
+        assert_eq!(sweep.report, base.report, "{tag}");
+        assert!(bytes == base_bytes, "{tag}: healed journal differs");
+    }
 }

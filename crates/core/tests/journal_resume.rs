@@ -6,9 +6,11 @@
 //! random byte offset — exactly what a power cut mid-`write` leaves on
 //! disk — and handing the mutilated file back to [`populate_parallel`].
 
-use accubench::crowd::{populate_parallel, CrowdDatabase, SweepConfig, SweepReport};
-use accubench::journal::{CancelToken, Journal};
+use accubench::crowd::{populate_parallel, CrowdDatabase, SweepConfig, SweepOutcome, SweepReport};
+use accubench::journal::{fsck, prepare_journal, CancelToken, Journal, Record};
 use accubench::protocol::Protocol;
+use accubench::session::Verdict;
+use accubench::supervise::DeviceStatus;
 use accubench::BenchError;
 use pv_faults::ALL_KINDS;
 use pv_rng::{Rng, SeedableRng, StdRng};
@@ -291,4 +293,83 @@ fn complete_journal_replays_without_simulation() {
     // A pure replay appends nothing.
     assert_eq!(std::fs::read(&path).unwrap(), before);
     let _ = std::fs::remove_file(&path);
+}
+
+/// One outcome record of a hand-built journal.
+fn outcome(index: usize) -> Record {
+    Record::Outcome {
+        index,
+        outcome: SweepOutcome {
+            device: format!("pixel-crowd-{index:03}"),
+            verdict: Some(Verdict::Valid),
+            accepted: true,
+            quarantined: 0,
+            fault_reports: 1,
+            error: None,
+            status: DeviceStatus::Completed,
+            attempts: 1,
+        },
+        score: Some(500.0 + index as f64),
+        rsd: Some(0.5),
+    }
+}
+
+/// `fsck` and a resume apply one rule: a journal is trusted up to its
+/// first record out of sequence. Each case is a two-device journal and
+/// the number of leading records a resume keeps.
+#[test]
+fn fsck_and_resume_trust_the_same_prefix() {
+    let header = Record::Header {
+        model: "Pixel".into(),
+        digest: "00ff".into(),
+        devices: 2,
+    };
+    let note = Record::Note {
+        index: 1,
+        text: "pixel-crowd-001: 0 quarantined, 1 fault(s)".into(),
+    };
+    let seal = Record::Complete { devices: 2 };
+    let cases: [(&str, Vec<Record>, usize); 6] = [
+        (
+            "whole",
+            vec![outcome(0), note.clone(), outcome(1), seal.clone()],
+            5,
+        ),
+        ("uncommitted note", vec![outcome(0), note.clone()], 2),
+        (
+            "repeat after the seal",
+            vec![outcome(0), outcome(1), seal.clone(), outcome(0)],
+            5,
+        ),
+        ("gap", vec![outcome(1), outcome(0)], 1),
+        (
+            "overrun",
+            vec![outcome(0), note.clone(), outcome(2), seal.clone()],
+            2,
+        ),
+        ("early seal", vec![outcome(0), note, seal, outcome(1)], 2),
+    ];
+    for (case, tail, trusted) in cases {
+        let records: Vec<Record> = std::iter::once(header.clone()).chain(tail).collect();
+        let path = tmp_path(&format!("sequence-{}", case.replace(' ', "-")));
+        let _ = std::fs::remove_file(&path);
+        Journal::open(&path).unwrap().append_all(&records).unwrap();
+        let cut = records[trusted..]
+            .iter()
+            .filter(|r| !matches!(r, Record::Note { .. }))
+            .count();
+        let report = fsck(&path).unwrap();
+        assert_eq!(report.out_of_sequence, cut, "{case}");
+        let clean = cut == 0 && report.duplicate_outcomes == 0;
+        assert_eq!(report.is_clean(), clean, "{case}");
+
+        let mut journal = Journal::open(&path).unwrap();
+        let replay = prepare_journal(&mut journal, "Pixel", "00ff".into(), 2).unwrap();
+        assert_eq!(journal.recovered(), &records[..trusted], "{case}");
+        let kept: Vec<usize> = replay.outcomes.keys().copied().collect();
+        assert!(kept.iter().copied().eq(0..kept.len()), "{case}: {kept:?}");
+        drop(journal);
+        assert_eq!(fsck(&path).unwrap().out_of_sequence, 0, "{case}");
+        std::fs::remove_file(&path).unwrap();
+    }
 }
